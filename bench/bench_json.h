@@ -4,7 +4,10 @@
 // a small JSON file (one object per benchmark: name, ns/op, items/sec,
 // iterations, plus any user counters such as p99 latencies) so CI and
 // before/after comparisons can diff numbers without scraping console
-// tables.  Override the output path with --bench-json=<path>.
+// tables.  Override the output path with --bench-json=<path>.  Beside the
+// dispatched kernel ISA, a host block records where the numbers came from:
+// hardware threads, compiler, build type, and the commit passed as
+// --git-sha=<sha> ("unknown" when omitted).
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -13,6 +16,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,7 +30,8 @@ namespace helcfl::bench {
 /// --benchmark_out, so the JSON lives on the display path instead.)
 class JsonTeeReporter : public benchmark::BenchmarkReporter {
  public:
-  explicit JsonTeeReporter(std::string path) : path_(std::move(path)) {}
+  JsonTeeReporter(std::string path, std::string git_sha)
+      : path_(std::move(path)), git_sha_(std::move(git_sha)) {}
 
   bool ReportContext(const Context& context) override {
     return console_.ReportContext(context);
@@ -75,7 +80,18 @@ class JsonTeeReporter : public benchmark::BenchmarkReporter {
       std::cerr << "bench_json: cannot open " << path_ << "\n";
       return;
     }
+#if defined(__clang__)
+    const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+    const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+    const std::string compiler = "unknown";
+#endif
     out << "{\n  \"kernel_isa\": \"" << tensor::kernel_isa() << "\",\n"
+        << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
+        << ", \"compiler\": \"" << escape(compiler)
+        << "\", \"build_type\": \"" << escape(HELCFL_BUILD_TYPE)
+        << "\", \"git_sha\": \"" << escape(git_sha_) << "\"},\n"
         << "  \"benchmarks\": [\n";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       const Row& r = rows_[i];
@@ -122,19 +138,25 @@ class JsonTeeReporter : public benchmark::BenchmarkReporter {
 
   benchmark::ConsoleReporter console_;
   std::string path_;
+  std::string git_sha_;
   std::vector<Row> rows_;
 };
 
 /// Drop-in replacement for benchmark_main: console output plus a JSON file.
-/// Recognizes and strips a leading `--bench-json=<path>` argument.
+/// Recognizes and strips `--bench-json=<path>` and `--git-sha=<sha>`.
 inline int run_benchmarks_with_json(int argc, char** argv,
                                     const char* default_path) {
   std::string path = default_path;
+  std::string git_sha = "unknown";
   std::vector<char*> args(argv, argv + argc);
   for (auto it = args.begin(); it != args.end();) {
-    constexpr const char* kFlag = "--bench-json=";
-    if (std::strncmp(*it, kFlag, std::strlen(kFlag)) == 0) {
-      path = *it + std::strlen(kFlag);
+    constexpr const char* kJsonFlag = "--bench-json=";
+    constexpr const char* kShaFlag = "--git-sha=";
+    if (std::strncmp(*it, kJsonFlag, std::strlen(kJsonFlag)) == 0) {
+      path = *it + std::strlen(kJsonFlag);
+      it = args.erase(it);
+    } else if (std::strncmp(*it, kShaFlag, std::strlen(kShaFlag)) == 0) {
+      git_sha = *it + std::strlen(kShaFlag);
       it = args.erase(it);
     } else {
       ++it;
@@ -145,7 +167,7 @@ inline int run_benchmarks_with_json(int argc, char** argv,
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
     return 1;
   }
-  JsonTeeReporter reporter(path);
+  JsonTeeReporter reporter(path, git_sha);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;

@@ -118,12 +118,16 @@ void BM_Conv2DForward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2DForward)->Arg(1)->Arg(32);
 
-void BM_Conv2DTrainStep(benchmark::State& state) {
+struct ConvShape {
+  std::size_t in_ch, out_ch, extent, batch;
+};
+
+void BM_Conv2DTrainStep(benchmark::State& state, ConvShape shape) {
   util::Rng rng(6);
-  nn::Conv2D conv(3, 8, 3, 1, 1, rng);
-  Tensor x(Shape{8, 3, 8, 8});
+  nn::Conv2D conv(shape.in_ch, shape.out_ch, 3, 1, 1, rng);
+  Tensor x(Shape{shape.batch, shape.in_ch, shape.extent, shape.extent});
   x.fill_normal(rng, 0.0F, 1.0F);
-  Tensor dy(Shape{8, 8, 8, 8});
+  Tensor dy(Shape{shape.batch, shape.out_ch, shape.extent, shape.extent});
   dy.fill(0.01F);
   // Warm-up sizes the im2col scratch; the timed loop must then run
   // allocation-free (the no-alloc steady-state contract, docs/KERNELS.md).
@@ -139,9 +143,17 @@ void BM_Conv2DTrainStep(benchmark::State& state) {
   if (tensor::scratch_realloc_count() != reallocs_before) {
     state.SkipWithError("scratch grew during steady-state Conv2D training");
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(shape.batch));
+}
+void BM_Conv2DTrainStep(benchmark::State& state) {
+  BM_Conv2DTrainStep(state, {3, 8, 8, 8});
 }
 BENCHMARK(BM_Conv2DTrainStep);
+// small_cnn's two convs at the trainer's batch of 40 (one client's data):
+// 4 samples per lowered chunk for the 8x8 map, 16 for the 4x4 map.
+BENCHMARK_CAPTURE(BM_Conv2DTrainStep, small_cnn_conv1_b40, ConvShape{3, 8, 8, 40});
+BENCHMARK_CAPTURE(BM_Conv2DTrainStep, small_cnn_conv2_b40, ConvShape{8, 16, 4, 40});
 
 void BM_SoftmaxCrossEntropy(benchmark::State& state) {
   util::Rng rng(7);

@@ -7,23 +7,29 @@ namespace helcfl::nn {
 
 using tensor::Tensor;
 
+// Selects, not branches, so the loops vectorize (an activation's sign is a
+// coin flip to a branch predictor).  x > 0 is false for NaN and -0: both
+// map to +0 and are gated out.
 Tensor ReLU::forward(const Tensor& input, bool training) {
   Tensor output = input;
-  if (training) mask_ = Tensor(input.shape());
-  for (std::size_t i = 0; i < output.size(); ++i) {
-    if (output[i] > 0.0F) {
-      if (training) mask_[i] = 1.0F;
-    } else {
-      output[i] = 0.0F;
-    }
+  float* y = output.data().data();
+  const std::size_t size = output.size();
+  for (std::size_t i = 0; i < size; ++i) y[i] = y[i] > 0.0F ? y[i] : 0.0F;
+  if (training) {
+    const float* x = input.data().data();
+    mask_.resize(size);
+    for (std::size_t i = 0; i < size; ++i) mask_[i] = x[i] > 0.0F;
   }
   return output;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
-  assert(grad_output.shape() == mask_.shape());
+  assert(grad_output.size() == mask_.size());
   Tensor grad_input = grad_output;
-  for (std::size_t i = 0; i < grad_input.size(); ++i) grad_input[i] *= mask_[i];
+  float* g = grad_input.data().data();
+  // A multiply, not a select: gated gradients follow IEEE x * 0, so a
+  // negative one becomes -0 and a non-finite one NaN (test_activations).
+  for (std::size_t i = 0; i < mask_.size(); ++i) g[i] *= static_cast<float>(mask_[i]);
   return grad_input;
 }
 

@@ -1,6 +1,9 @@
 // Elementwise activation layers.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "nn/layer.h"
 
 namespace helcfl::nn {
@@ -14,7 +17,7 @@ class ReLU : public Layer {
   std::string name() const override { return "ReLU"; }
 
  private:
-  tensor::Tensor mask_;  // 1 where input > 0
+  std::vector<std::uint8_t> mask_;  // 1 where input > 0
 };
 
 /// Leaky ReLU with configurable negative slope.

@@ -60,84 +60,79 @@ std::size_t Conv2D::output_extent(std::size_t input_extent) const {
 
 namespace {
 
-/// Output positions o with 0 <= o*stride + kt - pad < extent, as [lo, hi).
-struct TapRange {
-  std::size_t lo;
-  std::size_t hi;
-};
+// Output positions one lowered chunk holds.  256 is a whole number of
+// micro-tile columns for every kernel (Nr = 8, 16, 32), so a 4x4 map (16
+// positions) no longer fills half a 32-wide panel, and one GEMM call
+// amortizes its packing and dispatch over 256 columns.  It stays small
+// enough that the zoo's column panels [in_ch*k*k, 256] (at most 72 KB)
+// remain cache-resident and scratch stays bounded for any batch.
+constexpr std::size_t kChunkCols = 256;
 
-TapRange valid_taps(std::size_t out_extent, std::size_t stride, std::size_t kt,
-                    std::size_t pad, std::size_t extent) {
-  std::size_t lo = 0;
-  if (kt < pad) lo = (pad - kt + stride - 1) / stride;
-  std::size_t hi = 0;
-  if (extent + pad > kt) {
-    hi = std::min(out_extent, (extent + pad - kt - 1) / stride + 1);
-  }
-  if (hi < lo) hi = lo;
-  return {lo, hi};
+/// Samples per chunk when each has `hw` output positions:
+/// floor(kChunkCols / hw), at least 1, at most the batch.
+std::size_t chunk_samples(std::size_t batch, std::size_t hw) {
+  return std::clamp<std::size_t>(kChunkCols / hw, 1, std::max<std::size_t>(batch, 1));
 }
 
 }  // namespace
 
-void Conv2D::im2col(const float* __restrict__ src, std::size_t h_in,
-                    std::size_t w_in, std::size_t h_out, std::size_t w_out,
+const float* Conv2D::pad(const float* src, std::size_t h_in, std::size_t w_in) {
+  if (padding_ == 0) return src;
+  const std::size_t hp = h_in + 2 * padding_;
+  const std::size_t wp = w_in + 2 * padding_;
+  std::fill_n(pad_.data(), in_channels_ * hp * wp, 0.0F);
+  for (std::size_t ic = 0; ic < in_channels_; ++ic) {
+    for (std::size_t y = 0; y < h_in; ++y) {
+      std::copy_n(src + (ic * h_in + y) * w_in, w_in,
+                  pad_.data() + (ic * hp + y + padding_) * wp + padding_);
+    }
+  }
+  return pad_.data();
+}
+
+void Conv2D::unpad(std::size_t h_in, std::size_t w_in, float* dst) const {
+  const std::size_t hp = h_in + 2 * padding_;
+  const std::size_t wp = w_in + 2 * padding_;
+  for (std::size_t ic = 0; ic < in_channels_; ++ic) {
+    for (std::size_t y = 0; y < h_in; ++y) {
+      std::copy_n(pad_.data() + (ic * hp + y + padding_) * wp + padding_, w_in,
+                  dst + (ic * h_in + y) * w_in);
+    }
+  }
+}
+
+void Conv2D::im2col(const float* __restrict__ src, std::size_t hp, std::size_t wp,
+                    std::size_t h_out, std::size_t w_out, std::size_t ld,
                     float* __restrict__ dst) const {
-  const std::size_t hw = h_out * w_out;
   std::size_t r = 0;
   for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-    const float* plane = src + ic * h_in * w_in;
+    const float* plane = src + ic * hp * wp;
     for (std::size_t ky = 0; ky < kernel_; ++ky) {
-      const TapRange oy = valid_taps(h_out, stride_, ky, padding_, h_in);
       for (std::size_t kx = 0; kx < kernel_; ++kx, ++r) {
-        const TapRange ox = valid_taps(w_out, stride_, kx, padding_, w_in);
-        float* row = dst + r * hw;
+        float* row = dst + r * ld;
         for (std::size_t y = 0; y < h_out; ++y) {
+          const float* in = plane + (y * stride_ + ky) * wp + kx;
           float* out = row + y * w_out;
-          if (y < oy.lo || y >= oy.hi) {
-            std::fill(out, out + w_out, 0.0F);
-            continue;
-          }
-          const float* in_row = plane + (y * stride_ + ky - padding_) * w_in;
-          std::fill(out, out + ox.lo, 0.0F);
-          if (stride_ == 1) {
-            const float* s = in_row + (ox.lo + kx - padding_);
-            std::copy(s, s + (ox.hi - ox.lo), out + ox.lo);
-          } else {
-            for (std::size_t x = ox.lo; x < ox.hi; ++x) {
-              out[x] = in_row[x * stride_ + kx - padding_];
-            }
-          }
-          std::fill(out + ox.hi, out + w_out, 0.0F);
+          for (std::size_t x = 0; x < w_out; ++x) out[x] = in[x * stride_];
         }
       }
     }
   }
 }
 
-void Conv2D::col2im(const float* __restrict__ src, std::size_t h_in,
-                    std::size_t w_in, std::size_t h_out, std::size_t w_out,
+void Conv2D::col2im(const float* __restrict__ src, std::size_t hp, std::size_t wp,
+                    std::size_t h_out, std::size_t w_out, std::size_t ld,
                     float* __restrict__ dst) const {
-  const std::size_t hw = h_out * w_out;
   std::size_t r = 0;
   for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-    float* plane = dst + ic * h_in * w_in;
+    float* plane = dst + ic * hp * wp;
     for (std::size_t ky = 0; ky < kernel_; ++ky) {
-      const TapRange oy = valid_taps(h_out, stride_, ky, padding_, h_in);
       for (std::size_t kx = 0; kx < kernel_; ++kx, ++r) {
-        const TapRange ox = valid_taps(w_out, stride_, kx, padding_, w_in);
-        const float* row = src + r * hw;
-        for (std::size_t y = oy.lo; y < oy.hi; ++y) {
+        const float* row = src + r * ld;
+        for (std::size_t y = 0; y < h_out; ++y) {
           const float* in = row + y * w_out;
-          float* out_row = plane + (y * stride_ + ky - padding_) * w_in;
-          if (stride_ == 1) {
-            float* d = out_row + (ox.lo + kx - padding_);
-            for (std::size_t x = ox.lo; x < ox.hi; ++x) d[x - ox.lo] += in[x];
-          } else {
-            for (std::size_t x = ox.lo; x < ox.hi; ++x) {
-              out_row[x * stride_ + kx - padding_] += in[x];
-            }
-          }
+          float* out = plane + (y * stride_ + ky) * wp + kx;
+          for (std::size_t x = 0; x < w_out; ++x) out[x * stride_] += in[x];
         }
       }
     }
@@ -158,31 +153,49 @@ Tensor Conv2D::forward(const Tensor& input, bool training) {
   const std::size_t w_out = output_extent(w_in);
   const std::size_t ckk = in_channels_ * kernel_ * kernel_;
   const std::size_t hw = h_out * w_out;
+  const std::size_t hp = h_in + 2 * padding_;
+  const std::size_t wp = w_in + 2 * padding_;
+  const std::size_t in_plane = in_channels_ * h_in * w_in;
+  const std::size_t out_plane = out_channels_ * hw;
+  const std::size_t chunk = chunk_samples(batch, hw);
 
   Tensor output(Shape{batch, out_channels_, h_out, w_out});
-  tensor::detail::ensure_scratch(col_, ckk * hw);
+  tensor::detail::ensure_scratch(col_, ckk * chunk * hw);
+  tensor::detail::ensure_scratch(panel_, out_channels_ * chunk * hw);
+  if (padding_ > 0) tensor::detail::ensure_scratch(pad_, in_channels_ * hp * wp);
   const float* in = input.data().data();
   float* out = output.data().data();
-  // The weight acts as the [out_ch, ckk] left operand of every sample's
-  // GEMM; pack its panels once per weight mutation instead of per sample.
+  // The weight acts as the [out_ch, ckk] left operand of every chunk's
+  // GEMM; pack its panels once per weight mutation instead of per call.
   // Packed and unpacked paths produce identical bits (ops.h).
   const bool prepack = tensor::weight_prepack_enabled();
   if (prepack && !packed_.is_a(out_channels_, ckk)) {
     packed_.pack_a(out_channels_, ckk, weight_.data());
   }
-  // Per sample: out[n] = W[out_ch, ckk] * col[ckk, hw] + bias (fused).
-  for (std::size_t n = 0; n < batch; ++n) {
-    im2col(in + n * in_channels_ * h_in * w_in, h_in, w_in, h_out, w_out,
-           col_.data());
-    const std::span<const float> col_n(col_.data(), ckk * hw);
-    const std::span<float> out_n(out + n * out_channels_ * hw,
-                                 out_channels_ * hw);
+  // Per chunk of cnt samples: panel[out_ch, cnt*hw] = W * col[ckk, cnt*hw]
+  // + bias (fused), then scatter the panel's per-sample column blocks into
+  // NCHW.
+  for (std::size_t n0 = 0; n0 < batch; n0 += chunk) {
+    const std::size_t cnt = std::min(chunk, batch - n0);
+    const std::size_t cols = cnt * hw;
+    for (std::size_t i = 0; i < cnt; ++i) {
+      im2col(pad(in + (n0 + i) * in_plane, h_in, w_in), hp, wp, h_out, w_out,
+             cols, col_.data() + i * hw);
+    }
+    const std::span<const float> col(col_.data(), ckk * cols);
+    const std::span<float> panel(panel_.data(), out_channels_ * cols);
     if (prepack) {
-      tensor::gemm_bias_rows(out_channels_, ckk, hw, packed_, col_n,
-                             bias_.data(), out_n);
+      tensor::gemm_bias_rows(out_channels_, ckk, cols, packed_, col,
+                             bias_.data(), panel);
     } else {
-      tensor::gemm_bias_rows(out_channels_, ckk, hw, weight_.data(), col_n,
-                             bias_.data(), out_n);
+      tensor::gemm_bias_rows(out_channels_, ckk, cols, weight_.data(), col,
+                             bias_.data(), panel);
+    }
+    for (std::size_t i = 0; i < cnt; ++i) {
+      for (std::size_t oc = 0; oc < out_channels_; ++oc) {
+        std::copy_n(panel_.data() + oc * cols + i * hw, hw,
+                    out + (n0 + i) * out_plane + oc * hw);
+      }
     }
   }
   if (training) cached_input_ = input;
@@ -200,37 +213,69 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   assert(grad_output.shape() == Shape({batch, out_channels_, h_out, w_out}));
   const std::size_t ckk = in_channels_ * kernel_ * kernel_;
   const std::size_t hw = h_out * w_out;
+  const std::size_t hp = h_in + 2 * padding_;
+  const std::size_t wp = w_in + 2 * padding_;
+  const std::size_t in_plane = in_channels_ * h_in * w_in;
+  const std::size_t out_plane = out_channels_ * hw;
+  const std::size_t chunk = chunk_samples(batch, hw);
 
   tensor::detail::ensure_scratch(col_, ckk * hw);
-  tensor::detail::ensure_scratch(col_grad_, ckk * hw);
+  tensor::detail::ensure_scratch(col_grad_, ckk * chunk * hw);
+  tensor::detail::ensure_scratch(panel_, out_channels_ * chunk * hw);
+  if (padding_ > 0) tensor::detail::ensure_scratch(pad_, in_channels_ * hp * wp);
 
   Tensor grad_input(s);
   const float* in = cached_input_.data().data();
   const float* gout = grad_output.data().data();
   float* gin = grad_input.data().data();
-  for (std::size_t n = 0; n < batch; ++n) {
-    const std::size_t plane = n * out_channels_ * hw;
-    const std::span<const float> gout_n(gout + plane, out_channels_ * hw);
-    // Recompute the forward's columns (the scratch was reused across
-    // samples, so nothing survives from forward()).
-    im2col(in + n * in_channels_ * h_in * w_in, h_in, w_in, h_out, w_out,
-           col_.data());
-    // grad_W[oc, ckk] += gout[oc, hw] * col^T[hw, ckk]
-    tensor::gemm_a_bt_accumulate(out_channels_, hw, ckk, gout_n,
-                                 std::span<const float>(col_.data(), ckk * hw),
-                                 grad_weight_.data());
-    // grad_b[oc] += sum over spatial positions
-    for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-      const float* g_row = gout + plane + oc * hw;
-      float sum = 0.0F;
-      for (std::size_t i = 0; i < hw; ++i) sum += g_row[i];
-      grad_bias_[oc] += sum;
+  for (std::size_t n0 = 0; n0 < batch; n0 += chunk) {
+    const std::size_t cnt = std::min(chunk, batch - n0);
+    const std::size_t cols = cnt * hw;
+    // Gather the chunk's output gradients into one [out_ch, cnt*hw] panel
+    // (the inverse of the forward scatter).
+    for (std::size_t i = 0; i < cnt; ++i) {
+      for (std::size_t oc = 0; oc < out_channels_; ++oc) {
+        std::copy_n(gout + (n0 + i) * out_plane + oc * hw, hw,
+                    panel_.data() + oc * cols + i * hw);
+      }
     }
-    // grad_col[ckk, hw] = W^T[ckk, oc] * gout[oc, hw], then fold back.
-    tensor::gemm_at_b(ckk, out_channels_, hw, weight_.data(), gout_n,
-                      std::span<float>(col_grad_.data(), ckk * hw));
-    col2im(col_grad_.data(), h_in, w_in, h_out, w_out,
-           gin + n * in_channels_ * h_in * w_in);
+    // grad_col[ckk, cnt*hw] = W^T[ckk, oc] * panel[oc, cnt*hw]; every
+    // element reduces over out_ch alone, so chunking cannot move its bits.
+    tensor::gemm_at_b(ckk, out_channels_, cols, weight_.data(),
+                      std::span<const float>(panel_.data(), out_channels_ * cols),
+                      std::span<float>(col_grad_.data(), ckk * cols));
+    for (std::size_t i = 0; i < cnt; ++i) {
+      const std::size_t n = n0 + i;
+      const float* gout_n = gout + n * out_plane;
+      float* gin_n = gin + n * in_plane;
+      // Fold the sample's column gradients back.  With padding they land in
+      // a zeroed padded plane whose interior is the gradient; the additions
+      // reach each element in the same order either way.
+      if (padding_ == 0) {
+        col2im(col_grad_.data() + i * hw, hp, wp, h_out, w_out, cols, gin_n);
+      } else {
+        std::fill_n(pad_.data(), in_channels_ * hp * wp, 0.0F);
+        col2im(col_grad_.data() + i * hw, hp, wp, h_out, w_out, cols, pad_.data());
+        unpad(h_in, w_in, gin_n);
+      }
+      // The weight and bias gradients sum over samples, so they stay one
+      // sample at a time in sample order: that loop is their reduction
+      // order.  Recompute the sample's columns (forward kept only its input).
+      im2col(pad(in + n * in_plane, h_in, w_in), hp, wp, h_out, w_out, hw,
+             col_.data());
+      // grad_W[oc, ckk] += gout[oc, hw] * col^T[hw, ckk]
+      tensor::gemm_a_bt_accumulate(out_channels_, hw, ckk,
+                                   std::span<const float>(gout_n, out_plane),
+                                   std::span<const float>(col_.data(), ckk * hw),
+                                   grad_weight_.data());
+      // grad_b[oc] += sum over spatial positions
+      for (std::size_t oc = 0; oc < out_channels_; ++oc) {
+        const float* g_row = gout_n + oc * hw;
+        float sum = 0.0F;
+        for (std::size_t j = 0; j < hw; ++j) sum += g_row[j];
+        grad_bias_[oc] += sum;
+      }
+    }
   }
   return grad_input;
 }

@@ -17,12 +17,23 @@ namespace helcfl::nn {
 /// [out_ch, in_ch, k, k]; output [N, out_ch, H_out, W_out] with
 /// H_out = (H + 2*pad - k) / stride + 1.
 ///
-/// Forward and backward lower each sample to GEMM (docs/KERNELS.md): the
-/// receptive fields are unrolled into a column matrix [in_ch*k*k,
-/// H_out*W_out] (im2col), the weight acts as [out_ch, in_ch*k*k], and the
-/// bias is fused into the GEMM store pass.  The column scratch is cached
-/// per layer and sized to the last shape, so steady-state forwards and
-/// backwards allocate nothing beyond their output tensors.
+/// Forward and backward lower chunks of samples to GEMM (docs/KERNELS.md).
+/// A chunk is as many samples as fit in 256 output positions (one sample
+/// when H_out*W_out alone is larger).  Their receptive fields are unrolled
+/// side by side into one column panel [in_ch*k*k, cnt*H_out*W_out]
+/// (im2col), one GEMM with the bias fused computes W[out_ch, in_ch*k*k]
+/// times the panel, and the result is scattered back to NCHW.  The input
+/// gradient runs in reverse: one W^T GEMM per chunk on the gathered output
+/// gradients, then col2im per sample.
+///
+/// Chunking moves no bit: a forward output reduces over in_ch*k*k and an
+/// input-gradient column over out_ch alone, and the GEMM's per-element
+/// order (ascending k, k-blocks folded in order) does not depend on n.  The
+/// weight and bias gradients also sum over samples, so they stay one GEMM
+/// per sample in sample order: that loop is their reduction order.
+///
+/// Scratch is cached per layer and grows to the largest chunk seen, so
+/// steady-state passes allocate nothing beyond their output tensors.
 class Conv2D : public Layer {
  public:
   /// He-initializes the kernel with `rng`; bias starts at zero.
@@ -45,16 +56,26 @@ class Conv2D : public Layer {
   std::size_t output_extent(std::size_t input_extent) const;
 
  private:
-  /// Unrolls one input sample [in_ch, h_in, w_in] into columns
-  /// [in_ch*k*k, h_out*w_out]; out-of-image (padding) taps become zeros.
-  void im2col(const float* src, std::size_t h_in, std::size_t w_in,
-              std::size_t h_out, std::size_t w_out, float* dst) const;
+  /// Copies one input sample [in_ch, h_in, w_in] into pad_ as
+  /// [in_ch, h_in+2p, w_in+2p] with a zero border and returns it, so the
+  /// lowering below needs no bounds tests; returns `src` itself when p = 0.
+  const float* pad(const float* src, std::size_t h_in, std::size_t w_in);
 
-  /// Adjoint of im2col: accumulates columns back into one gradient sample
-  /// [in_ch, h_in, w_in] (which must be zero-initialized by the caller for
-  /// the first accumulation).
-  void col2im(const float* src, std::size_t h_in, std::size_t w_in,
-              std::size_t h_out, std::size_t w_out, float* dst) const;
+  /// Adjoint of pad(): copies pad_'s interior into one sample `dst`.
+  void unpad(std::size_t h_in, std::size_t w_in, float* dst) const;
+
+  /// Unrolls one padded sample [in_ch, hp, wp] into columns
+  /// [in_ch*k*k, h_out*w_out] of a panel whose rows are `ld` floats apart.
+  void im2col(const float* src, std::size_t hp, std::size_t wp,
+              std::size_t h_out, std::size_t w_out, std::size_t ld,
+              float* dst) const;
+
+  /// Adjoint of im2col: accumulates the columns [in_ch*k*k, h_out*w_out]
+  /// of a panel with row stride `ld` into one padded gradient sample
+  /// [in_ch, hp, wp] (zero-initialized by the caller).
+  void col2im(const float* src, std::size_t hp, std::size_t wp,
+              std::size_t h_out, std::size_t w_out, std::size_t ld,
+              float* dst) const;
 
   std::size_t in_channels_;
   std::size_t out_channels_;
@@ -68,8 +89,11 @@ class Conv2D : public Layer {
   tensor::Tensor cached_input_;
   // Per-layer scratch, grown to the largest shape seen and then reused
   // (tensor::scratch_realloc_count() audits steady-state behaviour).
-  std::vector<float> col_;       // im2col panel [in*k*k, h_out*w_out]
+  std::vector<float> col_;       // im2col panel [in*k*k, cnt*h_out*w_out]
   std::vector<float> col_grad_;  // backward column gradients, same extent
+  std::vector<float> panel_;     // chunk outputs / gathered output grads
+                                 // [out_ch, cnt*h_out*w_out]
+  std::vector<float> pad_;       // one zero-bordered sample [in, hp, wp]
   // Weight panels [out_ch, in*k*k] in the kernel's layout, repacked lazily
   // after every weight mutation (Layer::mark_weights_dirty) and reused
   // across samples, batches, and clients.

@@ -15,9 +15,8 @@ namespace {
 /// ReLU applied in place; returns a mask-free copy (Fire keeps the post-ReLU
 /// activation itself, which is enough to gate gradients: x > 0 <=> relu(x) > 0).
 void relu_inplace(Tensor& t) {
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i] < 0.0F) t[i] = 0.0F;
-  }
+  float* x = t.data().data();
+  for (std::size_t i = 0; i < t.size(); ++i) x[i] = x[i] < 0.0F ? 0.0F : x[i];
 }
 
 /// Gates `grad` by the positivity of `activation` (post-ReLU output).
@@ -25,7 +24,7 @@ Tensor relu_backward(const Tensor& grad, const Tensor& activation) {
   assert(grad.shape() == activation.shape());
   Tensor out = grad;
   for (std::size_t i = 0; i < out.size(); ++i) {
-    if (activation[i] <= 0.0F) out[i] = 0.0F;
+    out[i] = activation[i] <= 0.0F ? 0.0F : out[i];
   }
   return out;
 }

@@ -36,29 +36,33 @@ Tensor MaxPool2D::forward(const Tensor& input, bool training) {
   Tensor output(Shape{batch, channels, h_out, w_out});
   if (training) {
     input_shape_ = s;
-    argmax_.assign(output.size(), 0);
+    argmax_.resize(output.size());
   }
+  // Each tap is a select, not a branch (the order of random activations
+  // is unpredictable).  Strict > keeps the first maximum on ties and never
+  // takes NaN; a window of only -inf/NaN outputs -inf and routes its
+  // gradient to its own first element.
+  const float* in = input.data().data();
+  float* out = output.data().data();
   std::size_t out_i = 0;
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t c = 0; c < channels; ++c) {
-      for (std::size_t oy = 0; oy < h_out; ++oy) {
-        for (std::size_t ox = 0; ox < w_out; ++ox, ++out_i) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_index = 0;
-          for (std::size_t ky = 0; ky < kernel_; ++ky) {
-            for (std::size_t kx = 0; kx < kernel_; ++kx) {
-              const std::size_t iy = oy * stride_ + ky;
-              const std::size_t ix = ox * stride_ + kx;
-              const std::size_t flat = ((n * channels + c) * h_in + iy) * w_in + ix;
-              if (input[flat] > best) {
-                best = input[flat];
-                best_index = flat;
-              }
-            }
+  for (std::size_t plane = 0; plane < batch * channels; ++plane) {
+    const std::size_t plane_base = plane * h_in * w_in;
+    for (std::size_t oy = 0; oy < h_out; ++oy) {
+      for (std::size_t ox = 0; ox < w_out; ++ox, ++out_i) {
+        const std::size_t window = plane_base + oy * stride_ * w_in + ox * stride_;
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_index = window;
+        for (std::size_t ky = 0; ky < kernel_; ++ky) {
+          for (std::size_t kx = 0; kx < kernel_; ++kx) {
+            const std::size_t flat = window + ky * w_in + kx;
+            const float v = in[flat];
+            const bool take = v > best;
+            best = take ? v : best;
+            best_index = take ? flat : best_index;
           }
-          output[out_i] = best;
-          if (training) argmax_[out_i] = best_index;
         }
+        out[out_i] = best;
+        if (training) argmax_[out_i] = best_index;
       }
     }
   }

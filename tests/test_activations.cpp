@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "gradcheck.h"
 
@@ -41,6 +44,36 @@ TEST(ReLU, BackwardMasks) {
   EXPECT_FLOAT_EQ(dx[0], 0.0F);
   EXPECT_FLOAT_EQ(dx[1], 10.0F);
   EXPECT_FLOAT_EQ(dx[2], 10.0F);
+}
+
+TEST(ReLU, NanAndNegativeZeroBecomePositiveZero) {
+  ReLU relu;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor x(Shape{6}, {nan, -0.0F, 0.0F, -inf, inf, -nan});
+  const Tensor y = relu.forward(x, true);
+  const std::uint32_t want[] = {0U, 0U, 0U, 0U, std::bit_cast<std::uint32_t>(inf), 0U};
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(y[i]), want[i]) << "element " << i;
+  }
+}
+
+TEST(ReLU, BackwardMultipliesByTheMaskBitwise) {
+  // The gate is a multiplication by 0.0F or 1.0F, not a select: a gated
+  // negative gradient becomes -0 and a gated non-finite one NaN.
+  ReLU relu;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor x(Shape{6}, {-1.0F, -0.0F, nan, 1.0F, 2.0F, 0.0F});
+  (void)relu.forward(x, true);
+  Tensor dy(Shape{6}, {-3.0F, inf, 4.0F, -5.0F, nan, 6.0F});
+  const Tensor dx = relu.backward(dy);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(dx[0]), std::bit_cast<std::uint32_t>(-0.0F));
+  EXPECT_TRUE(std::isnan(dx[1]));  // inf * 0
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(dx[2]), 0U);
+  EXPECT_EQ(dx[3], -5.0F);
+  EXPECT_TRUE(std::isnan(dx[4]));  // NaN * 1
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(dx[5]), 0U);
 }
 
 TEST(ReLU, GradientCheck) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gradcheck.h"
@@ -228,6 +230,74 @@ TEST(Conv2D, ScratchIsReusedAcrossSteadyStateSteps) {
   }
   EXPECT_EQ(tensor::scratch_realloc_count(), before)
       << "Conv2D must not allocate scratch in steady state";
+}
+
+// ---------------------------------------------------------------------------
+// Chunked lowering against one-sample batches.  Forward and the input
+// gradient batch several samples into one GEMM; the reference runs the same
+// layer on one single-sample batch at a time, with the parameter gradients
+// accumulating across its backward calls in sample order.  Every tensor
+// must match bit for bit.
+
+std::vector<std::uint32_t> bits(std::span<const float> values) {
+  std::vector<std::uint32_t> out(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    out[i] = std::bit_cast<std::uint32_t>(values[i]);
+  }
+  return out;
+}
+
+/// Samples [n, n+1) of an NCHW tensor as a batch of one.
+Tensor sample(const Tensor& t, std::size_t n) {
+  const std::size_t plane = t.size() / t.shape()[0];
+  const auto first = t.data().begin() + static_cast<std::ptrdiff_t>(n * plane);
+  return Tensor(Shape{1, t.shape()[1], t.shape()[2], t.shape()[3]},
+                std::vector<float>(first, first + static_cast<std::ptrdiff_t>(plane)));
+}
+
+TEST(Conv2D, ChunkedBatchMatchesOneSampleBatchesBitwise) {
+  const ConvConfig configs[] = {
+      // small_cnn conv1: 64 positions, 4 samples per chunk.
+      {3, 8, 3, 1, 1, 8, 8, 1},
+      {3, 8, 3, 1, 1, 8, 8, 5},
+      {3, 8, 3, 1, 1, 8, 8, 67},
+      // small_cnn conv2: 16 positions, 16 samples per chunk.
+      {8, 16, 3, 1, 1, 4, 4, 5},
+      {8, 16, 3, 1, 1, 4, 4, 67},
+      {2, 4, 3, 2, 0, 9, 7, 67},   // stride 2, no padding
+      {4, 8, 1, 1, 0, 4, 4, 67},   // 1x1 kernel (Fire squeeze/expand)
+      {3, 4, 3, 1, 1, 32, 32, 5},  // 1024 positions: one sample per chunk
+  };
+  std::uint64_t seed = 40;
+  for (const ConvConfig& cfg : configs) {
+    SCOPED_TRACE("in_ch=" + std::to_string(cfg.in_ch) + " k=" +
+                 std::to_string(cfg.k) + " s=" + std::to_string(cfg.stride) +
+                 " p=" + std::to_string(cfg.pad) + " h=" + std::to_string(cfg.h) +
+                 " batch=" + std::to_string(cfg.batch));
+    util::Rng rng(seed++);
+    Conv2D conv(cfg.in_ch, cfg.out_ch, cfg.k, cfg.stride, cfg.pad, rng);
+    Conv2D reference(conv);
+    const Tensor x =
+        testing::random_input(Shape{cfg.batch, cfg.in_ch, cfg.h, cfg.w}, seed++);
+    const Tensor y = conv.forward(x, true);
+    const Tensor dy = testing::random_input(y.shape(), seed++);
+    const Tensor dx = conv.backward(dy);
+
+    std::vector<float> ref_y;
+    std::vector<float> ref_dx;
+    for (std::size_t n = 0; n < cfg.batch; ++n) {
+      const Tensor y_n = reference.forward(sample(x, n), true);
+      ref_y.insert(ref_y.end(), y_n.data().begin(), y_n.data().end());
+      const Tensor dx_n = reference.backward(sample(dy, n));
+      ref_dx.insert(ref_dx.end(), dx_n.data().begin(), dx_n.data().end());
+    }
+    EXPECT_EQ(bits(y.data()), bits(ref_y)) << "forward output";
+    EXPECT_EQ(bits(dx.data()), bits(ref_dx)) << "grad_input";
+    const std::vector<ParamRef> got = conv.params();
+    const std::vector<ParamRef> want = reference.params();
+    EXPECT_EQ(bits(got[0].grad), bits(want[0].grad)) << "grad_weight";
+    EXPECT_EQ(bits(got[1].grad), bits(want[1].grad)) << "grad_bias";
+  }
 }
 
 TEST(Conv2D, OutputExtentFormula) {

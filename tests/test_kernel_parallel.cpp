@@ -27,6 +27,7 @@
 #include "gradcheck.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "nn/loss.h"
 #include "nn/models.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
@@ -308,6 +309,45 @@ TEST(KernelParallel, ScratchStopsGrowingInSteadyStateUnderFourThreads) {
   for (int i = 0; i < 8; ++i) tensor::gemm(m, k, n, a, b, c);
   EXPECT_EQ(tensor::scratch_realloc_count(), before)
       << "steady-state GEMMs must not grow any worker's scratch";
+}
+
+/// The trainer's call pattern — a batch-256 evaluation, a batch-40 training
+/// step, then evaluation again — sizes every layer's chunked-conv scratch
+/// in the first cycle; later cycles must allocate nothing.
+TEST(KernelParallel, EvalTrainEvalCycleStopsGrowingScratch) {
+  KernelConfigGuard guard;
+  tensor::set_kernel_threads(1);
+  tensor::set_weight_prepack(true);
+  const nn::ImageSpec spec{3, 8, 8};
+  for (const nn::ModelKind kind :
+       {nn::ModelKind::kSmallCnn, nn::ModelKind::kMiniSqueezeNet}) {
+    SCOPED_TRACE(nn::model_kind_name(kind));
+    util::Rng rng(0xE1);
+    auto model = nn::make_model(kind, spec, 10, rng);
+    tensor::Tensor eval_x(tensor::Shape{256, 3, 8, 8});
+    eval_x.fill_normal(rng, 0.0F, 1.0F);
+    tensor::Tensor train_x(tensor::Shape{40, 3, 8, 8});
+    train_x.fill_normal(rng, 0.0F, 1.0F);
+    std::vector<std::int32_t> labels(40);
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      labels[i] = static_cast<std::int32_t>(i % 10);
+    }
+    nn::Sgd sgd({.learning_rate = 0.05F});
+    const auto cycle = [&] {
+      (void)model->forward(eval_x, false);
+      model->zero_grad();
+      const tensor::Tensor logits = model->forward(train_x, true);
+      const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
+      model->backward(loss.grad_logits);
+      sgd.step(model->params());
+      (void)model->forward(eval_x, false);
+    };
+    cycle();
+    const std::uint64_t before = tensor::scratch_realloc_count();
+    for (int i = 0; i < 3; ++i) cycle();
+    EXPECT_EQ(tensor::scratch_realloc_count(), before)
+        << "eval/train/eval cycles must reuse the first cycle's scratch";
+  }
 }
 
 /// End-to-end: a full federated run is bitwise invariant to the kernel

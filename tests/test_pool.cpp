@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "gradcheck.h"
 
 namespace helcfl::nn {
@@ -47,6 +49,46 @@ TEST(MaxPool2D, BackwardRoutesGradientToArgmax) {
   EXPECT_FLOAT_EQ(dx[1], 7.0F);
   EXPECT_FLOAT_EQ(dx[2], 0.0F);
   EXPECT_FLOAT_EQ(dx[3], 0.0F);
+}
+
+TEST(MaxPool2D, TiesRouteToTheFirstMaximum) {
+  MaxPool2D pool(2, 2);
+  Tensor x(Shape{1, 1, 2, 2}, {1.0F, 3.0F, 3.0F, 3.0F});
+  (void)pool.forward(x, true);
+  const Tensor dx = pool.backward(Tensor(Shape{1, 1, 1, 1}, {7.0F}));
+  EXPECT_FLOAT_EQ(dx[1], 7.0F);
+  EXPECT_FLOAT_EQ(dx[2], 0.0F);
+  EXPECT_FLOAT_EQ(dx[3], 0.0F);
+}
+
+TEST(MaxPool2D, NanIsNeverTheMaximum) {
+  MaxPool2D pool(2, 2);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor x(Shape{1, 1, 2, 2}, {nan, -2.0F, nan, -1.0F});
+  const Tensor y = pool.forward(x, true);
+  EXPECT_FLOAT_EQ(y[0], -1.0F);
+  const Tensor dx = pool.backward(Tensor(Shape{1, 1, 1, 1}, {7.0F}));
+  EXPECT_FLOAT_EQ(dx[3], 7.0F);
+  EXPECT_FLOAT_EQ(dx[0] + dx[1] + dx[2], 0.0F);
+}
+
+TEST(MaxPool2D, WindowWithoutFiniteMaxRoutesGradientToItsOwnInput) {
+  // A window of only -inf (or NaN) outputs -inf; its gradient must land on
+  // the window's first element, not on element 0 of the whole tensor.
+  MaxPool2D pool(2, 2);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor x(Shape{3, 1, 2, 2}, {1.0F, 5.0F, 3.0F, 2.0F,  //
+                               -inf, -inf, -inf, -inf,  //
+                               nan, nan, nan, nan});
+  const Tensor y = pool.forward(x, true);
+  EXPECT_FLOAT_EQ(y[0], 5.0F);
+  EXPECT_EQ(y[1], -inf);
+  EXPECT_EQ(y[2], -inf);
+  const Tensor dx = pool.backward(Tensor(Shape{3, 1, 1, 1}, {7.0F, 5.0F, 3.0F}));
+  const float want[] = {0.0F, 7.0F, 0.0F, 0.0F, 5.0F, 0.0F, 0.0F, 0.0F,
+                        3.0F, 0.0F, 0.0F, 0.0F};
+  for (std::size_t i = 0; i < 12; ++i) EXPECT_EQ(dx[i], want[i]) << "element " << i;
 }
 
 TEST(MaxPool2D, RejectsRank2Input) {
