@@ -12,11 +12,11 @@
 // on updates that never entered the model.
 //
 //   bench_ext_async [--rounds=N] [--users=Q] [--buffer-k=K]
-//                   [--straggler-rate=F] [--bench-json=PATH]
+//                   [--straggler-rate=F] [--bench-json=PATH] [--git-sha=SHA]
 //
 // Defaults: 60 rounds, Q = 100, K = 3/4 cohort, 10% stragglers.  CI smoke
 // runs a few rounds and asserts async time-to-target <= sync from the JSON
-// (BENCH_ext_async.json).
+// (BENCH_ext_async.json, which opens with the bench_host.h host block).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "bench_host.h"
 #include "fl/async_trainer.h"
 #include "sched/scheduler.h"
 #include "util/args.h"
@@ -68,6 +69,7 @@ int main(int argc, char** argv) {
   // backgrounded / thermally-throttled handset, the regime FedBuff targets.
   const double straggler_slowdown = args.get_double_or("straggler-slowdown", 10.0);
   const std::string json_path = args.get_or("bench-json", "BENCH_ext_async.json");
+  const std::string git_sha = args.get_or("git-sha", "unknown");
 
   sim::ExperimentConfig base = bench::evaluation_config(/*noniid=*/false);
   base.scheme = sim::Scheme::kHelcfl;
@@ -129,7 +131,9 @@ int main(int argc, char** argv) {
               "t->target", "best acc", "delay/step", "wasted E");
 
   std::ofstream json(json_path);
-  json << "{\n  \"straggler_rate\": " << straggler_rate
+  json << "{\n";
+  bench::write_host_json(json, git_sha);
+  json << "  \"straggler_rate\": " << straggler_rate
        << ",\n  \"target_accuracy\": " << target << ",\n  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const EngineResult& r = results[i];

@@ -4,10 +4,8 @@
 // a small JSON file (one object per benchmark: name, ns/op, items/sec,
 // iterations, plus any user counters such as p99 latencies) so CI and
 // before/after comparisons can diff numbers without scraping console
-// tables.  Override the output path with --bench-json=<path>.  Beside the
-// dispatched kernel ISA, a host block records where the numbers came from:
-// hardware threads, compiler, build type, and the commit passed as
-// --git-sha=<sha> ("unknown" when omitted).
+// tables.  Override the output path with --bench-json=<path>.  The file
+// opens with the host block of bench_host.h.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -16,10 +14,10 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "bench_host.h"
 #include "tensor/ops.h"
 
 namespace helcfl::bench {
@@ -80,30 +78,20 @@ class JsonTeeReporter : public benchmark::BenchmarkReporter {
       std::cerr << "bench_json: cannot open " << path_ << "\n";
       return;
     }
-#if defined(__clang__)
-    const std::string compiler = std::string("clang ") + __clang_version__;
-#elif defined(__GNUC__)
-    const std::string compiler = std::string("gcc ") + __VERSION__;
-#else
-    const std::string compiler = "unknown";
-#endif
-    out << "{\n  \"kernel_isa\": \"" << tensor::kernel_isa() << "\",\n"
-        << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
-        << ", \"compiler\": \"" << escape(compiler)
-        << "\", \"build_type\": \"" << escape(HELCFL_BUILD_TYPE)
-        << "\", \"git_sha\": \"" << escape(git_sha_) << "\"},\n"
-        << "  \"benchmarks\": [\n";
+    out << "{\n";
+    write_host_json(out, git_sha_);
+    out << "  \"benchmarks\": [\n";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       const Row& r = rows_[i];
-      out << "    {\"name\": \"" << escape(r.name) << "\", \"ns_per_op\": "
+      out << "    {\"name\": \"" << json_escape(r.name) << "\", \"ns_per_op\": "
           << r.ns_per_op << ", \"items_per_sec\": " << r.items_per_sec
           << ", \"duration_s\": " << r.duration_s
           << ", \"iterations\": " << r.iterations
           << ", \"threads\": " << r.threads
-          << ", \"isa\": \"" << escape(r.isa) << "\"";
+          << ", \"isa\": \"" << json_escape(r.isa) << "\"";
       if (r.gflops > 0.0) out << ", \"gflops\": " << r.gflops;
       for (const auto& [name, value] : r.counters) {
-        out << ", \"" << escape(name) << "\": " << value;
+        out << ", \"" << json_escape(name) << "\": " << value;
       }
       out << "}" << (i + 1 < rows_.size() ? "," : "") << "\n";
     }
@@ -125,16 +113,6 @@ class JsonTeeReporter : public benchmark::BenchmarkReporter {
     /// Every other user counter (e.g. p99 latencies), in counter order.
     std::vector<std::pair<std::string, double>> counters;
   };
-
-  static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
-  }
 
   benchmark::ConsoleReporter console_;
   std::string path_;

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "bench_json.h"
-#include "core/greedy_decay_reference.h"
+#include "oracles/greedy_decay_reference.h"
 #include "core/greedy_decay_selection.h"
 #include "sched/scheduler.h"
 #include "sim/config.h"

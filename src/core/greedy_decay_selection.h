@@ -9,8 +9,8 @@
 // touch, making a round O(N log Q) plus an O(Q) delay-verification sweep.
 // The selection it produces is pick-for-pick, rank-for-rank, and
 // utility-bit-for-bit identical to the retained naive implementation
-// (core::GreedyDecayReference) — proven by the differential harness in
-// tests/test_selection_differential.cpp.
+// (core::GreedyDecayReference, a test oracle in tests/oracles/) — proven by
+// the differential harness in tests/test_selection_differential.cpp.
 #pragma once
 
 #include <cstddef>

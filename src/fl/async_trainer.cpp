@@ -3,48 +3,26 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
-#include <future>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "fl/checkpoint.h"
 #include "fl/event_queue.h"
 #include "fl/server.h"
-#include "mec/cost_model.h"
-#include "mec/tdma.h"
 #include "nn/serialize.h"
 #include "obs/profiler.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "tensor/ops.h"
-#include "util/log.h"
-#include "util/rng.h"
 #include "util/serial.h"
-#include "util/thread_pool.h"
 
 namespace helcfl::fl {
 
 namespace {
 
-/// Sync path only: one client's round outcome, reduced in selection order
-/// (mirrors the struct of the same name in fl/trainer.cpp — the sync path
-/// here must stay a statement-for-statement port of FederatedTrainer).
-struct ClientOutcome {
-  ClientUpdate update;
-  double compute_delay_s = 0.0;
-  double upload_duration_s = 0.0;
-  double energy_j = 0.0;
-  std::vector<float> state;
-  bool trained = false;
-  bool upload_ok = true;
-  std::size_t attempts = 0;
-  bool accepted = false;
-  bool dropped_late = false;
-};
-
-/// Async path: everything one dispatched client will produce, resolved when
+/// Everything one dispatched client will produce, resolved when
 /// its terminal event (upload finish or crash burn-out) pops.  The training
 /// itself runs at dispatch time — only the *outcome* travels through the
 /// event queue.
@@ -56,24 +34,16 @@ struct AsyncDispatch {
   double dispatch_time_s = 0.0;
   double compute_end_s = 0.0;    ///< set when kComputeFinish pops
   double upload_start_s = 0.0;   ///< set at the TDMA grant
-  double compute_delay_s = 0.0;
-  double upload_duration_s = 0.0;
-  double occupancy_s = 0.0;      ///< attempts x duration + backoff gaps
-  std::size_t attempts = 0;
-  bool upload_ok = true;
-  bool trained = false;
+  /// The local round; update.weights holds the post-compression delta from
+  /// the dispatch base.
+  stages::ClientOutcome out;
   bool crashed = false;
   double crash_fraction = 0.0;
   double slowdown = 1.0;
   std::size_t failed_attempts = 0;
-  double energy_j = 0.0;
-  std::vector<float> weights;    ///< post-compression delta from the dispatch base
-  double train_loss = 0.0;
-  std::size_t num_samples = 0;
-  std::vector<float> state;      ///< post-training persistent buffers
 };
 
-/// Async path: one update sitting in the server's aggregation buffer.
+/// One update sitting in the server's aggregation buffer.
 struct AsyncArrival {
   std::size_t user = 0;
   std::uint64_t dispatch_id = 0;
@@ -111,21 +81,21 @@ void save_dispatch(util::ByteWriter& out, const AsyncDispatch& d) {
   out.f64(d.dispatch_time_s);
   out.f64(d.compute_end_s);
   out.f64(d.upload_start_s);
-  out.f64(d.compute_delay_s);
-  out.f64(d.upload_duration_s);
-  out.f64(d.occupancy_s);
-  out.u64(static_cast<std::uint64_t>(d.attempts));
-  out.boolean(d.upload_ok);
-  out.boolean(d.trained);
+  out.f64(d.out.compute_delay_s);
+  out.f64(d.out.upload_duration_s);
+  out.f64(d.out.occupancy_s);
+  out.u64(static_cast<std::uint64_t>(d.out.attempts));
+  out.boolean(d.out.upload_ok);
+  out.boolean(d.out.trained);
   out.boolean(d.crashed);
   out.f64(d.crash_fraction);
   out.f64(d.slowdown);
   out.u64(static_cast<std::uint64_t>(d.failed_attempts));
-  out.f64(d.energy_j);
-  out.vec_f32(d.weights);
-  out.f64(d.train_loss);
-  out.u64(static_cast<std::uint64_t>(d.num_samples));
-  out.vec_f32(d.state);
+  out.f64(d.out.energy_j);
+  out.vec_f32(d.out.update.weights);
+  out.f64(d.out.update.train_loss);
+  out.u64(static_cast<std::uint64_t>(d.out.update.num_samples));
+  out.vec_f32(d.out.state);
 }
 
 AsyncDispatch load_dispatch(util::ByteReader& in, std::size_t n_users) {
@@ -137,27 +107,27 @@ AsyncDispatch load_dispatch(util::ByteReader& in, std::size_t n_users) {
   d.dispatch_time_s = in.f64();
   d.compute_end_s = in.f64();
   d.upload_start_s = in.f64();
-  d.compute_delay_s = in.f64();
-  d.upload_duration_s = in.f64();
-  d.occupancy_s = in.f64();
-  d.attempts = static_cast<std::size_t>(in.u64());
-  d.upload_ok = in.boolean();
-  d.trained = in.boolean();
+  d.out.compute_delay_s = in.f64();
+  d.out.upload_duration_s = in.f64();
+  d.out.occupancy_s = in.f64();
+  d.out.attempts = static_cast<std::size_t>(in.u64());
+  d.out.upload_ok = in.boolean();
+  d.out.trained = in.boolean();
   d.crashed = in.boolean();
   d.crash_fraction = in.f64();
   d.slowdown = in.f64();
   d.failed_attempts = static_cast<std::size_t>(in.u64());
-  d.energy_j = in.f64();
-  d.weights = in.vec_f32();
-  d.train_loss = in.f64();
-  d.num_samples = static_cast<std::size_t>(in.u64());
-  d.state = in.vec_f32();
+  d.out.energy_j = in.f64();
+  d.out.update.weights = in.vec_f32();
+  d.out.update.train_loss = in.f64();
+  d.out.update.num_samples = static_cast<std::size_t>(in.u64());
+  d.out.state = in.vec_f32();
   if (d.user >= n_users) {
     throw CheckpointError("async state names in-flight user " +
                           std::to_string(d.user) + " of a " +
                           std::to_string(n_users) + "-user fleet");
   }
-  if (!std::isfinite(d.dispatch_time_s) || !std::isfinite(d.energy_j)) {
+  if (!std::isfinite(d.dispatch_time_s) || !std::isfinite(d.out.energy_j)) {
     throw CheckpointError("async state holds a non-finite in-flight record");
   }
   return d;
@@ -227,750 +197,23 @@ AsyncTrainer::AsyncTrainer(nn::Sequential& model, const data::Dataset& train,
                            const mec::Channel& channel,
                            sched::SelectionStrategy& strategy,
                            TrainerOptions options, AsyncOptions async_options)
-    : model_(model),
-      test_(test),
-      devices_(devices),
-      channel_(channel),
-      strategy_(strategy),
-      options_(options),
+    : world_("AsyncTrainer", model, train, test, partition, devices, channel,
+             strategy, std::move(options)),
       async_(async_options) {
-  options_.validate(devices.size());
   async_.validate();
   if (async_.mode == AsyncOptions::Mode::kAsync && async_.buffer_k > 0 &&
-      async_.buffer_k < options_.min_clients) {
+      async_.buffer_k < world_.options.min_clients) {
     throw std::invalid_argument(
         "AsyncTrainer: buffer_k = " + std::to_string(async_.buffer_k) +
-        " is below min_clients = " + std::to_string(options_.min_clients) +
+        " is below min_clients = " + std::to_string(world_.options.min_clients) +
         "; every aggregation would fail its quorum and the model would never "
         "move");
-  }
-  if (devices.size() != partition.size()) {
-    throw std::invalid_argument("AsyncTrainer: device/partition size mismatch");
-  }
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    if (devices[i].num_samples != partition[i].size()) {
-      throw std::invalid_argument(
-          "AsyncTrainer: device " + std::to_string(i) + " declares " +
-          std::to_string(devices[i].num_samples) + " samples but partition has " +
-          std::to_string(partition[i].size()));
-    }
-  }
-
-  users_ = sched::build_user_info(devices, channel_, options_.model_size_bits);
-
-  user_data_.reserve(partition.size());
-  for (const auto& indices : partition) {
-    user_data_.push_back(train.gather(indices));
-  }
-
-  if (options_.battery_capacity_j > 0.0) {
-    batteries_ = mec::BatteryFleet(devices.size(), options_.battery_capacity_j);
   }
 }
 
 TrainingHistory AsyncTrainer::run() {
-  return async_.mode == AsyncOptions::Mode::kSync ? run_sync_() : run_async_();
-}
-
-// The barrier engine, kept a statement-for-statement port of
-// FederatedTrainer::run() (fl/trainer.cpp) — every floating-point
-// operation, RNG fork, reduction order, and trace emission matches, so the
-// two produce bitwise-identical weights, CSV bytes, and traces
-// (tests/test_async_differential.cpp).  The single structural change: the
-// TDMA accept/drop stage is driven through fl::EventQueue.  Upload ends are
-// non-decreasing in grant order and seq breaks ties by insertion order, so
-// the (time, seq) pop order *is* the grant order and nothing observable
-// moves.
-TrainingHistory AsyncTrainer::run_sync_() {
-  strategy_.reset();
-  obs::Tracer* const tracer = options_.obs.tracer;
-  obs::PhaseProfiler* const profiler = options_.obs.profiler;
-  obs::Registry* const registry = options_.obs.registry;
-  strategy_.set_instruments(options_.obs);
-
-  const bool batteries_enabled = batteries_.size() > 0;
-  util::Rng batch_rng(options_.seed);
-  mec::FadingProcess fading(users_.size(), options_.fading,
-                            util::Rng(options_.seed).fork(0xFAD1A6));
-  mec::FaultInjector injector(users_.size(), options_.faults,
-                              util::Rng(options_.seed).fork(0xFA0175));
-  injector.set_tracer(tracer);
-  const std::size_t max_attempts = 1 + options_.max_upload_retries;
-
-  util::ThreadPool pool(util::ThreadPool::resolve_thread_count(options_.num_threads));
-  std::vector<std::unique_ptr<nn::Sequential>> replicas;
-  std::vector<nn::Sequential*> eval_models;
-  replicas.reserve(pool.worker_count());
-  for (std::size_t i = 0; i < pool.worker_count(); ++i) {
-    replicas.push_back(std::make_unique<nn::Sequential>(model_));
-    eval_models.push_back(replicas.back().get());
-  }
-  const bool has_state = nn::state_count(model_) > 0;
-
-  std::vector<float> global_weights = nn::extract_parameters(model_);
-  const EvalPlan eval_plan = make_eval_plan(test_, options_.eval_batch);
-  TrainingHistory history;
-  double cum_delay = 0.0;
-  double cum_energy = 0.0;
-  double cum_wasted_energy = 0.0;
-  double best_accuracy = -1.0;
-  std::uint64_t scratch_reported = tensor::scratch_realloc_count();
-
-  std::size_t start_round = 0;
-  if (!options_.resume_from.empty()) {
-    const Checkpoint ckpt = Checkpoint::read_file(options_.resume_from);
-    if (ckpt.n_users != users_.size()) {
-      throw CheckpointError("'" + options_.resume_from + "': saved for " +
-                            std::to_string(ckpt.n_users) +
-                            " users, this trainer has " +
-                            std::to_string(users_.size()));
-    }
-    if (ckpt.seed != options_.seed) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved under seed " +
-          std::to_string(ckpt.seed) + ", this trainer uses seed " +
-          std::to_string(options_.seed) +
-          " — resuming would silently diverge from the original run");
-    }
-    if (ckpt.strategy_name != strategy_.name()) {
-      throw CheckpointError("'" + options_.resume_from +
-                            "': saved with strategy '" + ckpt.strategy_name +
-                            "', this trainer uses '" + strategy_.name() + "'");
-    }
-    if (ckpt.global_weights.size() != global_weights.size()) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved model has " +
-          std::to_string(ckpt.global_weights.size()) +
-          " parameters, this trainer's model has " +
-          std::to_string(global_weights.size()));
-    }
-    if (ckpt.model_state.size() != nn::state_count(model_)) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved model has " +
-          std::to_string(ckpt.model_state.size()) +
-          " persistent state scalars, this trainer's model has " +
-          std::to_string(nn::state_count(model_)));
-    }
-    if (ckpt.batteries_enabled != batteries_enabled) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved with batteries " +
-          std::string(ckpt.batteries_enabled ? "enabled" : "disabled") +
-          ", this trainer has them " +
-          std::string(batteries_enabled ? "enabled" : "disabled"));
-    }
-    if (ckpt.async_enabled) {
-      throw CheckpointError(
-          "'" + options_.resume_from +
-          "': saved mid-flight by the async engine; resume it with an "
-          "async-mode fl::AsyncTrainer (docs/ASYNC.md)");
-    }
-    mec::BatteryFleet restored_batteries;
-    try {
-      util::ByteReader injector_in(ckpt.injector_state);
-      injector.load_state(injector_in);
-      injector_in.expect_end("checkpoint injector state");
-      util::ByteReader fading_in(ckpt.fading_state);
-      fading.load_state(fading_in);
-      fading_in.expect_end("checkpoint fading state");
-      batch_rng.set_state(ckpt.batch_rng);
-      if (batteries_enabled) {
-        restored_batteries = batteries_;
-        util::ByteReader battery_in(ckpt.battery_state);
-        restored_batteries.load_state(battery_in);
-        battery_in.expect_end("checkpoint battery state");
-      }
-      util::ByteReader strategy_in(ckpt.strategy_state);
-      strategy_.load_state(strategy_in);
-      strategy_in.expect_end("checkpoint strategy state");
-    } catch (const std::exception& error) {
-      throw CheckpointError("'" + options_.resume_from + "': " + error.what());
-    }
-    if (batteries_enabled) batteries_ = std::move(restored_batteries);
-    if (!ckpt.model_state.empty()) nn::load_state(model_, ckpt.model_state);
-    global_weights = ckpt.global_weights;
-    for (const RoundRecord& record : ckpt.records) history.add(record);
-    cum_delay = ckpt.cum_delay_s;
-    cum_energy = ckpt.cum_energy_j;
-    cum_wasted_energy = ckpt.cum_wasted_energy_j;
-    best_accuracy = ckpt.best_accuracy;
-    start_round = static_cast<std::size_t>(ckpt.next_round);
-  }
-
-  if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "run_start",
-                 {{"schema", std::size_t{1}},
-                  {"strategy", strategy_.name()},
-                  {"users", users_.size()},
-                  {"max_rounds", options_.max_rounds},
-                  {"threads", pool.worker_count() == 0 ? std::size_t{1}
-                                                       : pool.worker_count()},
-                  {"seed", options_.seed},
-                  {"faults_enabled", injector.active()}});
-  }
-  if (start_round > 0 && tracer != nullptr &&
-      tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "checkpoint_resume",
-                 {{"round", start_round},
-                  {"records", history.size()},
-                  {"cum_delay_s", cum_delay},
-                  {"cum_energy_j", cum_energy}});
-  }
-
-  const auto maybe_write_checkpoint = [&](std::size_t round) {
-    if (options_.checkpoint_every == 0) return;
-    const std::size_t completed = round + 1;
-    if (completed % options_.checkpoint_every != 0) return;
-    obs::ScopedSpan span(profiler, "checkpoint", static_cast<std::int64_t>(round));
-    Checkpoint ckpt;
-    ckpt.seed = options_.seed;
-    ckpt.n_users = users_.size();
-    ckpt.next_round = completed;
-    ckpt.cum_delay_s = cum_delay;
-    ckpt.cum_energy_j = cum_energy;
-    ckpt.cum_wasted_energy_j = cum_wasted_energy;
-    ckpt.best_accuracy = best_accuracy;
-    ckpt.trace_seq = tracer != nullptr ? tracer->event_count() : 0;
-    ckpt.global_weights = global_weights;
-    if (has_state) ckpt.model_state = nn::extract_state(model_);
-    ckpt.batch_rng = batch_rng.state();
-    ckpt.strategy_name = strategy_.name();
-    {
-      util::ByteWriter writer;
-      strategy_.save_state(writer);
-      ckpt.strategy_state = writer.take();
-    }
-    {
-      util::ByteWriter writer;
-      injector.save_state(writer);
-      ckpt.injector_state = writer.take();
-    }
-    {
-      util::ByteWriter writer;
-      fading.save_state(writer);
-      ckpt.fading_state = writer.take();
-    }
-    ckpt.batteries_enabled = batteries_enabled;
-    if (batteries_enabled) {
-      util::ByteWriter writer;
-      batteries_.save_state(writer);
-      ckpt.battery_state = writer.take();
-    }
-    ckpt.records = history.rounds();
-    std::string path = options_.checkpoint_path;
-    constexpr std::string_view kToken = "{round}";
-    for (std::size_t pos = path.find(kToken); pos != std::string::npos;
-         pos = path.find(kToken, pos)) {
-      const std::string value = std::to_string(completed);
-      path.replace(pos, kToken.size(), value);
-      pos += value.size();
-    }
-    ckpt.write_file(path);
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      tracer->emit(obs::TraceLevel::kRound, "checkpoint_write",
-                   {{"round", round},
-                    {"path", path},
-                    {"records", history.size()}});
-    }
-  };
-
-  for (std::size_t round = start_round; round < options_.max_rounds; ++round) {
-    if (batteries_enabled && batteries_.alive_count() == 0) {
-      util::log_info("AsyncTrainer[sync]: whole fleet depleted after round " +
-                     std::to_string(round));
-      break;
-    }
-
-    injector.begin_round();
-
-    sched::FleetView fleet{users_};
-    std::vector<std::uint8_t> selectable;
-    const std::span<const std::uint8_t> churn_mask = injector.availability();
-    if (batteries_enabled && !churn_mask.empty()) {
-      const std::span<const std::uint8_t> battery_mask = batteries_.alive_mask();
-      selectable.resize(users_.size());
-      for (std::size_t i = 0; i < users_.size(); ++i) {
-        selectable[i] = battery_mask[i] != 0 && churn_mask[i] != 0 ? 1 : 0;
-      }
-      fleet.alive = selectable;
-    } else if (batteries_enabled) {
-      fleet.alive = batteries_.alive_mask();
-    } else if (!churn_mask.empty()) {
-      fleet.alive = churn_mask;
-    }
-    const std::size_t available = fleet.alive_count();
-
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      tracer->emit(obs::TraceLevel::kRound, "round_start",
-                   {{"round", round},
-                    {"available", available},
-                    {"alive", batteries_enabled ? batteries_.alive_count()
-                                                : users_.size()}});
-    }
-
-    sched::Decision decision;
-    {
-      obs::ScopedSpan selection_span(profiler, "selection",
-                                     static_cast<std::int64_t>(round));
-      if (available > 0) decision = strategy_.decide(fleet, round);
-    }
-    if (decision.selected.empty()) {
-      if (injector.active() && injector.away_count() > 0) {
-        RoundRecord skipped;
-        skipped.round = round;
-        skipped.quorum_failed = true;
-        skipped.cum_delay_s = cum_delay;
-        skipped.cum_energy_j = cum_energy;
-        skipped.alive_users =
-            batteries_enabled ? batteries_.alive_count() : users_.size();
-        skipped.available_users = available;
-        history.add(std::move(skipped));
-        if (registry != nullptr) registry->add("rounds.skipped");
-        if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-          tracer->emit(obs::TraceLevel::kRound, "round_end",
-                       {{"round", round},
-                        {"selected", std::size_t{0}},
-                        {"survivors", std::size_t{0}},
-                        {"quorum_failed", true},
-                        {"cum_delay_s", cum_delay},
-                        {"cum_energy_j", cum_energy}});
-        }
-        maybe_write_checkpoint(round);
-        continue;
-      }
-      util::log_info("AsyncTrainer[sync]: strategy returned no users; stopping");
-      break;
-    }
-    if (decision.selected.size() != decision.frequencies_hz.size()) {
-      throw std::logic_error("AsyncTrainer: strategy returned a bad decision");
-    }
-
-    fading.step();
-
-    const std::size_t cohort = decision.selected.size();
-    std::vector<double> fade_multipliers(cohort, 1.0);
-    std::vector<util::Rng> client_rngs;
-    client_rngs.reserve(cohort);
-    std::vector<mec::ClientFaults> client_faults(cohort);
-    for (std::size_t k = 0; k < cohort; ++k) {
-      const std::size_t user = decision.selected[k];
-      const double f = decision.frequencies_hz[k];
-      if (!fleet.is_alive(user)) {
-        throw std::logic_error(
-            "AsyncTrainer: strategy selected an unavailable device");
-      }
-      const mec::Device& device = devices_[user];
-      if (f < device.f_min_hz - 1e-6 || f > device.f_max_hz + 1e-6) {
-        throw std::logic_error("AsyncTrainer: frequency outside DVFS range");
-      }
-      fade_multipliers[k] = fading.multiplier(user);
-      client_rngs.push_back(batch_rng.fork(round * users_.size() + user));
-      if (injector.active()) {
-        client_faults[k] = injector.draw(round, user, max_attempts);
-      }
-    }
-
-    const std::vector<float> round_state =
-        has_state ? nn::extract_state(model_) : std::vector<float>{};
-
-    std::vector<ClientOutcome> outcomes(cohort);
-    auto run_client = [&](std::size_t k) {
-      const std::size_t user = decision.selected[k];
-      obs::ScopedSpan client_span(profiler, "client",
-                                  static_cast<std::int64_t>(round),
-                                  static_cast<std::int64_t>(user),
-                                  obs::TraceLevel::kDebug);
-      const double f = decision.frequencies_hz[k];
-      const mec::ClientFaults faults = client_faults[k];
-      const mec::Device& device = devices_[user];
-
-      if (faults.crashed) {
-        ClientOutcome outcome;
-        outcome.compute_delay_s =
-            mec::compute_delay_s(device, f) * faults.slowdown * faults.crash_fraction;
-        outcome.energy_j = mec::compute_energy_j(device, f) * faults.crash_fraction;
-        outcomes[k] = std::move(outcome);
-        return;
-      }
-
-      const std::size_t worker = util::ThreadPool::worker_index();
-      nn::Sequential& model =
-          worker == util::ThreadPool::npos ? model_ : *replicas[worker];
-      if (has_state) nn::load_state(model, round_state);
-
-      util::Rng client_rng = client_rngs[k];
-      ClientOutcome outcome;
-      outcome.trained = true;
-      outcome.update = local_update(model, global_weights, user_data_[user],
-                                    options_.client, client_rng);
-
-      const nn::CompressedModel compressed =
-          nn::compress(outcome.update.weights, options_.compression);
-      const double compression_ratio =
-          static_cast<double>(compressed.wire_bits) /
-          (32.0 * static_cast<double>(outcome.update.weights.size()));
-      const double wire_bits = options_.model_size_bits * compression_ratio;
-      outcome.update.weights = std::move(compressed.reconstructed);
-
-      mec::Device faded = device;
-      faded.channel_gain_sq *= fade_multipliers[k];
-
-      outcome.compute_delay_s = mec::compute_delay_s(device, f) * faults.slowdown;
-      outcome.upload_duration_s = mec::upload_delay_s(faded, channel_, wire_bits);
-      outcome.attempts = faults.attempts();
-      outcome.upload_ok = faults.upload_ok;
-      outcome.energy_j = mec::compute_energy_j(device, f) +
-                         static_cast<double>(outcome.attempts) *
-                             mec::upload_energy_j(faded, channel_, wire_bits);
-      if (has_state) outcome.state = nn::extract_state(model);
-      outcomes[k] = std::move(outcome);
-    };
-
-    obs::ScopedSpan training_span(profiler, "local_training",
-                                  static_cast<std::int64_t>(round));
-    if (pool.worker_count() == 0) {
-      for (std::size_t k = 0; k < cohort; ++k) run_client(k);
-    } else {
-      std::vector<std::future<void>> futures;
-      futures.reserve(cohort);
-      for (std::size_t k = 0; k < cohort; ++k) {
-        futures.push_back(pool.submit([&run_client, k] { run_client(k); }));
-      }
-      std::string failures;
-      std::size_t failure_count = 0;
-      for (std::size_t k = 0; k < futures.size(); ++k) {
-        try {
-          futures[k].get();
-        } catch (const std::exception& error) {
-          ++failure_count;
-          if (!failures.empty()) failures += "; ";
-          failures += "client " + std::to_string(k) + " (user " +
-                      std::to_string(decision.selected[k]) + "): " + error.what();
-        } catch (...) {
-          ++failure_count;
-          if (!failures.empty()) failures += "; ";
-          failures += "client " + std::to_string(k) + " (user " +
-                      std::to_string(decision.selected[k]) + "): unknown exception";
-        }
-      }
-      if (failure_count > 0) {
-        throw std::runtime_error(
-            "AsyncTrainer: " + std::to_string(failure_count) +
-            " client task(s) failed in round " + std::to_string(round) + ": " +
-            failures);
-      }
-    }
-    training_span.finish();
-
-    std::vector<std::size_t> transmitting;
-    std::vector<double> tx_compute_delays;
-    std::vector<double> tx_occupancies;
-    for (std::size_t k = 0; k < cohort; ++k) {
-      if (!outcomes[k].trained) continue;
-      transmitting.push_back(k);
-      tx_compute_delays.push_back(outcomes[k].compute_delay_s);
-      const double occupancy =
-          outcomes[k].attempts <= 1
-              ? outcomes[k].upload_duration_s
-              : static_cast<double>(outcomes[k].attempts) *
-                        outcomes[k].upload_duration_s +
-                    static_cast<double>(outcomes[k].attempts - 1) *
-                        options_.retry_backoff_s;
-      tx_occupancies.push_back(occupancy);
-    }
-    const mec::TdmaSchedule schedule =
-        mec::schedule_uploads(tx_compute_delays, tx_occupancies);
-
-    // The one structural departure from fl/trainer.cpp: arrivals flow
-    // through the event queue.  One kUploadFinish per granted slot, pushed
-    // in grant order; upload_end is non-decreasing in grant order, so the
-    // deterministic (time, seq) pop order reproduces the grant order
-    // exactly and the accept/drop pass below is bitwise unchanged.
-    const double cutoff = options_.straggler_cutoff_s;
-    const bool trace_tdma =
-        tracer != nullptr && tracer->enabled(obs::TraceLevel::kDecision);
-    EventQueue arrivals;
-    for (std::size_t i = 0; i < schedule.slots.size(); ++i) {
-      const mec::UploadSlot& slot = schedule.slots[i];
-      arrivals.push(slot.upload_end, EventKind::kUploadFinish,
-                    decision.selected[transmitting[slot.index]], /*tag=*/i);
-    }
-    while (!arrivals.empty()) {
-      const Event event = arrivals.pop();
-      const mec::UploadSlot& slot = schedule.slots[event.tag];
-      const std::size_t k = transmitting[slot.index];
-      ClientOutcome& outcome = outcomes[k];
-      if (outcome.upload_ok) {
-        if (slot.upload_end <= cutoff) {
-          outcome.accepted = true;
-        } else {
-          outcome.dropped_late = true;
-        }
-      }
-      if (trace_tdma) {
-        tracer->emit(obs::TraceLevel::kDecision, "tdma",
-                     {{"round", round},
-                      {"user", decision.selected[k]},
-                      {"attempts", outcome.attempts},
-                      {"compute_end_s", slot.compute_end},
-                      {"upload_start_s", slot.upload_start},
-                      {"upload_end_s", slot.upload_end},
-                      {"slack_s", slot.slack_s},
-                      {"accepted", outcome.accepted},
-                      {"dropped_late", outcome.dropped_late}});
-      }
-    }
-    const double round_delay = std::min(schedule.round_delay_s, cutoff);
-
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      for (std::size_t k = 0; k < cohort; ++k) {
-        const std::size_t user = decision.selected[k];
-        const mec::ClientFaults& faults = client_faults[k];
-        if (faults.crashed) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "crash"},
-                        {"crash_fraction", faults.crash_fraction}});
-        }
-        if (faults.slowdown > 1.0) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "straggler"},
-                        {"slowdown", faults.slowdown}});
-        }
-        if (faults.failed_attempts > 0) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "upload_failure"},
-                        {"failed_attempts", faults.failed_attempts},
-                        {"upload_ok", faults.upload_ok}});
-        }
-        if (outcomes[k].dropped_late) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "dropped_late"},
-                        {"cutoff_s", cutoff}});
-        }
-      }
-    }
-
-    obs::ScopedSpan aggregation_span(profiler, "aggregation",
-                                     static_cast<std::int64_t>(round));
-    std::vector<double> user_energies;
-    std::vector<double> client_losses;
-    std::vector<std::size_t> survivors;
-    double round_energy = 0.0;
-    double train_loss_sum = 0.0;
-    std::size_t trained_count = 0;
-    std::size_t crashed_count = 0;
-    std::size_t upload_failure_count = 0;
-    std::size_t dropped_late_count = 0;
-    std::size_t retry_count = 0;
-    double wasted_energy = 0.0;
-    for (std::size_t k = 0; k < cohort; ++k) {
-      const ClientOutcome& outcome = outcomes[k];
-      if (outcome.trained) {
-        train_loss_sum += outcome.update.train_loss;
-        ++trained_count;
-        retry_count += outcome.attempts > 0 ? outcome.attempts - 1 : 0;
-        if (!outcome.upload_ok) ++upload_failure_count;
-        if (outcome.dropped_late) ++dropped_late_count;
-        if (outcome.accepted) survivors.push_back(k);
-      } else {
-        ++crashed_count;
-      }
-      user_energies.push_back(outcome.energy_j);
-      round_energy += outcome.energy_j;
-      if (!outcome.accepted) wasted_energy += outcome.energy_j;
-    }
-
-    const bool quorum_met = survivors.size() >= options_.min_clients;
-    if (!quorum_met && tracer != nullptr &&
-        tracer->enabled(obs::TraceLevel::kRound)) {
-      tracer->emit(obs::TraceLevel::kRound, "quorum",
-                   {{"round", round},
-                    {"survivors", survivors.size()},
-                    {"min_clients", options_.min_clients}});
-    }
-    if (quorum_met) {
-      std::vector<WeightedModel> uploads;
-      uploads.reserve(survivors.size());
-      for (const std::size_t k : survivors) {
-        uploads.push_back({outcomes[k].update.weights, outcomes[k].update.num_samples});
-      }
-      global_weights = fedavg(uploads);
-      for (const std::size_t k : survivors) {
-        client_losses.push_back(outcomes[k].update.train_loss);
-      }
-      if (survivors.size() == cohort) {
-        strategy_.observe(round, decision, client_losses);
-      } else {
-        sched::Decision survivor_decision;
-        survivor_decision.selected.reserve(survivors.size());
-        survivor_decision.frequencies_hz.reserve(survivors.size());
-        for (const std::size_t k : survivors) {
-          survivor_decision.selected.push_back(decision.selected[k]);
-          survivor_decision.frequencies_hz.push_back(decision.frequencies_hz[k]);
-        }
-        strategy_.observe(round, survivor_decision, client_losses);
-      }
-      if (has_state) nn::load_state(model_, outcomes[survivors.back()].state);
-    } else {
-      wasted_energy = round_energy;
-    }
-
-    std::vector<std::uint8_t> completed(cohort, 0);
-    if (quorum_met) {
-      for (const std::size_t k : survivors) completed[k] = 1;
-    }
-    strategy_.report_completion(round, decision, completed);
-    aggregation_span.finish();
-
-    if (batteries_enabled) {
-      for (std::size_t k = 0; k < cohort; ++k) {
-        batteries_.drain(decision.selected[k], user_energies[k]);
-      }
-    }
-
-    cum_delay += round_delay;
-    cum_energy += round_energy;
-
-    RoundRecord record;
-    record.round = round;
-    record.selected = decision.selected;
-    record.round_delay_s = round_delay;
-    record.round_energy_j = round_energy;
-    record.cum_delay_s = cum_delay;
-    record.cum_energy_j = cum_energy;
-    record.train_loss =
-        trained_count > 0 ? train_loss_sum / static_cast<double>(trained_count) : 0.0;
-    record.alive_users =
-        batteries_enabled ? batteries_.alive_count() : users_.size();
-    record.available_users = available;
-    if (quorum_met) {
-      record.aggregated.reserve(survivors.size());
-      for (const std::size_t k : survivors) {
-        record.aggregated.push_back(decision.selected[k]);
-      }
-    }
-    record.survivors = record.aggregated.size();
-    record.crashed = crashed_count;
-    record.upload_failures = upload_failure_count;
-    record.dropped_late = dropped_late_count;
-    record.retries = retry_count;
-    record.quorum_failed = !quorum_met;
-    record.wasted_energy_j = wasted_energy;
-
-    const bool last_round = round + 1 == options_.max_rounds;
-    const bool over_deadline = cum_delay > options_.deadline_s;
-    if (round % options_.eval_every == 0 || last_round || over_deadline) {
-      obs::ScopedSpan eval_span(profiler, "evaluation",
-                                static_cast<std::int64_t>(round));
-      Evaluation eval;
-      if (pool.worker_count() == 0) {
-        eval = evaluate(model_, global_weights, eval_plan);
-      } else {
-        if (has_state) {
-          const std::vector<float> eval_state = nn::extract_state(model_);
-          for (nn::Sequential* replica : eval_models) {
-            nn::load_state(*replica, eval_state);
-          }
-        }
-        eval = evaluate_parallel(eval_models, global_weights, eval_plan, pool);
-      }
-      record.evaluated = true;
-      record.test_loss = eval.loss;
-      record.test_accuracy = eval.accuracy;
-    }
-    const bool target_reached = record.evaluated && options_.target_accuracy >= 0.0 &&
-                                record.test_accuracy >= options_.target_accuracy;
-
-    cum_wasted_energy += wasted_energy;
-    if (registry != nullptr) {
-      registry->add("rounds.completed");
-      registry->add("clients.selected", cohort);
-      registry->add("clients.trained", trained_count);
-      registry->add("clients.crashed", crashed_count);
-      registry->add("clients.dropped_late", dropped_late_count);
-      registry->add("clients.aggregated", record.survivors);
-      registry->add("uploads.failed", upload_failure_count);
-      registry->add("uploads.retries", retry_count);
-      if (!quorum_met) registry->add("rounds.quorum_failed");
-      const std::uint64_t scratch_now = tensor::scratch_realloc_count();
-      registry->add("kernel.scratch_reallocs", scratch_now - scratch_reported);
-      scratch_reported = scratch_now;
-      registry->set_gauge("delay.cum_s", cum_delay);
-      registry->set_gauge("energy.cum_j", cum_energy);
-      registry->set_gauge("energy.wasted_cum_j", cum_wasted_energy);
-      if (record.evaluated) {
-        best_accuracy = std::max(best_accuracy, record.test_accuracy);
-        registry->set_gauge("accuracy.last", record.test_accuracy);
-        registry->set_gauge("accuracy.best", best_accuracy);
-      }
-    }
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      std::vector<obs::Field> fields = {
-          {"round", round},
-          {"selected", cohort},
-          {"survivors", record.survivors},
-          {"crashed", crashed_count},
-          {"upload_failures", upload_failure_count},
-          {"dropped_late", dropped_late_count},
-          {"retries", retry_count},
-          {"quorum_failed", !quorum_met},
-          {"round_delay_s", round_delay},
-          {"round_energy_j", round_energy},
-          {"wasted_energy_j", wasted_energy},
-          {"cum_delay_s", cum_delay},
-          {"cum_energy_j", cum_energy},
-          {"train_loss", record.train_loss}};
-      if (record.evaluated) {
-        fields.emplace_back("test_loss", record.test_loss);
-        fields.emplace_back("test_accuracy", record.test_accuracy);
-      }
-      tracer->emit(obs::TraceLevel::kRound, "round_end", fields);
-    }
-    history.add(std::move(record));
-    maybe_write_checkpoint(round);
-
-    if (over_deadline) {
-      util::log_info("AsyncTrainer[sync]: deadline reached after round " +
-                     std::to_string(round));
-      break;
-    }
-    if (target_reached) break;
-
-    if (options_.convergence_window >= 2 &&
-        history.size() >= options_.convergence_window) {
-      double lo = history.rounds()[history.size() - 1].train_loss;
-      double hi = lo;
-      for (std::size_t k = 2; k <= options_.convergence_window; ++k) {
-        const double loss = history.rounds()[history.size() - k].train_loss;
-        lo = std::min(lo, loss);
-        hi = std::max(hi, loss);
-      }
-      if (hi - lo < options_.convergence_epsilon) {
-        util::log_info("AsyncTrainer[sync]: converged after round " +
-                       std::to_string(round));
-        break;
-      }
-    }
-  }
-
-  if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "run_end",
-                 {{"rounds", history.size()},
-                  {"cum_delay_s", cum_delay},
-                  {"cum_energy_j", cum_energy},
-                  {"wasted_energy_cum_j", cum_wasted_energy}});
-    tracer->flush();
-  }
-
-  nn::load_parameters(model_, global_weights);
-  return history;
+  return async_.mode == AsyncOptions::Mode::kSync ? stages::run_barrier(world_)
+                                                   : run_async_();
 }
 
 // The event-driven FedBuff engine (docs/ASYNC.md).  A single deterministic
@@ -982,42 +225,14 @@ TrainingHistory AsyncTrainer::run_sync_() {
 // the sync engine: it owns a RoundRecord, the observe/report_completion
 // calls, the eval cadence, and the stop checks.
 TrainingHistory AsyncTrainer::run_async_() {
-  strategy_.reset();
-  obs::Tracer* const tracer = options_.obs.tracer;
-  obs::PhaseProfiler* const profiler = options_.obs.profiler;
-  obs::Registry* const registry = options_.obs.registry;
-  strategy_.set_instruments(options_.obs);
-
-  const bool batteries_enabled = batteries_.size() > 0;
-  util::Rng batch_rng(options_.seed);
-  mec::FadingProcess fading(users_.size(), options_.fading,
-                            util::Rng(options_.seed).fork(0xFAD1A6));
-  mec::FaultInjector injector(users_.size(), options_.faults,
-                              util::Rng(options_.seed).fork(0xFA0175));
-  injector.set_tracer(tracer);
-  const std::size_t max_attempts = 1 + options_.max_upload_retries;
-
-  util::ThreadPool pool(util::ThreadPool::resolve_thread_count(options_.num_threads));
-  std::vector<std::unique_ptr<nn::Sequential>> replicas;
-  std::vector<nn::Sequential*> eval_models;
-  replicas.reserve(pool.worker_count());
-  for (std::size_t i = 0; i < pool.worker_count(); ++i) {
-    replicas.push_back(std::make_unique<nn::Sequential>(model_));
-    eval_models.push_back(replicas.back().get());
-  }
-  const bool has_state = nn::state_count(model_) > 0;
-
-  std::vector<float> global_weights = nn::extract_parameters(model_);
-  const EvalPlan eval_plan = make_eval_plan(test_, options_.eval_batch);
-  TrainingHistory history;
-  double cum_energy = 0.0;
-  double cum_wasted_energy = 0.0;
-  double best_accuracy = -1.0;
-  std::uint64_t scratch_reported = tensor::scratch_realloc_count();
+  stages::World& world = world_;
+  const TrainerOptions& options = world.options;
+  stages::RunContext ctx(world);
+  const std::size_t n_users = world.users.size();
 
   // --- engine state (everything a v3 checkpoint snapshots) ---
   EventQueue queue;
-  double now = 0.0;               ///< global clock; monotone through pops
+  double& now = ctx.cum_delay;    ///< global clock = cumulative delay; monotone
   double uplink_free = 0.0;       ///< rolling TDMA cursor
   double step_start = 0.0;
   std::size_t model_version = 0;  ///< quorum-met aggregations; staleness base
@@ -1025,7 +240,7 @@ TrainingHistory AsyncTrainer::run_async_() {
   std::uint64_t next_dispatch_id = 0;
   std::uint64_t resolutions = 0;  ///< checkpoint-cadence counter
   std::size_t effective_k = async_.buffer_k;  ///< 0 until the first cohort fixes it
-  std::vector<std::uint8_t> busy(users_.size(), 0);
+  std::vector<std::uint8_t> busy(n_users, 0);
   std::map<std::uint64_t, AsyncDispatch> in_flight;  ///< keyed by dispatch id
   std::vector<AsyncArrival> buffer;
   StepAccum acc;
@@ -1034,57 +249,13 @@ TrainingHistory AsyncTrainer::run_async_() {
   // Anti-livelock: a hard cap on total dispatches, far above anything a
   // normal run uses (the sync engine dispatches at most max_rounds x fleet).
   const std::uint64_t dispatch_cap =
-      static_cast<std::uint64_t>(options_.max_rounds + 1) * users_.size();
+      static_cast<std::uint64_t>(options.max_rounds + 1) * n_users;
 
-  // --- checkpoint resume (parse-then-commit, as in the sync engine) ---
+  // --- checkpoint resume (parse-then-commit, as in the barrier engine) ---
   bool resumed = false;
-  if (!options_.resume_from.empty()) {
-    const Checkpoint ckpt = Checkpoint::read_file(options_.resume_from);
-    if (ckpt.n_users != users_.size()) {
-      throw CheckpointError("'" + options_.resume_from + "': saved for " +
-                            std::to_string(ckpt.n_users) +
-                            " users, this trainer has " +
-                            std::to_string(users_.size()));
-    }
-    if (ckpt.seed != options_.seed) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved under seed " +
-          std::to_string(ckpt.seed) + ", this trainer uses seed " +
-          std::to_string(options_.seed) +
-          " — resuming would silently diverge from the original run");
-    }
-    if (ckpt.strategy_name != strategy_.name()) {
-      throw CheckpointError("'" + options_.resume_from +
-                            "': saved with strategy '" + ckpt.strategy_name +
-                            "', this trainer uses '" + strategy_.name() + "'");
-    }
-    if (ckpt.global_weights.size() != global_weights.size()) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved model has " +
-          std::to_string(ckpt.global_weights.size()) +
-          " parameters, this trainer's model has " +
-          std::to_string(global_weights.size()));
-    }
-    if (ckpt.model_state.size() != nn::state_count(model_)) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved model has " +
-          std::to_string(ckpt.model_state.size()) +
-          " persistent state scalars, this trainer's model has " +
-          std::to_string(nn::state_count(model_)));
-    }
-    if (ckpt.batteries_enabled != batteries_enabled) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved with batteries " +
-          std::string(ckpt.batteries_enabled ? "enabled" : "disabled") +
-          ", this trainer has them " +
-          std::string(batteries_enabled ? "enabled" : "disabled"));
-    }
-    if (!ckpt.async_enabled) {
-      throw CheckpointError(
-          "'" + options_.resume_from +
-          "': saved by the sync engine; resume it with FederatedTrainer or "
-          "an AsyncTrainer in --mode=sync (docs/ASYNC.md)");
-    }
+  if (!options.resume_from.empty()) {
+    const Checkpoint ckpt =
+        stages::read_resume_checkpoint(world, ctx, /*async_engine=*/true);
 
     // Parse every engine structure into locals before mutating anything.
     EventQueue restored_queue;
@@ -1095,7 +266,6 @@ TrainingHistory AsyncTrainer::run_async_() {
     std::size_t r_model_version = 0, r_step = 0, r_effective_k = 0;
     std::uint64_t r_next_id = 0, r_resolutions = 0;
     double r_now = 0.0, r_uplink = 0.0, r_step_start = 0.0;
-    mec::BatteryFleet restored_batteries;
     try {
       util::ByteReader in(ckpt.async_state);
       r_model_version = static_cast<std::size_t>(in.u64());
@@ -1111,11 +281,11 @@ TrainingHistory AsyncTrainer::run_async_() {
         throw CheckpointError("async state holds a non-finite clock");
       }
       restored_busy = in.vec_u8();
-      if (restored_busy.size() != users_.size()) {
+      if (restored_busy.size() != n_users) {
         throw CheckpointError(
             "async state holds a busy mask for " +
             std::to_string(restored_busy.size()) + " users, expected " +
-            std::to_string(users_.size()));
+            std::to_string(n_users));
       }
       restored_queue.load_state(in);
       const std::uint64_t n_flight = in.u64();
@@ -1126,7 +296,7 @@ TrainingHistory AsyncTrainer::run_async_() {
             " byte(s) remain — corrupted or malformed");
       }
       for (std::uint64_t i = 0; i < n_flight; ++i) {
-        AsyncDispatch d = load_dispatch(in, users_.size());
+        AsyncDispatch d = load_dispatch(in, n_users);
         if (d.id >= r_next_id) {
           throw CheckpointError("async state holds an in-flight dispatch id " +
                                 std::to_string(d.id) +
@@ -1147,7 +317,7 @@ TrainingHistory AsyncTrainer::run_async_() {
       }
       restored_buffer.reserve(static_cast<std::size_t>(n_buffer));
       for (std::uint64_t i = 0; i < n_buffer; ++i) {
-        restored_buffer.push_back(load_arrival(in, users_.size()));
+        restored_buffer.push_back(load_arrival(in, n_users));
       }
       restored_acc.dispatched_users = in.vec_size();
       restored_acc.dispatched_freqs = in.vec_f64();
@@ -1178,36 +348,12 @@ TrainingHistory AsyncTrainer::run_async_() {
               std::to_string(event.tag));
         }
       }
-
-      util::ByteReader injector_in(ckpt.injector_state);
-      injector.load_state(injector_in);
-      injector_in.expect_end("checkpoint injector state");
-      util::ByteReader fading_in(ckpt.fading_state);
-      fading.load_state(fading_in);
-      fading_in.expect_end("checkpoint fading state");
-      batch_rng.set_state(ckpt.batch_rng);
-      if (batteries_enabled) {
-        restored_batteries = batteries_;
-        util::ByteReader battery_in(ckpt.battery_state);
-        restored_batteries.load_state(battery_in);
-        battery_in.expect_end("checkpoint battery state");
-      }
-      util::ByteReader strategy_in(ckpt.strategy_state);
-      strategy_.load_state(strategy_in);
-      strategy_in.expect_end("checkpoint strategy state");
-    } catch (const CheckpointError& error) {
-      throw CheckpointError("'" + options_.resume_from + "': " + error.what());
     } catch (const std::exception& error) {
-      throw CheckpointError("'" + options_.resume_from + "': " + error.what());
+      throw CheckpointError("'" + options.resume_from + "': " + error.what());
     }
+    mec::BatteryFleet batteries = stages::parse_resume_cursors(world, ctx, ckpt);
     // Commit — nothing below throws.
-    if (batteries_enabled) batteries_ = std::move(restored_batteries);
-    if (!ckpt.model_state.empty()) nn::load_state(model_, ckpt.model_state);
-    global_weights = ckpt.global_weights;
-    for (const RoundRecord& record : ckpt.records) history.add(record);
-    cum_energy = ckpt.cum_energy_j;
-    cum_wasted_energy = ckpt.cum_wasted_energy_j;
-    best_accuracy = ckpt.best_accuracy;
+    stages::commit_resume(world, ctx, ckpt, std::move(batteries));
     queue = std::move(restored_queue);
     in_flight = std::move(restored_flight);
     buffer = std::move(restored_buffer);
@@ -1224,30 +370,20 @@ TrainingHistory AsyncTrainer::run_async_() {
     resumed = true;
   }
 
-  if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "run_start",
-                 {{"schema", std::size_t{1}},
-                  {"strategy", strategy_.name()},
-                  {"users", users_.size()},
-                  {"max_rounds", options_.max_rounds},
-                  {"threads", pool.worker_count() == 0 ? std::size_t{1}
-                                                       : pool.worker_count()},
-                  {"seed", options_.seed},
-                  {"faults_enabled", injector.active()},
-                  {"mode", std::string_view("async")},
-                  {"buffer_k", async_.buffer_k},
-                  {"staleness_beta", async_.staleness_beta},
-                  {"staleness_bound", async_.staleness_bound}});
-  }
-  if (resumed && tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "checkpoint_resume",
-                 {{"round", step},
-                  {"records", history.size()},
-                  {"cum_delay_s", now},
-                  {"cum_energy_j", cum_energy},
-                  {"resolutions", resolutions},
-                  {"in_flight", in_flight.size()},
-                  {"buffered", buffer.size()}});
+  const obs::Field run_start_extra[] = {{"mode", std::string_view("async")},
+                                        {"buffer_k", async_.buffer_k},
+                                        {"staleness_beta", async_.staleness_beta},
+                                        {"staleness_bound", async_.staleness_bound}};
+  stages::emit_run_start(world, ctx, run_start_extra);
+  if (resumed && ctx.traces(obs::TraceLevel::kRound)) {
+    ctx.tracer->emit(obs::TraceLevel::kRound, "checkpoint_resume",
+                     {{"round", step},
+                      {"records", ctx.history.size()},
+                      {"cum_delay_s", now},
+                      {"cum_energy_j", ctx.cum_energy},
+                      {"resolutions", resolutions},
+                      {"in_flight", in_flight.size()},
+                      {"buffered", buffer.size()}});
   }
 
   // Cadenced snapshot writer.  The async cadence is counted in event
@@ -1256,90 +392,39 @@ TrainingHistory AsyncTrainer::run_async_() {
   // non-empty event queue, in-flight clients, and a partial buffer.  The
   // {round} path token expands to the resolution count.
   const auto maybe_write_checkpoint = [&]() {
-    if (options_.checkpoint_every == 0) return;
-    if (resolutions == 0 || resolutions % options_.checkpoint_every != 0) return;
-    obs::ScopedSpan span(profiler, "checkpoint",
+    if (!stages::checkpoint_due(options, resolutions)) return;
+    obs::ScopedSpan span(ctx.profiler, "checkpoint",
                          static_cast<std::int64_t>(resolutions));
-    Checkpoint ckpt;
-    ckpt.seed = options_.seed;
-    ckpt.n_users = users_.size();
-    ckpt.next_round = step;
-    ckpt.cum_delay_s = now;
-    ckpt.cum_energy_j = cum_energy;
-    ckpt.cum_wasted_energy_j = cum_wasted_energy;
-    ckpt.best_accuracy = best_accuracy;
-    ckpt.trace_seq = tracer != nullptr ? tracer->event_count() : 0;
-    ckpt.global_weights = global_weights;
-    if (has_state) ckpt.model_state = nn::extract_state(model_);
-    ckpt.batch_rng = batch_rng.state();
-    ckpt.strategy_name = strategy_.name();
-    {
-      util::ByteWriter writer;
-      strategy_.save_state(writer);
-      ckpt.strategy_state = writer.take();
-    }
-    {
-      util::ByteWriter writer;
-      injector.save_state(writer);
-      ckpt.injector_state = writer.take();
-    }
-    {
-      util::ByteWriter writer;
-      fading.save_state(writer);
-      ckpt.fading_state = writer.take();
-    }
-    ckpt.batteries_enabled = batteries_enabled;
-    if (batteries_enabled) {
-      util::ByteWriter writer;
-      batteries_.save_state(writer);
-      ckpt.battery_state = writer.take();
-    }
+    Checkpoint ckpt = stages::snapshot(world, ctx, step);
     ckpt.async_enabled = true;
-    {
-      util::ByteWriter out;
-      out.u64(static_cast<std::uint64_t>(model_version));
-      out.u64(static_cast<std::uint64_t>(step));
-      out.u64(next_dispatch_id);
-      out.u64(resolutions);
-      out.u64(static_cast<std::uint64_t>(effective_k));
-      out.f64(now);
-      out.f64(uplink_free);
-      out.f64(step_start);
-      out.vec_u8(busy);
-      queue.save_state(out);
-      out.u64(in_flight.size());
-      for (const auto& [id, dispatch] : in_flight) save_dispatch(out, dispatch);
-      out.u64(buffer.size());
-      for (const AsyncArrival& arrival : buffer) save_arrival(out, arrival);
-      out.vec_size(acc.dispatched_users);
-      out.vec_f64(acc.dispatched_freqs);
-      out.vec_size(acc.resolved_users);
-      out.vec_f64(acc.resolved_freqs);
-      out.vec_u8(acc.resolved_completed);
-      out.u64(static_cast<std::uint64_t>(acc.crashed));
-      out.u64(static_cast<std::uint64_t>(acc.upload_failures));
-      out.u64(static_cast<std::uint64_t>(acc.dropped_stale));
-      out.u64(static_cast<std::uint64_t>(acc.retries));
-      out.f64(acc.step_energy);
-      out.f64(acc.step_wasted);
-      ckpt.async_state = out.take();
-    }
-    ckpt.records = history.rounds();
-    std::string path = options_.checkpoint_path;
-    constexpr std::string_view kToken = "{round}";
-    for (std::size_t pos = path.find(kToken); pos != std::string::npos;
-         pos = path.find(kToken, pos)) {
-      const std::string value = std::to_string(resolutions);
-      path.replace(pos, kToken.size(), value);
-      pos += value.size();
-    }
-    ckpt.write_file(path);
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      tracer->emit(obs::TraceLevel::kRound, "checkpoint_write",
-                   {{"round", resolutions},
-                    {"path", path},
-                    {"records", history.size()}});
-    }
+    util::ByteWriter out;
+    out.u64(static_cast<std::uint64_t>(model_version));
+    out.u64(static_cast<std::uint64_t>(step));
+    out.u64(next_dispatch_id);
+    out.u64(resolutions);
+    out.u64(static_cast<std::uint64_t>(effective_k));
+    out.f64(now);
+    out.f64(uplink_free);
+    out.f64(step_start);
+    out.vec_u8(busy);
+    queue.save_state(out);
+    out.u64(in_flight.size());
+    for (const auto& [id, dispatch] : in_flight) save_dispatch(out, dispatch);
+    out.u64(buffer.size());
+    for (const AsyncArrival& arrival : buffer) save_arrival(out, arrival);
+    out.vec_size(acc.dispatched_users);
+    out.vec_f64(acc.dispatched_freqs);
+    out.vec_size(acc.resolved_users);
+    out.vec_f64(acc.resolved_freqs);
+    out.vec_u8(acc.resolved_completed);
+    out.u64(static_cast<std::uint64_t>(acc.crashed));
+    out.u64(static_cast<std::uint64_t>(acc.upload_failures));
+    out.u64(static_cast<std::uint64_t>(acc.dropped_stale));
+    out.u64(static_cast<std::uint64_t>(acc.retries));
+    out.f64(acc.step_energy);
+    out.f64(acc.step_wasted);
+    ckpt.async_state = out.take();
+    stages::write_checkpoint(world, ctx, ckpt, resolutions, resolutions);
   };
 
   // Dispatches every idle selectable device the strategy picks, trains the
@@ -1347,14 +432,14 @@ TrainingHistory AsyncTrainer::run_async_() {
   // Called at every churn boundary and after every resolution.
   const auto try_dispatch = [&]() {
     if (next_dispatch_id >= dispatch_cap) return;
-    sched::FleetView fleet{users_};
-    std::vector<std::uint8_t> selectable(users_.size(), 0);
-    const std::span<const std::uint8_t> churn_mask = injector.availability();
+    sched::FleetView fleet{world.users};
+    std::vector<std::uint8_t> selectable(n_users, 0);
+    const std::span<const std::uint8_t> churn_mask = ctx.injector.availability();
     const std::span<const std::uint8_t> battery_mask =
-        batteries_enabled ? batteries_.alive_mask()
-                          : std::span<const std::uint8_t>{};
+        world.batteries_enabled() ? world.batteries.alive_mask()
+                                  : std::span<const std::uint8_t>{};
     bool any_idle = false;
-    for (std::size_t i = 0; i < users_.size(); ++i) {
+    for (std::size_t i = 0; i < n_users; ++i) {
       const bool ok = busy[i] == 0 &&
                       (churn_mask.empty() || churn_mask[i] != 0) &&
                       (battery_mask.empty() || battery_mask[i] != 0);
@@ -1366,14 +451,12 @@ TrainingHistory AsyncTrainer::run_async_() {
 
     sched::Decision decision;
     {
-      obs::ScopedSpan selection_span(profiler, "selection",
+      obs::ScopedSpan selection_span(ctx.profiler, "selection",
                                      static_cast<std::int64_t>(step));
-      decision = strategy_.decide(fleet, step);
+      decision = world.strategy.decide(fleet, step);
     }
     if (decision.selected.empty()) return;
-    if (decision.selected.size() != decision.frequencies_hz.size()) {
-      throw std::logic_error("AsyncTrainer: strategy returned a bad decision");
-    }
+    stages::check_decision(world, fleet, decision);
 
     std::size_t cohort = decision.selected.size();
     if (next_dispatch_id + cohort > dispatch_cap) {
@@ -1382,165 +465,68 @@ TrainingHistory AsyncTrainer::run_async_() {
     // The first cohort fixes the semi-async buffer size (buffer_k == 0).
     if (effective_k == 0) effective_k = std::max<std::size_t>(cohort, 1);
 
-    std::vector<double> fade_multipliers(cohort, 1.0);
-    std::vector<util::Rng> client_rngs;
-    client_rngs.reserve(cohort);
-    std::vector<mec::ClientFaults> client_faults(cohort);
-    std::vector<std::uint64_t> ids(cohort, 0);
+    // Streams are keyed on the dispatch id — unique and deterministic in
+    // dispatch order — so mini-batch draws and fault outcomes are identical
+    // for any thread count.
+    std::vector<stages::ClientDraw> draws;
+    draws.reserve(cohort);
     for (std::size_t k = 0; k < cohort; ++k) {
       const std::size_t user = decision.selected[k];
-      const double f = decision.frequencies_hz[k];
-      if (!fleet.is_alive(user)) {
-        throw std::logic_error(
-            "AsyncTrainer: strategy selected an unavailable device");
-      }
-      const mec::Device& device = devices_[user];
-      if (f < device.f_min_hz - 1e-6 || f > device.f_max_hz + 1e-6) {
-        throw std::logic_error("AsyncTrainer: frequency outside DVFS range");
-      }
-      fade_multipliers[k] = fading.multiplier(user);
-      // Streams are keyed on the dispatch id — unique and deterministic in
-      // dispatch order — so mini-batch draws and fault outcomes are
-      // identical for any thread count.
-      ids[k] = next_dispatch_id++;
-      client_rngs.push_back(batch_rng.fork(ids[k]));
-      if (injector.active()) {
-        client_faults[k] = injector.draw(ids[k], user, max_attempts);
-      }
+      const std::uint64_t id = next_dispatch_id + k;
+      draws.push_back(stages::draw_client(ctx, user, id, id));
       busy[user] = 1;
       acc.dispatched_users.push_back(user);
-      acc.dispatched_freqs.push_back(f);
+      acc.dispatched_freqs.push_back(decision.frequencies_hz[k]);
     }
 
     const std::vector<float> dispatch_state =
-        has_state ? nn::extract_state(model_) : std::vector<float>{};
-
+        ctx.has_state ? nn::extract_state(world.model) : std::vector<float>{};
     std::vector<AsyncDispatch> outcomes(cohort);
-    auto run_client = [&](std::size_t k) {
-      const std::size_t user = decision.selected[k];
-      obs::ScopedSpan client_span(profiler, "client",
-                                  static_cast<std::int64_t>(step),
-                                  static_cast<std::int64_t>(user),
-                                  obs::TraceLevel::kDebug);
-      const double f = decision.frequencies_hz[k];
-      const mec::ClientFaults faults = client_faults[k];
-      const mec::Device& device = devices_[user];
-
-      AsyncDispatch d;
-      d.slowdown = faults.slowdown;
-      if (faults.crashed) {
-        d.crashed = true;
-        d.crash_fraction = faults.crash_fraction;
-        d.compute_delay_s = mec::compute_delay_s(device, f) * faults.slowdown *
-                            faults.crash_fraction;
-        d.energy_j = mec::compute_energy_j(device, f) * faults.crash_fraction;
-        outcomes[k] = std::move(d);
-        return;
-      }
-
-      const std::size_t worker = util::ThreadPool::worker_index();
-      nn::Sequential& model =
-          worker == util::ThreadPool::npos ? model_ : *replicas[worker];
-      if (has_state) nn::load_state(model, dispatch_state);
-
-      util::Rng client_rng = client_rngs[k];
-      d.trained = true;
-      ClientUpdate update = local_update(model, global_weights, user_data_[user],
-                                         options_.client, client_rng);
-
-      const nn::CompressedModel compressed =
-          nn::compress(update.weights, options_.compression);
-      const double compression_ratio =
-          static_cast<double>(compressed.wire_bits) /
-          (32.0 * static_cast<double>(update.weights.size()));
-      const double wire_bits = options_.model_size_bits * compression_ratio;
-      d.weights = std::move(compressed.reconstructed);
-      // FedBuff aggregates *updates*: the arrival carries the client's delta
-      // from the model it was dispatched with, so a stale update nudges the
-      // current model instead of dragging it back toward its old base.
-      for (std::size_t i = 0; i < d.weights.size(); ++i) {
-        d.weights[i] -= global_weights[i];
-      }
-      d.train_loss = update.train_loss;
-      d.num_samples = update.num_samples;
-
-      mec::Device faded = device;
-      faded.channel_gain_sq *= fade_multipliers[k];
-
-      d.compute_delay_s = mec::compute_delay_s(device, f) * faults.slowdown;
-      d.upload_duration_s = mec::upload_delay_s(faded, channel_, wire_bits);
-      d.attempts = faults.attempts();
-      d.upload_ok = faults.upload_ok;
-      d.failed_attempts = faults.failed_attempts;
-      d.occupancy_s =
-          d.attempts <= 1
-              ? d.upload_duration_s
-              : static_cast<double>(d.attempts) * d.upload_duration_s +
-                    static_cast<double>(d.attempts - 1) * options_.retry_backoff_s;
-      d.energy_j = mec::compute_energy_j(device, f) +
-                   static_cast<double>(d.attempts) *
-                       mec::upload_energy_j(faded, channel_, wire_bits);
-      if (has_state) d.state = nn::extract_state(model);
-      outcomes[k] = std::move(d);
-    };
-
     {
-      obs::ScopedSpan training_span(profiler, "local_training",
+      obs::ScopedSpan training_span(ctx.profiler, "local_training",
                                     static_cast<std::int64_t>(step));
-      if (pool.worker_count() == 0) {
-        for (std::size_t k = 0; k < cohort; ++k) run_client(k);
-      } else {
-        std::vector<std::future<void>> futures;
-        futures.reserve(cohort);
-        for (std::size_t k = 0; k < cohort; ++k) {
-          futures.push_back(pool.submit([&run_client, k] { run_client(k); }));
+      stages::run_cohort(world, ctx, cohort, decision.selected, step, [&](std::size_t k) {
+        stages::ClientOutcome& out = outcomes[k].out;
+        out = stages::train_client(world, ctx, step, decision.selected[k],
+                                   decision.frequencies_hz[k], draws[k], dispatch_state);
+        // FedBuff aggregates *updates*: the arrival carries the client's
+        // delta from the model it was dispatched with, so a stale update
+        // nudges the current model instead of dragging it back toward its
+        // old base.
+        std::vector<float>& weights = out.update.weights;
+        for (std::size_t i = 0; i < weights.size(); ++i) {
+          weights[i] -= ctx.global_weights[i];
         }
-        std::string failures;
-        std::size_t failure_count = 0;
-        for (std::size_t k = 0; k < futures.size(); ++k) {
-          try {
-            futures[k].get();
-          } catch (const std::exception& error) {
-            ++failure_count;
-            if (!failures.empty()) failures += "; ";
-            failures += "client " + std::to_string(k) + " (user " +
-                        std::to_string(decision.selected[k]) + "): " + error.what();
-          } catch (...) {
-            ++failure_count;
-            if (!failures.empty()) failures += "; ";
-            failures += "client " + std::to_string(k) + " (user " +
-                        std::to_string(decision.selected[k]) +
-                        "): unknown exception";
-          }
-        }
-        if (failure_count > 0) {
-          throw std::runtime_error(
-              "AsyncTrainer: " + std::to_string(failure_count) +
-              " client task(s) failed in step " + std::to_string(step) + ": " +
-              failures);
-        }
-      }
+      });
     }
 
     // Commit in dispatch order: schedule each client's terminal event.
     for (std::size_t k = 0; k < cohort; ++k) {
       AsyncDispatch& d = outcomes[k];
-      d.id = ids[k];
+      const mec::ClientFaults& faults = draws[k].faults;
+      d.id = next_dispatch_id++;
       d.user = decision.selected[k];
       d.version = model_version;
       d.frequency_hz = decision.frequencies_hz[k];
       d.dispatch_time_s = now;
+      d.slowdown = faults.slowdown;
+      d.crashed = faults.crashed;
+      if (faults.crashed) {
+        d.crash_fraction = faults.crash_fraction;
+      } else {
+        d.failed_attempts = faults.failed_attempts;
+      }
       const EventKind kind =
           d.crashed ? EventKind::kFault : EventKind::kComputeFinish;
-      queue.push(now + d.compute_delay_s, kind, d.user, d.id);
-      if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kDecision)) {
-        tracer->emit(obs::TraceLevel::kDecision, "async.dispatch",
-                     {{"step", step},
-                      {"user", d.user},
-                      {"dispatch_id", d.id},
-                      {"version", d.version},
-                      {"time_s", now},
-                      {"compute_delay_s", d.compute_delay_s}});
+      queue.push(now + d.out.compute_delay_s, kind, d.user, d.id);
+      if (ctx.traces(obs::TraceLevel::kDecision)) {
+        ctx.tracer->emit(obs::TraceLevel::kDecision, "async.dispatch",
+                         {{"step", step},
+                          {"user", d.user},
+                          {"dispatch_id", d.id},
+                          {"version", d.version},
+                          {"time_s", now},
+                          {"compute_delay_s", d.out.compute_delay_s}});
       }
       in_flight.emplace(d.id, std::move(d));
     }
@@ -1550,10 +536,10 @@ TrainingHistory AsyncTrainer::run_async_() {
   // flush of whatever is left), completion feedback, the step's
   // RoundRecord, eval cadence, and the stop checks.
   const auto aggregate = [&](bool flush) {
-    obs::ScopedSpan aggregation_span(profiler, "aggregation",
+    obs::ScopedSpan aggregation_span(ctx.profiler, "aggregation",
                                      static_cast<std::int64_t>(step));
     const std::size_t arrivals = buffer.size();
-    const bool quorum_met = arrivals >= options_.min_clients;
+    const bool quorum_met = arrivals >= options.min_clients;
     double staleness_sum = 0.0;
     for (const AsyncArrival& a : buffer) {
       staleness_sum += static_cast<double>(model_version - a.version);
@@ -1561,12 +547,11 @@ TrainingHistory AsyncTrainer::run_async_() {
     const double staleness_mean =
         arrivals > 0 ? staleness_sum / static_cast<double>(arrivals) : 0.0;
 
-    if (!quorum_met && tracer != nullptr &&
-        tracer->enabled(obs::TraceLevel::kRound)) {
-      tracer->emit(obs::TraceLevel::kRound, "quorum",
-                   {{"round", step},
-                    {"survivors", arrivals},
-                    {"min_clients", options_.min_clients}});
+    if (!quorum_met && ctx.traces(obs::TraceLevel::kRound)) {
+      ctx.tracer->emit(obs::TraceLevel::kRound, "quorum",
+                       {{"round", step},
+                        {"survivors", arrivals},
+                        {"min_clients", options.min_clients}});
     }
 
     double train_loss_sum = 0.0;
@@ -1587,8 +572,8 @@ TrainingHistory AsyncTrainer::run_async_() {
         uploads.push_back({a.weights, a.num_samples, discount});
       }
       const std::vector<float> mean_delta = fedavg_discounted(uploads);
-      for (std::size_t i = 0; i < global_weights.size(); ++i) {
-        global_weights[i] += mean_delta[i];
+      for (std::size_t i = 0; i < ctx.global_weights.size(); ++i) {
+        ctx.global_weights[i] += mean_delta[i];
       }
       ++model_version;
 
@@ -1603,9 +588,9 @@ TrainingHistory AsyncTrainer::run_async_() {
         losses.push_back(a.train_loss);
         train_loss_sum += a.train_loss;
       }
-      strategy_.observe(step, agg_decision, losses);
-      if (has_state && !buffer.empty()) {
-        nn::load_state(model_, buffer.back().state);
+      world.strategy.observe(step, agg_decision, losses);
+      if (ctx.has_state && !buffer.empty()) {
+        nn::load_state(world.model, buffer.back().state);
       }
     } else {
       // Quorum failed: the model holds still and every buffered update's
@@ -1627,22 +612,20 @@ TrainingHistory AsyncTrainer::run_async_() {
       for (std::uint8_t& c : completed) {
         c = (c == 2 && quorum_met) ? 1 : 0;
       }
-      strategy_.report_completion(step, resolved_decision, completed);
+      world.strategy.report_completion(step, resolved_decision, completed);
     }
     aggregation_span.finish();
 
-    cum_energy += acc.step_energy;
-    const double round_delay = now - step_start;
-
-    std::size_t available = users_.size();
+    ctx.cum_energy += acc.step_energy;
+    std::size_t available = n_users;
     {
-      const std::span<const std::uint8_t> churn_mask = injector.availability();
+      const std::span<const std::uint8_t> churn_mask = ctx.injector.availability();
       const std::span<const std::uint8_t> battery_mask =
-          batteries_enabled ? batteries_.alive_mask()
-                            : std::span<const std::uint8_t>{};
+          world.batteries_enabled() ? world.batteries.alive_mask()
+                                    : std::span<const std::uint8_t>{};
       if (!churn_mask.empty() || !battery_mask.empty()) {
         available = 0;
-        for (std::size_t i = 0; i < users_.size(); ++i) {
+        for (std::size_t i = 0; i < n_users; ++i) {
           if ((churn_mask.empty() || churn_mask[i] != 0) &&
               (battery_mask.empty() || battery_mask[i] != 0)) {
             ++available;
@@ -1654,14 +637,13 @@ TrainingHistory AsyncTrainer::run_async_() {
     RoundRecord record;
     record.round = step;
     record.selected = acc.dispatched_users;
-    record.round_delay_s = round_delay;
+    record.round_delay_s = now - step_start;
     record.round_energy_j = acc.step_energy;
     record.cum_delay_s = now;
-    record.cum_energy_j = cum_energy;
+    record.cum_energy_j = ctx.cum_energy;
     record.train_loss =
         arrivals > 0 ? train_loss_sum / static_cast<double>(arrivals) : 0.0;
-    record.alive_users =
-        batteries_enabled ? batteries_.alive_count() : users_.size();
+    record.alive_users = world.alive_users();
     record.available_users = available;
     if (quorum_met) {
       record.aggregated.reserve(arrivals);
@@ -1677,118 +659,31 @@ TrainingHistory AsyncTrainer::run_async_() {
     record.quorum_failed = !quorum_met;
     record.wasted_energy_j = acc.step_wasted;
 
-    const bool last_step = step + 1 >= options_.max_rounds;
-    const bool over_deadline = now > options_.deadline_s;
-    if (step % options_.eval_every == 0 || last_step || over_deadline) {
-      obs::ScopedSpan eval_span(profiler, "evaluation",
-                                static_cast<std::int64_t>(step));
-      Evaluation eval;
-      if (pool.worker_count() == 0) {
-        eval = evaluate(model_, global_weights, eval_plan);
-      } else {
-        if (has_state) {
-          const std::vector<float> eval_state = nn::extract_state(model_);
-          for (nn::Sequential* replica : eval_models) {
-            nn::load_state(*replica, eval_state);
-          }
-        }
-        eval = evaluate_parallel(eval_models, global_weights, eval_plan, pool);
-      }
-      record.evaluated = true;
-      record.test_loss = eval.loss;
-      record.test_accuracy = eval.accuracy;
+    const bool last_step = step + 1 >= options.max_rounds;
+    const bool over_deadline = now > options.deadline_s;
+    const bool target_reached = stages::close_round(
+        world, ctx, std::move(record), arrivals, last_step, over_deadline);
+    if (ctx.registry != nullptr) {
+      obs::Registry& registry = *ctx.registry;
+      registry.add("async.aggregations");
+      if (flush) registry.add("async.flushes");
+      if (acc.dropped_stale > 0) registry.add("async.dropped_stale", acc.dropped_stale);
+      registry.set_gauge("async.staleness_mean", staleness_mean);
+      registry.set_gauge("async.model_version", static_cast<double>(model_version));
+      registry.set_gauge("async.in_flight", static_cast<double>(in_flight.size()));
     }
-    const bool target_reached = record.evaluated &&
-                                options_.target_accuracy >= 0.0 &&
-                                record.test_accuracy >= options_.target_accuracy;
-
-    cum_wasted_energy += acc.step_wasted;
-    if (registry != nullptr) {
-      registry->add("rounds.completed");
-      registry->add("clients.selected", acc.dispatched_users.size());
-      registry->add("clients.trained", arrivals);
-      registry->add("clients.crashed", acc.crashed);
-      registry->add("clients.dropped_late", acc.dropped_stale);
-      registry->add("clients.aggregated", record.survivors);
-      registry->add("uploads.failed", acc.upload_failures);
-      registry->add("uploads.retries", acc.retries);
-      if (!quorum_met) registry->add("rounds.quorum_failed");
-      registry->add("async.aggregations");
-      if (flush) registry->add("async.flushes");
-      if (acc.dropped_stale > 0) {
-        registry->add("async.dropped_stale", acc.dropped_stale);
-      }
-      const std::uint64_t scratch_now = tensor::scratch_realloc_count();
-      registry->add("kernel.scratch_reallocs", scratch_now - scratch_reported);
-      scratch_reported = scratch_now;
-      registry->set_gauge("delay.cum_s", now);
-      registry->set_gauge("energy.cum_j", cum_energy);
-      registry->set_gauge("energy.wasted_cum_j", cum_wasted_energy);
-      registry->set_gauge("async.staleness_mean", staleness_mean);
-      registry->set_gauge("async.model_version",
-                          static_cast<double>(model_version));
-      registry->set_gauge("async.in_flight",
-                          static_cast<double>(in_flight.size()));
-      if (record.evaluated) {
-        best_accuracy = std::max(best_accuracy, record.test_accuracy);
-        registry->set_gauge("accuracy.last", record.test_accuracy);
-        registry->set_gauge("accuracy.best", best_accuracy);
-      }
+    if (ctx.traces(obs::TraceLevel::kRound)) {
+      ctx.tracer->emit(obs::TraceLevel::kRound, "async.step",
+                       {{"round", step},
+                        {"arrivals", arrivals},
+                        {"buffer_k", effective_k},
+                        {"staleness_mean", staleness_mean},
+                        {"model_version", model_version},
+                        {"in_flight", in_flight.size()},
+                        {"flush", flush}});
     }
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      std::vector<obs::Field> fields = {
-          {"round", step},
-          {"selected", acc.dispatched_users.size()},
-          {"survivors", record.survivors},
-          {"crashed", acc.crashed},
-          {"upload_failures", acc.upload_failures},
-          {"dropped_late", acc.dropped_stale},
-          {"retries", acc.retries},
-          {"quorum_failed", !quorum_met},
-          {"round_delay_s", round_delay},
-          {"round_energy_j", acc.step_energy},
-          {"wasted_energy_j", acc.step_wasted},
-          {"cum_delay_s", now},
-          {"cum_energy_j", cum_energy},
-          {"train_loss", record.train_loss}};
-      if (record.evaluated) {
-        fields.emplace_back("test_loss", record.test_loss);
-        fields.emplace_back("test_accuracy", record.test_accuracy);
-      }
-      tracer->emit(obs::TraceLevel::kRound, "round_end", fields);
-      tracer->emit(obs::TraceLevel::kRound, "async.step",
-                   {{"round", step},
-                    {"arrivals", arrivals},
-                    {"buffer_k", effective_k},
-                    {"staleness_mean", staleness_mean},
-                    {"model_version", model_version},
-                    {"in_flight", in_flight.size()},
-                    {"flush", flush}});
-    }
-    history.add(std::move(record));
-
-    if (over_deadline) {
-      util::log_info("AsyncTrainer[async]: deadline reached after step " +
-                     std::to_string(step));
-      stopping = true;
-    }
-    if (target_reached) stopping = true;
-    if (last_step) stopping = true;
-    if (!stopping && options_.convergence_window >= 2 &&
-        history.size() >= options_.convergence_window) {
-      double lo = history.rounds()[history.size() - 1].train_loss;
-      double hi = lo;
-      for (std::size_t k = 2; k <= options_.convergence_window; ++k) {
-        const double loss = history.rounds()[history.size() - k].train_loss;
-        lo = std::min(lo, loss);
-        hi = std::max(hi, loss);
-      }
-      if (hi - lo < options_.convergence_epsilon) {
-        util::log_info("AsyncTrainer[async]: converged after step " +
-                       std::to_string(step));
-        stopping = true;
-      }
-    }
+    stopping = stages::should_stop(world, ctx, step, over_deadline, target_reached) ||
+               last_step;
 
     buffer.clear();
     acc = StepAccum{};
@@ -1814,10 +709,10 @@ TrainingHistory AsyncTrainer::run_async_() {
 
   // Bootstrap: the first churn boundary enters the queue at t = 0.  A
   // resumed run's queue already carries its pending events.
-  if (!resumed && options_.max_rounds > 0) {
+  if (!resumed && options.max_rounds > 0) {
     queue.push(0.0, EventKind::kChurn, 0, /*tag=*/step);
   }
-  if (options_.max_rounds == 0) stopping = true;
+  if (options.max_rounds == 0) stopping = true;
 
   while (!stopping) {
     if (queue.empty()) {
@@ -1836,41 +731,23 @@ TrainingHistory AsyncTrainer::run_async_() {
     switch (event.kind) {
       case EventKind::kChurn: {
         // A server-step boundary: availability churn and channel fading
-        // advance once per step, exactly as the sync engine advances them
-        // once per round.
-        injector.begin_round();
-        fading.step();
+        // advance once per step, exactly as the barrier engine advances
+        // them once per round.
+        ctx.injector.begin_round();
+        ctx.fading.step();
         try_dispatch();
         if (in_flight.empty() && buffer.empty() && queue.empty() &&
-            acc.resolved_users.empty() && injector.active() &&
-            injector.away_count() > 0 && next_dispatch_id < dispatch_cap &&
-            step < options_.max_rounds) {
+            acc.resolved_users.empty() && ctx.injector.active() &&
+            ctx.injector.away_count() > 0 && next_dispatch_id < dispatch_cap &&
+            step < options.max_rounds) {
           // Churn emptied the fleet before anything was dispatched: record
-          // a skipped step (the sync engine's churn-skip path) and try the
-          // next churn boundary.
-          RoundRecord skipped;
-          skipped.round = step;
-          skipped.quorum_failed = true;
-          skipped.cum_delay_s = now;
-          skipped.cum_energy_j = cum_energy;
-          skipped.alive_users =
-              batteries_enabled ? batteries_.alive_count() : users_.size();
-          skipped.available_users = 0;
-          history.add(std::move(skipped));
-          if (registry != nullptr) registry->add("rounds.skipped");
-          if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-            tracer->emit(obs::TraceLevel::kRound, "round_end",
-                         {{"round", step},
-                          {"selected", std::size_t{0}},
-                          {"survivors", std::size_t{0}},
-                          {"quorum_failed", true},
-                          {"cum_delay_s", now},
-                          {"cum_energy_j", cum_energy}});
-          }
+          // a skipped step (the barrier engine's churn-skip path) and try
+          // the next churn boundary.
+          stages::skip_round(world, ctx, step, 0);
           acc = StepAccum{};
           ++step;
           step_start = now;
-          if (step < options_.max_rounds) {
+          if (step < options.max_rounds) {
             queue.push(now, EventKind::kChurn, 0, /*tag=*/step);
           }
         }
@@ -1890,7 +767,7 @@ TrainingHistory AsyncTrainer::run_async_() {
         AsyncDispatch& d = it->second;
         d.compute_end_s = event.time_s;
         d.upload_start_s = std::max(event.time_s, uplink_free);
-        uplink_free = d.upload_start_s + d.occupancy_s;
+        uplink_free = d.upload_start_s + d.out.occupancy_s;
         queue.push(uplink_free, EventKind::kUploadFinish, d.user, d.id);
         break;
       }
@@ -1898,58 +775,58 @@ TrainingHistory AsyncTrainer::run_async_() {
       case EventKind::kUploadFinish: {
         AsyncDispatch d = take_flight(event.tag);
         busy[d.user] = 0;
-        acc.step_energy += d.energy_j;
-        if (batteries_enabled) batteries_.drain(d.user, d.energy_j);
-        acc.retries += d.attempts > 0 ? d.attempts - 1 : 0;
+        acc.step_energy += d.out.energy_j;
+        if (world.batteries_enabled()) world.batteries.drain(d.user, d.out.energy_j);
+        acc.retries += d.out.attempts > 0 ? d.out.attempts - 1 : 0;
         const std::size_t staleness = model_version - d.version;
 
         bool accepted = false;
-        if (!d.upload_ok) {
+        if (!d.out.upload_ok) {
           ++acc.upload_failures;
-          acc.step_wasted += d.energy_j;
+          acc.step_wasted += d.out.energy_j;
         } else if (async_.staleness_bound > 0 &&
                    staleness > async_.staleness_bound) {
           ++acc.dropped_stale;
-          acc.step_wasted += d.energy_j;
+          acc.step_wasted += d.out.energy_j;
         } else {
           accepted = true;
         }
 
-        if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kDecision)) {
-          tracer->emit(obs::TraceLevel::kDecision, "tdma",
-                       {{"round", step},
-                        {"user", d.user},
-                        {"attempts", d.attempts},
-                        {"compute_end_s", d.compute_end_s},
-                        {"upload_start_s", d.upload_start_s},
-                        {"upload_end_s", event.time_s},
-                        {"slack_s", d.upload_start_s - d.compute_end_s},
-                        {"accepted", accepted},
-                        {"dropped_late", false}});
+        if (ctx.traces(obs::TraceLevel::kDecision)) {
+          ctx.tracer->emit(obs::TraceLevel::kDecision, "tdma",
+                           {{"round", step},
+                            {"user", d.user},
+                            {"attempts", d.out.attempts},
+                            {"compute_end_s", d.compute_end_s},
+                            {"upload_start_s", d.upload_start_s},
+                            {"upload_end_s", event.time_s},
+                            {"slack_s", d.upload_start_s - d.compute_end_s},
+                            {"accepted", accepted},
+                            {"dropped_late", false}});
         }
-        if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
+        if (ctx.traces(obs::TraceLevel::kRound)) {
           if (d.slowdown > 1.0) {
-            tracer->emit(obs::TraceLevel::kRound, "fault",
-                         {{"round", step},
-                          {"user", d.user},
-                          {"kind", "straggler"},
-                          {"slowdown", d.slowdown}});
+            ctx.tracer->emit(obs::TraceLevel::kRound, "fault",
+                             {{"round", step},
+                              {"user", d.user},
+                              {"kind", "straggler"},
+                              {"slowdown", d.slowdown}});
           }
           if (d.failed_attempts > 0) {
-            tracer->emit(obs::TraceLevel::kRound, "fault",
-                         {{"round", step},
-                          {"user", d.user},
-                          {"kind", "upload_failure"},
-                          {"failed_attempts", d.failed_attempts},
-                          {"upload_ok", d.upload_ok}});
+            ctx.tracer->emit(obs::TraceLevel::kRound, "fault",
+                             {{"round", step},
+                              {"user", d.user},
+                              {"kind", "upload_failure"},
+                              {"failed_attempts", d.failed_attempts},
+                              {"upload_ok", d.out.upload_ok}});
           }
-          if (!accepted && d.upload_ok) {
-            tracer->emit(obs::TraceLevel::kRound, "fault",
-                         {{"round", step},
-                          {"user", d.user},
-                          {"kind", "dropped_stale"},
-                          {"staleness", staleness},
-                          {"staleness_bound", async_.staleness_bound}});
+          if (!accepted && d.out.upload_ok) {
+            ctx.tracer->emit(obs::TraceLevel::kRound, "fault",
+                             {{"round", step},
+                              {"user", d.user},
+                              {"kind", "dropped_stale"},
+                              {"staleness", staleness},
+                              {"staleness_bound", async_.staleness_bound}});
           }
         }
 
@@ -1957,26 +834,25 @@ TrainingHistory AsyncTrainer::run_async_() {
         acc.resolved_freqs.push_back(d.frequency_hz);
         acc.resolved_completed.push_back(accepted ? 2 : 0);
         if (accepted) {
-          if (tracer != nullptr &&
-              tracer->enabled(obs::TraceLevel::kDecision)) {
-            tracer->emit(obs::TraceLevel::kDecision, "async.arrival",
-                         {{"step", step},
-                          {"user", d.user},
-                          {"dispatch_id", d.id},
-                          {"staleness", staleness},
-                          {"buffered", buffer.size() + 1},
-                          {"buffer_k", effective_k}});
+          if (ctx.traces(obs::TraceLevel::kDecision)) {
+            ctx.tracer->emit(obs::TraceLevel::kDecision, "async.arrival",
+                             {{"step", step},
+                              {"user", d.user},
+                              {"dispatch_id", d.id},
+                              {"staleness", staleness},
+                              {"buffered", buffer.size() + 1},
+                              {"buffer_k", effective_k}});
           }
           AsyncArrival arrival;
           arrival.user = d.user;
           arrival.dispatch_id = d.id;
           arrival.version = d.version;
           arrival.frequency_hz = d.frequency_hz;
-          arrival.weights = std::move(d.weights);
-          arrival.train_loss = d.train_loss;
-          arrival.num_samples = d.num_samples;
-          arrival.state = std::move(d.state);
-          arrival.energy_j = d.energy_j;
+          arrival.weights = std::move(d.out.update.weights);
+          arrival.train_loss = d.out.update.train_loss;
+          arrival.num_samples = d.out.update.num_samples;
+          arrival.state = std::move(d.out.state);
+          arrival.energy_j = d.out.energy_j;
           buffer.push_back(std::move(arrival));
         }
 
@@ -1998,16 +874,16 @@ TrainingHistory AsyncTrainer::run_async_() {
         // but nothing ever reaches the uplink.
         AsyncDispatch d = take_flight(event.tag);
         busy[d.user] = 0;
-        acc.step_energy += d.energy_j;
-        acc.step_wasted += d.energy_j;
-        if (batteries_enabled) batteries_.drain(d.user, d.energy_j);
+        acc.step_energy += d.out.energy_j;
+        acc.step_wasted += d.out.energy_j;
+        if (world.batteries_enabled()) world.batteries.drain(d.user, d.out.energy_j);
         ++acc.crashed;
-        if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", step},
-                        {"user", d.user},
-                        {"kind", "crash"},
-                        {"crash_fraction", d.crash_fraction}});
+        if (ctx.traces(obs::TraceLevel::kRound)) {
+          ctx.tracer->emit(obs::TraceLevel::kRound, "fault",
+                           {{"round", step},
+                            {"user", d.user},
+                            {"kind", "crash"},
+                            {"crash_fraction", d.crash_fraction}});
         }
         acc.resolved_users.push_back(d.user);
         acc.resolved_freqs.push_back(d.frequency_hz);
@@ -2019,18 +895,7 @@ TrainingHistory AsyncTrainer::run_async_() {
       }
     }
   }
-
-  if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "run_end",
-                 {{"rounds", history.size()},
-                  {"cum_delay_s", now},
-                  {"cum_energy_j", cum_energy},
-                  {"wasted_energy_cum_j", cum_wasted_energy}});
-    tracer->flush();
-  }
-
-  nn::load_parameters(model_, global_weights);
-  return history;
+  return stages::finish_run(world, ctx);
 }
 
 }  // namespace helcfl::fl

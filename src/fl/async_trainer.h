@@ -12,14 +12,16 @@
 // (weight ∝ num_samples / (1 + staleness)^β), and re-dispatching freed
 // devices immediately through the existing SelectionStrategy machinery.
 //
-// The sync-equivalence contract: with mode = kSync this class reproduces
-// FederatedTrainer *bitwise* — final weights, per-round metrics, the
-// history CSV bytes, and the trace suffix — for every strategy, fault
-// level, and thread count.  The sync path replays the barrier engine
-// statement-for-statement with the arrival stage driven through the
-// EventQueue (TDMA upload ends are strictly increasing in grant order, so
-// the (time, seq) pop order *is* the grant order).  That equivalence is the
-// spec, enforced by tests/test_async_differential.cpp.
+// Sync mode is not a second engine: AsyncTrainer::run() with mode = kSync
+// runs fl::stages::run_barrier, the very code FederatedTrainer::run() runs,
+// so the two are bitwise identical by construction — final weights,
+// per-round metrics, the history CSV bytes, and the trace
+// (tests/test_async_differential.cpp).  Async mode shares every other
+// stage of fl/round_stages.h (local training, the cohort runner,
+// evaluation, round bookkeeping, checkpoint fields) and keeps only the
+// event loop, dispatch bookkeeping, and FedBuff aggregation.  That the
+// EventQueue's (time, seq) pop order equals insertion order on equal
+// timestamps — the TDMA grant order — is pinned by tests/test_event_queue.cpp.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +32,8 @@
 #include "data/dataset.h"
 #include "data/partition.h"
 #include "fl/metrics.h"
+#include "fl/round_stages.h"
 #include "fl/trainer.h"
-#include "mec/battery.h"
 #include "mec/channel.h"
 #include "mec/device.h"
 #include "nn/sequential.h"
@@ -91,22 +93,13 @@ class AsyncTrainer {
   TrainingHistory run();
 
   /// Fleet view the strategy sees (useful for tests and benches).
-  sched::FleetView fleet_view() const { return {users_}; }
+  sched::FleetView fleet_view() const { return {world_.users}; }
 
  private:
-  TrainingHistory run_sync_();
   TrainingHistory run_async_();
 
-  nn::Sequential& model_;
-  const data::Dataset& test_;
-  std::span<const mec::Device> devices_;
-  mec::Channel channel_;
-  sched::SelectionStrategy& strategy_;
-  TrainerOptions options_;
+  stages::World world_;
   AsyncOptions async_;
-  std::vector<sched::UserInfo> users_;
-  std::vector<data::Batch> user_data_;  ///< gathered once at construction
-  mec::BatteryFleet batteries_;         ///< empty when batteries disabled
 };
 
 }  // namespace helcfl::fl

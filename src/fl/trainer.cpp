@@ -1,104 +1,17 @@
 #include "fl/trainer.h"
 
 #include <algorithm>
-#include <cmath>
-#include <exception>
-#include <future>
-#include <stdexcept>
 #include <string>
-#include <string_view>
+#include <utility>
 
-#include "fl/checkpoint.h"
 #include "fl/server.h"
-#include "mec/cost_model.h"
 #include "mec/tdma.h"
 #include "nn/serialize.h"
 #include "obs/profiler.h"
-#include "obs/registry.h"
 #include "obs/trace.h"
-#include "tensor/ops.h"
 #include "util/log.h"
-#include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace helcfl::fl {
-
-namespace {
-
-/// Everything one client's round produces, computed independently of every
-/// other client so the cohort can train in parallel.  Slots are reduced in
-/// selection order, which keeps FedAvg and the metrics trace bitwise
-/// identical for any worker count.
-struct ClientOutcome {
-  ClientUpdate update;           ///< weights already post-compression
-  double compute_delay_s = 0.0;
-  double upload_duration_s = 0.0;  ///< one TDMA attempt (Eq. 7)
-  double energy_j = 0.0;         ///< all cycles and transmissions, Eqs. (5)+(8)
-  std::vector<float> state;      ///< post-training persistent buffers
-  bool trained = false;          ///< local update produced (false = crashed)
-  bool upload_ok = true;         ///< false = every upload attempt failed
-  std::size_t attempts = 0;      ///< transmissions made (0 for crashed clients)
-  bool accepted = false;         ///< update entered FedAvg (set post-TDMA)
-  bool dropped_late = false;     ///< arrived after the straggler cutoff
-};
-
-}  // namespace
-
-void TrainerOptions::validate(std::size_t n_users) const {
-  if (eval_every == 0) {
-    throw std::invalid_argument(
-        "TrainerOptions: eval_every must be >= 1 (it is the modulus of the "
-        "evaluation cadence; use a large value to evaluate rarely)");
-  }
-  if (eval_batch == 0) {
-    throw std::invalid_argument(
-        "TrainerOptions: eval_batch must be >= 1 (0 would make evaluation loop "
-        "forever)");
-  }
-  if (std::isnan(deadline_s) || deadline_s < 0.0) {
-    throw std::invalid_argument(
-        "TrainerOptions: deadline_s = " + std::to_string(deadline_s) +
-        " must be >= 0 (use infinity, the default, for no deadline)");
-  }
-  if (!(model_size_bits > 0.0) || !std::isfinite(model_size_bits)) {
-    throw std::invalid_argument(
-        "TrainerOptions: model_size_bits = " + std::to_string(model_size_bits) +
-        " must be a positive finite payload (Eq. 7 divides by the uplink rate; "
-        "a non-positive size makes delay and energy meaningless)");
-  }
-  if (min_clients == 0) {
-    throw std::invalid_argument(
-        "TrainerOptions: min_clients must be >= 1 (FedAvg over zero survivors "
-        "is undefined; 1 restores the pre-quorum behaviour)");
-  }
-  if (n_users > 0 && min_clients > n_users) {
-    throw std::invalid_argument(
-        "TrainerOptions: min_clients = " + std::to_string(min_clients) +
-        " exceeds the fleet size " + std::to_string(n_users) +
-        "; no round could ever meet its quorum");
-  }
-  if (std::isnan(retry_backoff_s) || retry_backoff_s < 0.0) {
-    throw std::invalid_argument("TrainerOptions: retry_backoff_s must be >= 0");
-  }
-  if (std::isnan(straggler_cutoff_s) || straggler_cutoff_s <= 0.0) {
-    throw std::invalid_argument(
-        "TrainerOptions: straggler_cutoff_s must be positive (use infinity, "
-        "the default, to wait for every upload)");
-  }
-  if (checkpoint_every > 0 && checkpoint_path.empty()) {
-    throw std::invalid_argument(
-        "TrainerOptions: checkpoint_every = " + std::to_string(checkpoint_every) +
-        " but checkpoint_path is empty; set checkpoint_path to the file the "
-        "snapshots should be written to");
-  }
-  if (checkpoint_every == 0 && !checkpoint_path.empty()) {
-    throw std::invalid_argument(
-        "TrainerOptions: checkpoint_path = '" + checkpoint_path +
-        "' but checkpoint_every is 0, so no checkpoint would ever be written; "
-        "set checkpoint_every >= 1 (or clear checkpoint_path)");
-  }
-  faults.validate();
-}
 
 FederatedTrainer::FederatedTrainer(nn::Sequential& model, const data::Dataset& train,
                                    const data::Dataset& test,
@@ -107,813 +20,335 @@ FederatedTrainer::FederatedTrainer(nn::Sequential& model, const data::Dataset& t
                                    const mec::Channel& channel,
                                    sched::SelectionStrategy& strategy,
                                    TrainerOptions options)
-    : model_(model),
-      test_(test),
-      devices_(devices),
-      channel_(channel),
-      strategy_(strategy),
-      options_(options) {
-  options_.validate(devices.size());
-  if (devices.size() != partition.size()) {
-    throw std::invalid_argument("FederatedTrainer: device/partition size mismatch");
+    : world_("FederatedTrainer", model, train, test, partition, devices, channel,
+             strategy, std::move(options)) {}
+
+namespace stages {
+namespace {
+
+/// Where one client's update landed once the TDMA stage has run.
+struct Landing {
+  bool accepted = false;      ///< update entered FedAvg
+  bool dropped_late = false;  ///< arrived after the straggler cutoff
+};
+
+/// Line 4's fleet: the strategy only sees devices that are both charged
+/// (battery extension) and present (churn).  `storage` backs a combined
+/// mask when both apply.
+sched::FleetView selectable_fleet(const World& world, const RunContext& ctx,
+                                  std::vector<std::uint8_t>& storage) {
+  sched::FleetView fleet{world.users};
+  const std::span<const std::uint8_t> churn_mask = ctx.injector.availability();
+  if (world.batteries_enabled() && !churn_mask.empty()) {
+    const std::span<const std::uint8_t> battery_mask = world.batteries.alive_mask();
+    storage.resize(world.users.size());
+    for (std::size_t i = 0; i < world.users.size(); ++i) {
+      storage[i] = battery_mask[i] != 0 && churn_mask[i] != 0 ? 1 : 0;
+    }
+    fleet.alive = storage;
+  } else if (world.batteries_enabled()) {
+    fleet.alive = world.batteries.alive_mask();
+  } else if (!churn_mask.empty()) {
+    fleet.alive = churn_mask;
   }
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    if (devices[i].num_samples != partition[i].size()) {
-      throw std::invalid_argument(
-          "FederatedTrainer: device " + std::to_string(i) + " declares " +
-          std::to_string(devices[i].num_samples) + " samples but partition has " +
-          std::to_string(partition[i].size()));
+  return fleet;
+}
+
+/// Line 8 (Fig. 1): serializes the uploads of the clients that actually
+/// transmit (crashed clients never reach the uplink) and closes the round
+/// at the straggler cutoff or when the last upload lands, whichever is
+/// earlier.  Marks every landing and returns the round delay.
+double run_tdma(const World& world, const RunContext& ctx, std::size_t round,
+                const sched::Decision& decision,
+                const std::vector<ClientOutcome>& outcomes,
+                std::vector<Landing>& landings) {
+  std::vector<std::size_t> transmitting;  // cohort indices, selection order
+  std::vector<double> tx_compute_delays;
+  std::vector<double> tx_occupancies;
+  for (std::size_t k = 0; k < outcomes.size(); ++k) {
+    if (!outcomes[k].trained) continue;
+    transmitting.push_back(k);
+    tx_compute_delays.push_back(outcomes[k].compute_delay_s);
+    tx_occupancies.push_back(outcomes[k].occupancy_s);
+  }
+  const mec::TdmaSchedule schedule =
+      mec::schedule_uploads(tx_compute_delays, tx_occupancies);
+
+  const double cutoff = world.options.straggler_cutoff_s;
+  const bool trace_tdma = ctx.traces(obs::TraceLevel::kDecision);
+  for (const mec::UploadSlot& slot : schedule.slots) {
+    const std::size_t k = transmitting[slot.index];
+    Landing& landing = landings[k];
+    if (outcomes[k].upload_ok) {
+      landing.accepted = slot.upload_end <= cutoff;
+      landing.dropped_late = !landing.accepted;
+    }
+    // TDMA telemetry in grant order — the Fig.-1 timeline.
+    if (trace_tdma) {
+      ctx.tracer->emit(obs::TraceLevel::kDecision, "tdma",
+                       {{"round", round},
+                        {"user", decision.selected[k]},
+                        {"attempts", outcomes[k].attempts},
+                        {"compute_end_s", slot.compute_end},
+                        {"upload_start_s", slot.upload_start},
+                        {"upload_end_s", slot.upload_end},
+                        {"slack_s", slot.slack_s},
+                        {"accepted", landing.accepted},
+                        {"dropped_late", landing.dropped_late}});
     }
   }
+  return std::min(schedule.round_delay_s, cutoff);
+}
 
-  // Initialization phase (Algorithm 1 lines 1-2): the FLCC learns every
-  // device's resource information and derives the delays.
-  users_ = sched::build_user_info(devices, channel_, options_.model_size_bits);
-
-  // Gather each user's local data once; rounds reuse the cached batches.
-  user_data_.reserve(partition.size());
-  for (const auto& indices : partition) {
-    user_data_.push_back(train.gather(indices));
-  }
-
-  if (options_.battery_capacity_j > 0.0) {
-    batteries_ = mec::BatteryFleet(devices.size(), options_.battery_capacity_j);
+/// Fault telemetry, selection order: what the injector (and the cutoff)
+/// actually did to this cohort.  Reads only the pre-drawn fault records and
+/// the landings — emitting changes no draw.
+void trace_faults(const World& world, const RunContext& ctx, std::size_t round,
+                  const sched::Decision& decision, const std::vector<ClientDraw>& draws,
+                  const std::vector<Landing>& landings) {
+  if (!ctx.traces(obs::TraceLevel::kRound)) return;
+  obs::Tracer& tracer = *ctx.tracer;
+  for (std::size_t k = 0; k < draws.size(); ++k) {
+    const std::size_t user = decision.selected[k];
+    const mec::ClientFaults& faults = draws[k].faults;
+    if (faults.crashed) {
+      tracer.emit(obs::TraceLevel::kRound, "fault",
+                  {{"round", round},
+                   {"user", user},
+                   {"kind", "crash"},
+                   {"crash_fraction", faults.crash_fraction}});
+    }
+    if (faults.slowdown > 1.0) {
+      tracer.emit(obs::TraceLevel::kRound, "fault",
+                  {{"round", round},
+                   {"user", user},
+                   {"kind", "straggler"},
+                   {"slowdown", faults.slowdown}});
+    }
+    if (faults.failed_attempts > 0) {
+      tracer.emit(obs::TraceLevel::kRound, "fault",
+                  {{"round", round},
+                   {"user", user},
+                   {"kind", "upload_failure"},
+                   {"failed_attempts", faults.failed_attempts},
+                   {"upload_ok", faults.upload_ok}});
+    }
+    if (landings[k].dropped_late) {
+      tracer.emit(obs::TraceLevel::kRound, "fault",
+                  {{"round", round},
+                   {"user", user},
+                   {"kind", "dropped_late"},
+                   {"cutoff_s", world.options.straggler_cutoff_s}});
+    }
   }
 }
 
-TrainingHistory FederatedTrainer::run() {
-  strategy_.reset();
-  // Observability sinks (DESIGN.md §9): every use below is read-only — a
-  // null check followed by emitting values the round already computed.
-  obs::Tracer* const tracer = options_.obs.tracer;
-  obs::PhaseProfiler* const profiler = options_.obs.profiler;
-  obs::Registry* const registry = options_.obs.registry;
-  strategy_.set_instruments(options_.obs);
-
-  const bool batteries_enabled = batteries_.size() > 0;
-  util::Rng batch_rng(options_.seed);
-  mec::FadingProcess fading(users_.size(), options_.fading,
-                            util::Rng(options_.seed).fork(0xFAD1A6));
-  // Fault streams are forked off the same seed but independent of the
-  // mini-batch streams, so enabling faults never perturbs what a surviving
-  // client trains on.
-  mec::FaultInjector injector(users_.size(), options_.faults,
-                              util::Rng(options_.seed).fork(0xFA0175));
-  injector.set_tracer(tracer);
-  const std::size_t max_attempts = 1 + options_.max_upload_retries;
-
-  // Parallel round-execution engine (DESIGN.md §7): a fixed worker pool
-  // with one model replica per worker.  num_threads <= 1 spawns no workers
-  // and every client trains inline on the borrowed model — the reference
-  // sequential path.  Replicas never outlive the pool that indexes them.
-  util::ThreadPool pool(util::ThreadPool::resolve_thread_count(options_.num_threads));
-  std::vector<std::unique_ptr<nn::Sequential>> replicas;
-  std::vector<nn::Sequential*> eval_models;
-  replicas.reserve(pool.worker_count());
-  for (std::size_t i = 0; i < pool.worker_count(); ++i) {
-    replicas.push_back(std::make_unique<nn::Sequential>(model_));
-    eval_models.push_back(replicas.back().get());
+/// Line 10: ordered reduction (selection order) of the cohort, FedAvg over
+/// the accepted updates (Eq. 18) under the quorum rule, and the strategy
+/// feedback.  Returns the round's record with its cohort tallies.
+RoundRecord aggregate(World& world, RunContext& ctx, std::size_t round,
+                      const sched::Decision& decision,
+                      const std::vector<ClientOutcome>& outcomes,
+                      const std::vector<Landing>& landings) {
+  obs::ScopedSpan aggregation_span(ctx.profiler, "aggregation",
+                                   static_cast<std::int64_t>(round));
+  const std::size_t cohort = outcomes.size();
+  RoundRecord record;
+  record.round = round;
+  record.selected = decision.selected;
+  std::vector<std::size_t> survivors;  // cohort indices, selection order
+  double train_loss_sum = 0.0;
+  for (std::size_t k = 0; k < cohort; ++k) {
+    const ClientOutcome& outcome = outcomes[k];
+    if (outcome.trained) {
+      train_loss_sum += outcome.update.train_loss;
+      record.retries += outcome.attempts > 0 ? outcome.attempts - 1 : 0;
+      if (!outcome.upload_ok) ++record.upload_failures;
+      if (landings[k].dropped_late) ++record.dropped_late;
+      if (landings[k].accepted) survivors.push_back(k);
+    } else {
+      ++record.crashed;
+    }
+    record.round_energy_j += outcome.energy_j;
+    if (!landings[k].accepted) record.wasted_energy_j += outcome.energy_j;
   }
-  // Persistent non-trainable buffers (BatchNorm running statistics): each
-  // client starts from the round-start snapshot regardless of the worker it
-  // lands on, and the server adopts the selection-order-last client's
-  // buffers, so the protocol is thread-count invariant.
-  const bool has_state = nn::state_count(model_) > 0;
+  const std::size_t trained = cohort - record.crashed;
+  record.train_loss =
+      trained > 0 ? train_loss_sum / static_cast<double>(trained) : 0.0;
 
-  std::vector<float> global_weights = nn::extract_parameters(model_);
-  // Batched evaluation (docs/KERNELS.md): the test set is gathered into
-  // batch tensors once and reused every eval round — together with the
-  // persistent eval models above, steady-state evaluation re-derives no
-  // im2col columns' worth of batch data and repacks no weight panels
-  // beyond the per-eval weight load.
-  const EvalPlan eval_plan = make_eval_plan(test_, options_.eval_batch);
-  TrainingHistory history;
-  double cum_delay = 0.0;
-  double cum_energy = 0.0;
-  double cum_wasted_energy = 0.0;
-  double best_accuracy = -1.0;
-  // Kernel scratch growths are exported as a per-round delta of the
-  // process-global counter (obs `kernel.scratch_reallocs`): after warm-up
-  // rounds the delta must sit at zero — the steady-state no-alloc audit,
-  // now visible in the metrics stream.
-  std::uint64_t scratch_reported = tensor::scratch_realloc_count();
+  // Quorum rule: with fewer than min_clients surviving updates the FLCC
+  // keeps the previous global model — a failed round costs its delay and
+  // energy but moves no weights and feeds no strategy statistics.
+  const bool quorum_met = survivors.size() >= world.options.min_clients;
+  record.quorum_failed = !quorum_met;
+  if (!quorum_met && ctx.traces(obs::TraceLevel::kRound)) {
+    ctx.tracer->emit(obs::TraceLevel::kRound, "quorum",
+                     {{"round", round},
+                      {"survivors", survivors.size()},
+                      {"min_clients", world.options.min_clients}});
+  }
+  // Completion feedback: selection-time strategy state (α_q counters,
+  // FedCS's deadline set, Oort's reliability view) must only count clients
+  // whose data actually entered the model.
+  std::vector<std::uint8_t> completed(cohort, 0);
+  if (quorum_met) {
+    // The denominators of Eq. (18) are the survivors' sample counts only.
+    std::vector<WeightedModel> uploads;
+    std::vector<double> client_losses;
+    sched::Decision survivor_decision;
+    uploads.reserve(survivors.size());
+    for (const std::size_t k : survivors) {
+      uploads.push_back({outcomes[k].update.weights, outcomes[k].update.num_samples});
+      client_losses.push_back(outcomes[k].update.train_loss);
+      survivor_decision.selected.push_back(decision.selected[k]);
+      survivor_decision.frequencies_hz.push_back(decision.frequencies_hz[k]);
+      completed[k] = 1;
+    }
+    ctx.global_weights = fedavg(uploads);
+    world.strategy.observe(round, survivor_decision, client_losses);
+    if (ctx.has_state) nn::load_state(world.model, outcomes[survivors.back()].state);
+    record.aggregated = std::move(survivor_decision.selected);
+  } else {
+    record.wasted_energy_j = record.round_energy_j;  // nothing entered the model
+  }
+  world.strategy.report_completion(round, decision, completed);
+  record.survivors = record.aggregated.size();
+  return record;
+}
+
+}  // namespace
+
+TrainingHistory run_barrier(World& world) {
+  RunContext ctx(world);
+  const TrainerOptions& options = world.options;
 
   // Checkpoint resume (DESIGN.md §11).  Parse-then-commit: every check and
   // every throwing parse happens before the first durable mutation, so a
-  // rejected checkpoint leaves this trainer exactly as it was — strategy,
-  // batteries, and model included — and a subsequent run() behaves as if
-  // the resume was never attempted.
+  // rejected checkpoint leaves the engine exactly as it was and a later
+  // run() behaves as if the resume was never attempted.
   std::size_t start_round = 0;
-  if (!options_.resume_from.empty()) {
-    const Checkpoint ckpt = Checkpoint::read_file(options_.resume_from);
-    if (ckpt.n_users != users_.size()) {
-      throw CheckpointError("'" + options_.resume_from + "': saved for " +
-                            std::to_string(ckpt.n_users) +
-                            " users, this trainer has " +
-                            std::to_string(users_.size()));
-    }
-    if (ckpt.seed != options_.seed) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved under seed " +
-          std::to_string(ckpt.seed) + ", this trainer uses seed " +
-          std::to_string(options_.seed) +
-          " — resuming would silently diverge from the original run");
-    }
-    if (ckpt.strategy_name != strategy_.name()) {
-      throw CheckpointError("'" + options_.resume_from +
-                            "': saved with strategy '" + ckpt.strategy_name +
-                            "', this trainer uses '" + strategy_.name() + "'");
-    }
-    if (ckpt.global_weights.size() != global_weights.size()) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved model has " +
-          std::to_string(ckpt.global_weights.size()) +
-          " parameters, this trainer's model has " +
-          std::to_string(global_weights.size()));
-    }
-    if (ckpt.model_state.size() != nn::state_count(model_)) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved model has " +
-          std::to_string(ckpt.model_state.size()) +
-          " persistent state scalars, this trainer's model has " +
-          std::to_string(nn::state_count(model_)));
-    }
-    if (ckpt.batteries_enabled != batteries_enabled) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved with batteries " +
-          std::string(ckpt.batteries_enabled ? "enabled" : "disabled") +
-          ", this trainer has them " +
-          std::string(batteries_enabled ? "enabled" : "disabled"));
-    }
-    if (ckpt.async_enabled) {
-      throw CheckpointError(
-          "'" + options_.resume_from +
-          "': saved mid-flight by the async engine; resume it with an "
-          "async-mode fl::AsyncTrainer (docs/ASYNC.md)");
-    }
-    mec::BatteryFleet restored_batteries;
-    try {
-      // Run-local cursors first (reconstructed on every run(), so partial
-      // mutation cannot outlive a failure)...
-      util::ByteReader injector_in(ckpt.injector_state);
-      injector.load_state(injector_in);
-      injector_in.expect_end("checkpoint injector state");
-      util::ByteReader fading_in(ckpt.fading_state);
-      fading.load_state(fading_in);
-      fading_in.expect_end("checkpoint fading state");
-      batch_rng.set_state(ckpt.batch_rng);
-      // ...then the durable battery state parsed into a copy...
-      if (batteries_enabled) {
-        restored_batteries = batteries_;
-        util::ByteReader battery_in(ckpt.battery_state);
-        restored_batteries.load_state(battery_in);
-        battery_in.expect_end("checkpoint battery state");
-      }
-      // ...and the strategy last: it parses its whole payload before
-      // touching any member (scheduler.h contract), so this either fully
-      // restores or fully leaves the just-reset() state.
-      util::ByteReader strategy_in(ckpt.strategy_state);
-      strategy_.load_state(strategy_in);
-      strategy_in.expect_end("checkpoint strategy state");
-    } catch (const std::exception& error) {
-      throw CheckpointError("'" + options_.resume_from + "': " + error.what());
-    }
-    // Commit — nothing below throws.
-    if (batteries_enabled) batteries_ = std::move(restored_batteries);
-    if (!ckpt.model_state.empty()) nn::load_state(model_, ckpt.model_state);
-    global_weights = ckpt.global_weights;
-    for (const RoundRecord& record : ckpt.records) history.add(record);
-    cum_delay = ckpt.cum_delay_s;
-    cum_energy = ckpt.cum_energy_j;
-    cum_wasted_energy = ckpt.cum_wasted_energy_j;
-    best_accuracy = ckpt.best_accuracy;
+  if (!options.resume_from.empty()) {
+    const Checkpoint ckpt = read_resume_checkpoint(world, ctx, /*async_engine=*/false);
+    mec::BatteryFleet batteries = parse_resume_cursors(world, ctx, ckpt);
+    commit_resume(world, ctx, ckpt, std::move(batteries));
     start_round = static_cast<std::size_t>(ckpt.next_round);
   }
 
-  if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "run_start",
-                 {{"schema", std::size_t{1}},
-                  {"strategy", strategy_.name()},
-                  {"users", users_.size()},
-                  {"max_rounds", options_.max_rounds},
-                  {"threads", pool.worker_count() == 0 ? std::size_t{1}
-                                                       : pool.worker_count()},
-                  {"seed", options_.seed},
-                  {"faults_enabled", injector.active()}});
-  }
-  if (start_round > 0 && tracer != nullptr &&
-      tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "checkpoint_resume",
-                 {{"round", start_round},
-                  {"records", history.size()},
-                  {"cum_delay_s", cum_delay},
-                  {"cum_energy_j", cum_energy}});
+  emit_run_start(world, ctx);
+  if (start_round > 0 && ctx.traces(obs::TraceLevel::kRound)) {
+    ctx.tracer->emit(obs::TraceLevel::kRound, "checkpoint_resume",
+                     {{"round", start_round},
+                      {"records", ctx.history.size()},
+                      {"cum_delay_s", ctx.cum_delay},
+                      {"cum_energy_j", ctx.cum_energy}});
   }
 
-  // Cadenced snapshot writer.  Called after history.add() on every path
-  // that completes a round (including churn-skipped rounds), so the stored
-  // trace_seq sits exactly at the boundary the resumed run re-emits from.
+  // Cadenced snapshot writer.  Called after the round's record lands on
+  // every path that completes a round (churn-skipped rounds included), so
+  // the stored trace_seq sits exactly at the boundary a resumed run
+  // re-emits from.
   const auto maybe_write_checkpoint = [&](std::size_t round) {
-    if (options_.checkpoint_every == 0) return;
-    const std::size_t completed = round + 1;
-    if (completed % options_.checkpoint_every != 0) return;
-    obs::ScopedSpan span(profiler, "checkpoint", static_cast<std::int64_t>(round));
-    Checkpoint ckpt;
-    ckpt.seed = options_.seed;
-    ckpt.n_users = users_.size();
-    ckpt.next_round = completed;
-    ckpt.cum_delay_s = cum_delay;
-    ckpt.cum_energy_j = cum_energy;
-    ckpt.cum_wasted_energy_j = cum_wasted_energy;
-    ckpt.best_accuracy = best_accuracy;
-    ckpt.trace_seq = tracer != nullptr ? tracer->event_count() : 0;
-    ckpt.global_weights = global_weights;
-    if (has_state) ckpt.model_state = nn::extract_state(model_);
-    ckpt.batch_rng = batch_rng.state();
-    ckpt.strategy_name = strategy_.name();
-    {
-      util::ByteWriter writer;
-      strategy_.save_state(writer);
-      ckpt.strategy_state = writer.take();
-    }
-    {
-      util::ByteWriter writer;
-      injector.save_state(writer);
-      ckpt.injector_state = writer.take();
-    }
-    {
-      util::ByteWriter writer;
-      fading.save_state(writer);
-      ckpt.fading_state = writer.take();
-    }
-    ckpt.batteries_enabled = batteries_enabled;
-    if (batteries_enabled) {
-      util::ByteWriter writer;
-      batteries_.save_state(writer);
-      ckpt.battery_state = writer.take();
-    }
-    ckpt.records = history.rounds();
-    std::string path = options_.checkpoint_path;
-    constexpr std::string_view kToken = "{round}";
-    for (std::size_t pos = path.find(kToken); pos != std::string::npos;
-         pos = path.find(kToken, pos)) {
-      const std::string value = std::to_string(completed);
-      path.replace(pos, kToken.size(), value);
-      pos += value.size();
-    }
-    ckpt.write_file(path);
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      tracer->emit(obs::TraceLevel::kRound, "checkpoint_write",
-                   {{"round", round},
-                    {"path", path},
-                    {"records", history.size()}});
-    }
+    if (!checkpoint_due(options, round + 1)) return;
+    obs::ScopedSpan span(ctx.profiler, "checkpoint", static_cast<std::int64_t>(round));
+    write_checkpoint(world, ctx, snapshot(world, ctx, round + 1), round + 1, round);
   };
 
-  for (std::size_t round = start_round; round < options_.max_rounds; ++round) {
-    if (batteries_enabled && batteries_.alive_count() == 0) {
-      util::log_info("FederatedTrainer: whole fleet depleted after round " +
+  for (std::size_t round = start_round; round < options.max_rounds; ++round) {
+    if (world.batteries_enabled() && world.batteries.alive_count() == 0) {
+      util::log_info(std::string(world.engine) + ": whole fleet depleted after round " +
                      std::to_string(round));
       break;
     }
 
     // Availability churn advances once per round, before selection.
-    injector.begin_round();
+    ctx.injector.begin_round();
 
-    // Line 4: select users and determine their frequencies.  The strategy
-    // only sees devices that are both charged (battery extension) and
-    // present (churn); with fading it ranks users by the (stale) delays of
-    // the init phase.
-    sched::FleetView fleet{users_};
-    std::vector<std::uint8_t> selectable;  // combined mask storage
-    const std::span<const std::uint8_t> churn_mask = injector.availability();
-    if (batteries_enabled && !churn_mask.empty()) {
-      const std::span<const std::uint8_t> battery_mask = batteries_.alive_mask();
-      selectable.resize(users_.size());
-      for (std::size_t i = 0; i < users_.size(); ++i) {
-        selectable[i] = battery_mask[i] != 0 && churn_mask[i] != 0 ? 1 : 0;
-      }
-      fleet.alive = selectable;
-    } else if (batteries_enabled) {
-      fleet.alive = batteries_.alive_mask();
-    } else if (!churn_mask.empty()) {
-      fleet.alive = churn_mask;
-    }
+    // --- select (line 4): Γ_j and F_Γj; with fading the strategy ranks
+    // users by the (stale) delays of the init phase.
+    std::vector<std::uint8_t> selectable;
+    const sched::FleetView fleet = selectable_fleet(world, ctx, selectable);
     const std::size_t available = fleet.alive_count();
-
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      tracer->emit(obs::TraceLevel::kRound, "round_start",
-                   {{"round", round},
-                    {"available", available},
-                    {"alive", batteries_enabled ? batteries_.alive_count()
-                                                : users_.size()}});
+    if (ctx.traces(obs::TraceLevel::kRound)) {
+      ctx.tracer->emit(obs::TraceLevel::kRound, "round_start",
+                       {{"round", round},
+                        {"available", available},
+                        {"alive", world.alive_users()}});
     }
-
     sched::Decision decision;
     {
-      obs::ScopedSpan selection_span(profiler, "selection",
+      obs::ScopedSpan selection_span(ctx.profiler, "selection",
                                      static_cast<std::int64_t>(round));
-      if (available > 0) decision = strategy_.decide(fleet, round);
+      if (available > 0) decision = world.strategy.decide(fleet, round);
     }
     if (decision.selected.empty()) {
-      if (injector.active() && injector.away_count() > 0) {
+      if (ctx.injector.active() && ctx.injector.away_count() > 0) {
         // Churn emptied the selectable fleet this round; that is transient
         // (rejoin_rate > 0), so record a failed round and keep going.
-        RoundRecord skipped;
-        skipped.round = round;
-        skipped.quorum_failed = true;
-        skipped.cum_delay_s = cum_delay;
-        skipped.cum_energy_j = cum_energy;
-        skipped.alive_users =
-            batteries_enabled ? batteries_.alive_count() : users_.size();
-        skipped.available_users = available;
-        history.add(std::move(skipped));
-        if (registry != nullptr) registry->add("rounds.skipped");
-        if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-          tracer->emit(obs::TraceLevel::kRound, "round_end",
-                       {{"round", round},
-                        {"selected", std::size_t{0}},
-                        {"survivors", std::size_t{0}},
-                        {"quorum_failed", true},
-                        {"cum_delay_s", cum_delay},
-                        {"cum_energy_j", cum_energy}});
-        }
+        skip_round(world, ctx, round, available);
         maybe_write_checkpoint(round);
         continue;
       }
-      util::log_info("FederatedTrainer: strategy returned no users; stopping");
+      util::log_info(std::string(world.engine) +
+                     ": strategy returned no users; stopping");
       break;
     }
-    if (decision.selected.size() != decision.frequencies_hz.size()) {
-      throw std::logic_error("FederatedTrainer: strategy returned a bad decision");
-    }
 
-    fading.step();
+    // --- DVFS check.
+    check_decision(world, fleet, decision);
+    ctx.fading.step();
 
-    // Per-client inputs resolved on the coordinator thread, in selection
-    // order: decision sanity checks, this round's fading multipliers, the
-    // pre-forked RNG stream of each client, and the client's injected
-    // faults.  fork() is keyed on (round, user) alone, so a client's
-    // mini-batch draws and fault outcomes are the same no matter when or
-    // where its task runs.
+    // --- local train (lines 6-7), in parallel.  Streams fork on
+    // (round, user) alone, so a client's draws are the same no matter when
+    // or where its task runs.
     const std::size_t cohort = decision.selected.size();
-    std::vector<double> fade_multipliers(cohort, 1.0);
-    std::vector<util::Rng> client_rngs;
-    client_rngs.reserve(cohort);
-    std::vector<mec::ClientFaults> client_faults(cohort);
-    for (std::size_t k = 0; k < cohort; ++k) {
-      const std::size_t user = decision.selected[k];
-      const double f = decision.frequencies_hz[k];
-      if (!fleet.is_alive(user)) {
-        throw std::logic_error(
-            "FederatedTrainer: strategy selected an unavailable device");
-      }
-      const mec::Device& device = devices_[user];
-      if (f < device.f_min_hz - 1e-6 || f > device.f_max_hz + 1e-6) {
-        throw std::logic_error("FederatedTrainer: frequency outside DVFS range");
-      }
-      fade_multipliers[k] = fading.multiplier(user);
-      client_rngs.push_back(batch_rng.fork(round * users_.size() + user));
-      if (injector.active()) {
-        client_faults[k] = injector.draw(round, user, max_attempts);
-      }
+    std::vector<ClientDraw> draws;
+    draws.reserve(cohort);
+    for (const std::size_t user : decision.selected) {
+      draws.push_back(draw_client(ctx, user, round * world.users.size() + user, round));
     }
-
     const std::vector<float> round_state =
-        has_state ? nn::extract_state(model_) : std::vector<float>{};
-
-    // Lines 6-9: local updates in parallel (now literally), uploads
-    // serialized by TDMA.  Each task owns outcome slot k; the upload
-    // compression path runs inside the task so it parallelizes too.
+        ctx.has_state ? nn::extract_state(world.model) : std::vector<float>{};
     std::vector<ClientOutcome> outcomes(cohort);
-    auto run_client = [&](std::size_t k) {
-      const std::size_t user = decision.selected[k];
-      // Per-client span (kDebug): tagged with the pool-worker tid by the
-      // profiler, so chrome://tracing shows the cohort's actual packing.
-      obs::ScopedSpan client_span(profiler, "client",
-                                  static_cast<std::int64_t>(round),
-                                  static_cast<std::int64_t>(user),
-                                  obs::TraceLevel::kDebug);
-      const double f = decision.frequencies_hz[k];
-      const mec::ClientFaults faults = client_faults[k];
-      const mec::Device& device = devices_[user];
+    {
+      obs::ScopedSpan training_span(ctx.profiler, "local_training",
+                                    static_cast<std::int64_t>(round));
+      run_cohort(world, ctx, cohort, decision.selected, round, [&](std::size_t k) {
+        outcomes[k] = train_client(world, ctx, round, decision.selected[k],
+                                   decision.frequencies_hz[k], draws[k], round_state);
+      });
+    }
 
-      if (faults.crashed) {
-        // The local update died faults.crash_fraction of the way through:
-        // the cycles burned still cost Eq.-(5) energy (pure waste), but
-        // nothing ever reaches the uplink.
-        ClientOutcome outcome;
-        outcome.compute_delay_s =
-            mec::compute_delay_s(device, f) * faults.slowdown * faults.crash_fraction;
-        outcome.energy_j = mec::compute_energy_j(device, f) * faults.crash_fraction;
-        outcomes[k] = std::move(outcome);
-        return;
-      }
+    // --- TDMA / faults (line 8).
+    std::vector<Landing> landings(cohort);
+    const double round_delay = run_tdma(world, ctx, round, decision, outcomes, landings);
+    trace_faults(world, ctx, round, decision, draws, landings);
 
-      const std::size_t worker = util::ThreadPool::worker_index();
-      nn::Sequential& model =
-          worker == util::ThreadPool::npos ? model_ : *replicas[worker];
-      if (has_state) nn::load_state(model, round_state);
-
-      util::Rng client_rng = client_rngs[k];
-      ClientOutcome outcome;
-      outcome.trained = true;
-      outcome.update = local_update(model, global_weights, user_data_[user],
-                                    options_.client, client_rng);
-
-      // Upload compression decides what the server integrates and scales
-      // the simulated payload: C_model is a config knob decoupled from the
-      // trained model's true size (DESIGN.md), so the wire size entering
-      // Eq. (7) is C_model times the compression ratio achieved on the
-      // real weight vector.
-      const nn::CompressedModel compressed =
-          nn::compress(outcome.update.weights, options_.compression);
-      const double compression_ratio =
-          static_cast<double>(compressed.wire_bits) /
-          (32.0 * static_cast<double>(outcome.update.weights.size()));
-      const double wire_bits = options_.model_size_bits * compression_ratio;
-      outcome.update.weights = std::move(compressed.reconstructed);
-
-      // Fading perturbs this round's actual channel gain; strategies only
-      // knew the init-time value.
-      mec::Device faded = device;
-      faded.channel_gain_sq *= fade_multipliers[k];
-
-      // A transient straggler stretches the Eq.-(4) delay (same cycles,
-      // externally stalled) without changing the Eq.-(5) energy.  Every
-      // upload attempt — failed or not — costs full Eq. (7)/(8).
-      outcome.compute_delay_s = mec::compute_delay_s(device, f) * faults.slowdown;
-      outcome.upload_duration_s = mec::upload_delay_s(faded, channel_, wire_bits);
-      outcome.attempts = faults.attempts();
-      outcome.upload_ok = faults.upload_ok;
-      outcome.energy_j = mec::compute_energy_j(device, f) +
-                         static_cast<double>(outcome.attempts) *
-                             mec::upload_energy_j(faded, channel_, wire_bits);
-      if (has_state) outcome.state = nn::extract_state(model);
-      outcomes[k] = std::move(outcome);
-    };
-
-    obs::ScopedSpan training_span(profiler, "local_training",
-                                  static_cast<std::int64_t>(round));
-    if (pool.worker_count() == 0) {
-      for (std::size_t k = 0; k < cohort; ++k) run_client(k);
-    } else {
-      std::vector<std::future<void>> futures;
-      futures.reserve(cohort);
+    // --- aggregate (line 10) and account (Eqs. 10-11).
+    RoundRecord record = aggregate(world, ctx, round, decision, outcomes, landings);
+    if (world.batteries_enabled()) {
       for (std::size_t k = 0; k < cohort; ++k) {
-        futures.push_back(pool.submit([&run_client, k] { run_client(k); }));
-      }
-      // Join every task before letting any exception escape: the tasks
-      // reference this frame's state.  Failures are collected across the
-      // whole cohort and rethrown as one aggregate error naming every
-      // failed client, so a multi-client breakage is diagnosable from a
-      // single message.
-      std::string failures;
-      std::size_t failure_count = 0;
-      for (std::size_t k = 0; k < futures.size(); ++k) {
-        try {
-          futures[k].get();
-        } catch (const std::exception& error) {
-          ++failure_count;
-          if (!failures.empty()) failures += "; ";
-          failures += "client " + std::to_string(k) + " (user " +
-                      std::to_string(decision.selected[k]) + "): " + error.what();
-        } catch (...) {
-          ++failure_count;
-          if (!failures.empty()) failures += "; ";
-          failures += "client " + std::to_string(k) + " (user " +
-                      std::to_string(decision.selected[k]) + "): unknown exception";
-        }
-      }
-      if (failure_count > 0) {
-        throw std::runtime_error(
-            "FederatedTrainer: " + std::to_string(failure_count) +
-            " client task(s) failed in round " + std::to_string(round) + ": " +
-            failures);
+        world.batteries.drain(decision.selected[k], outcomes[k].energy_j);
       }
     }
-    training_span.finish();
-
-    // TDMA serialization over the clients that actually transmit (crashed
-    // clients never reach the uplink).  A failed attempt occupies the
-    // channel exactly like a successful one; each retry adds a backoff gap
-    // before re-occupying the uplink for another full Eq.-(7) duration.
-    std::vector<std::size_t> transmitting;  // cohort indices, selection order
-    std::vector<double> tx_compute_delays;
-    std::vector<double> tx_occupancies;
-    for (std::size_t k = 0; k < cohort; ++k) {
-      if (!outcomes[k].trained) continue;
-      transmitting.push_back(k);
-      tx_compute_delays.push_back(outcomes[k].compute_delay_s);
-      const double occupancy =
-          outcomes[k].attempts <= 1
-              ? outcomes[k].upload_duration_s
-              : static_cast<double>(outcomes[k].attempts) *
-                        outcomes[k].upload_duration_s +
-                    static_cast<double>(outcomes[k].attempts - 1) *
-                        options_.retry_backoff_s;
-      tx_occupancies.push_back(occupancy);
-    }
-    const mec::TdmaSchedule schedule =
-        mec::schedule_uploads(tx_compute_delays, tx_occupancies);
-
-    // Straggler cutoff: the server closes the round at the cutoff or when
-    // the last upload lands, whichever is earlier; updates completing after
-    // the cutoff are discarded.
-    const double cutoff = options_.straggler_cutoff_s;
-    const bool trace_tdma =
-        tracer != nullptr && tracer->enabled(obs::TraceLevel::kDecision);
-    for (const mec::UploadSlot& slot : schedule.slots) {
-      const std::size_t k = transmitting[slot.index];
-      ClientOutcome& outcome = outcomes[k];
-      if (outcome.upload_ok) {
-        if (slot.upload_end <= cutoff) {
-          outcome.accepted = true;
-        } else {
-          outcome.dropped_late = true;
-        }
-      }
-      // TDMA telemetry in grant order — the Fig.-1 timeline, one event per
-      // transmitting client (crashed clients never reach the uplink).
-      if (trace_tdma) {
-        tracer->emit(obs::TraceLevel::kDecision, "tdma",
-                     {{"round", round},
-                      {"user", decision.selected[k]},
-                      {"attempts", outcome.attempts},
-                      {"compute_end_s", slot.compute_end},
-                      {"upload_start_s", slot.upload_start},
-                      {"upload_end_s", slot.upload_end},
-                      {"slack_s", slot.slack_s},
-                      {"accepted", outcome.accepted},
-                      {"dropped_late", outcome.dropped_late}});
-      }
-    }
-    const double round_delay = std::min(schedule.round_delay_s, cutoff);
-
-    // Fault telemetry, selection order: what the injector (and the cutoff)
-    // actually did to this cohort.  Reads only the pre-drawn fault records
-    // and the TDMA outcome — emitting changes no draw.
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      for (std::size_t k = 0; k < cohort; ++k) {
-        const std::size_t user = decision.selected[k];
-        const mec::ClientFaults& faults = client_faults[k];
-        if (faults.crashed) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "crash"},
-                        {"crash_fraction", faults.crash_fraction}});
-        }
-        if (faults.slowdown > 1.0) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "straggler"},
-                        {"slowdown", faults.slowdown}});
-        }
-        if (faults.failed_attempts > 0) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "upload_failure"},
-                        {"failed_attempts", faults.failed_attempts},
-                        {"upload_ok", faults.upload_ok}});
-        }
-        if (outcomes[k].dropped_late) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "dropped_late"},
-                        {"cutoff_s", cutoff}});
-        }
-      }
-    }
-
-    // Ordered reduction (selection order), identical to the sequential loop.
-    obs::ScopedSpan aggregation_span(profiler, "aggregation",
-                                     static_cast<std::int64_t>(round));
-    std::vector<double> user_energies;
-    std::vector<double> client_losses;
-    std::vector<std::size_t> survivors;  // cohort indices, selection order
-    double round_energy = 0.0;
-    double train_loss_sum = 0.0;
-    std::size_t trained_count = 0;
-    std::size_t crashed_count = 0;
-    std::size_t upload_failure_count = 0;
-    std::size_t dropped_late_count = 0;
-    std::size_t retry_count = 0;
-    double wasted_energy = 0.0;
-    for (std::size_t k = 0; k < cohort; ++k) {
-      const ClientOutcome& outcome = outcomes[k];
-      if (outcome.trained) {
-        train_loss_sum += outcome.update.train_loss;
-        ++trained_count;
-        retry_count += outcome.attempts > 0 ? outcome.attempts - 1 : 0;
-        if (!outcome.upload_ok) ++upload_failure_count;
-        if (outcome.dropped_late) ++dropped_late_count;
-        if (outcome.accepted) survivors.push_back(k);
-      } else {
-        ++crashed_count;
-      }
-      user_energies.push_back(outcome.energy_j);
-      round_energy += outcome.energy_j;
-      if (!outcome.accepted) wasted_energy += outcome.energy_j;
-    }
-
-    // Quorum rule: with fewer than min_clients surviving updates the FLCC
-    // keeps the previous global model — a failed round costs its delay and
-    // energy but moves no weights and feeds no strategy statistics.
-    const bool quorum_met = survivors.size() >= options_.min_clients;
-    if (!quorum_met && tracer != nullptr &&
-        tracer->enabled(obs::TraceLevel::kRound)) {
-      tracer->emit(obs::TraceLevel::kRound, "quorum",
-                   {{"round", round},
-                    {"survivors", survivors.size()},
-                    {"min_clients", options_.min_clients}});
-    }
-    if (quorum_met) {
-      // Line 10: FedAvg integration (Eq. 18) — denominators are the
-      // survivors' sample counts only.
-      std::vector<WeightedModel> uploads;
-      uploads.reserve(survivors.size());
-      for (const std::size_t k : survivors) {
-        uploads.push_back({outcomes[k].update.weights, outcomes[k].update.num_samples});
-      }
-      global_weights = fedavg(uploads);
-      for (const std::size_t k : survivors) {
-        client_losses.push_back(outcomes[k].update.train_loss);
-      }
-      if (survivors.size() == cohort) {
-        strategy_.observe(round, decision, client_losses);
-      } else {
-        sched::Decision survivor_decision;
-        survivor_decision.selected.reserve(survivors.size());
-        survivor_decision.frequencies_hz.reserve(survivors.size());
-        for (const std::size_t k : survivors) {
-          survivor_decision.selected.push_back(decision.selected[k]);
-          survivor_decision.frequencies_hz.push_back(decision.frequencies_hz[k]);
-        }
-        strategy_.observe(round, survivor_decision, client_losses);
-      }
-      if (has_state) nn::load_state(model_, outcomes[survivors.back()].state);
-    } else {
-      wasted_energy = round_energy;  // nothing entered the model
-    }
-
-    // Completion feedback: selection-time strategy state (α_q counters,
-    // FedCS's deadline set, Oort's reliability view) must only count
-    // clients whose data actually entered the model.
-    std::vector<std::uint8_t> completed(cohort, 0);
-    if (quorum_met) {
-      for (const std::size_t k : survivors) completed[k] = 1;
-    }
-    strategy_.report_completion(round, decision, completed);
-    aggregation_span.finish();
-
-    if (batteries_enabled) {
-      for (std::size_t k = 0; k < cohort; ++k) {
-        batteries_.drain(decision.selected[k], user_energies[k]);
-      }
-    }
-
-    cum_delay += round_delay;
-    cum_energy += round_energy;
-
-    RoundRecord record;
-    record.round = round;
-    record.selected = decision.selected;
+    ctx.cum_delay += round_delay;
+    ctx.cum_energy += record.round_energy_j;
     record.round_delay_s = round_delay;
-    record.round_energy_j = round_energy;
-    record.cum_delay_s = cum_delay;
-    record.cum_energy_j = cum_energy;
-    record.train_loss =
-        trained_count > 0 ? train_loss_sum / static_cast<double>(trained_count) : 0.0;
-    record.alive_users =
-        batteries_enabled ? batteries_.alive_count() : users_.size();
+    record.cum_delay_s = ctx.cum_delay;
+    record.cum_energy_j = ctx.cum_energy;
+    record.alive_users = world.alive_users();
     record.available_users = available;
-    if (quorum_met) {
-      record.aggregated.reserve(survivors.size());
-      for (const std::size_t k : survivors) {
-        record.aggregated.push_back(decision.selected[k]);
-      }
-    }
-    record.survivors = record.aggregated.size();
-    record.crashed = crashed_count;
-    record.upload_failures = upload_failure_count;
-    record.dropped_late = dropped_late_count;
-    record.retries = retry_count;
-    record.quorum_failed = !quorum_met;
-    record.wasted_energy_j = wasted_energy;
 
-    const bool last_round = round + 1 == options_.max_rounds;
-    const bool over_deadline = cum_delay > options_.deadline_s;
-    if (round % options_.eval_every == 0 || last_round || over_deadline) {
-      obs::ScopedSpan eval_span(profiler, "evaluation",
-                                static_cast<std::int64_t>(round));
-      Evaluation eval;
-      if (pool.worker_count() == 0) {
-        eval = evaluate(model_, global_weights, eval_plan);
-      } else {
-        if (has_state) {
-          const std::vector<float> eval_state = nn::extract_state(model_);
-          for (nn::Sequential* replica : eval_models) {
-            nn::load_state(*replica, eval_state);
-          }
-        }
-        eval = evaluate_parallel(eval_models, global_weights, eval_plan, pool);
-      }
-      record.evaluated = true;
-      record.test_loss = eval.loss;
-      record.test_accuracy = eval.accuracy;
-    }
-    const bool target_reached = record.evaluated && options_.target_accuracy >= 0.0 &&
-                                record.test_accuracy >= options_.target_accuracy;
-
-    cum_wasted_energy += wasted_energy;
-    if (registry != nullptr) {
-      registry->add("rounds.completed");
-      registry->add("clients.selected", cohort);
-      registry->add("clients.trained", trained_count);
-      registry->add("clients.crashed", crashed_count);
-      registry->add("clients.dropped_late", dropped_late_count);
-      registry->add("clients.aggregated", record.survivors);
-      registry->add("uploads.failed", upload_failure_count);
-      registry->add("uploads.retries", retry_count);
-      if (!quorum_met) registry->add("rounds.quorum_failed");
-      const std::uint64_t scratch_now = tensor::scratch_realloc_count();
-      registry->add("kernel.scratch_reallocs", scratch_now - scratch_reported);
-      scratch_reported = scratch_now;
-      registry->set_gauge("delay.cum_s", cum_delay);
-      registry->set_gauge("energy.cum_j", cum_energy);
-      registry->set_gauge("energy.wasted_cum_j", cum_wasted_energy);
-      if (record.evaluated) {
-        best_accuracy = std::max(best_accuracy, record.test_accuracy);
-        registry->set_gauge("accuracy.last", record.test_accuracy);
-        registry->set_gauge("accuracy.best", best_accuracy);
-      }
-    }
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      std::vector<obs::Field> fields = {
-          {"round", round},
-          {"selected", cohort},
-          {"survivors", record.survivors},
-          {"crashed", crashed_count},
-          {"upload_failures", upload_failure_count},
-          {"dropped_late", dropped_late_count},
-          {"retries", retry_count},
-          {"quorum_failed", !quorum_met},
-          {"round_delay_s", round_delay},
-          {"round_energy_j", round_energy},
-          {"wasted_energy_j", wasted_energy},
-          {"cum_delay_s", cum_delay},
-          {"cum_energy_j", cum_energy},
-          {"train_loss", record.train_loss}};
-      if (record.evaluated) {
-        fields.emplace_back("test_loss", record.test_loss);
-        fields.emplace_back("test_accuracy", record.test_accuracy);
-      }
-      tracer->emit(obs::TraceLevel::kRound, "round_end", fields);
-    }
-    history.add(std::move(record));
+    // --- evaluate, then Algorithm 1's exits.
+    const bool over_deadline = ctx.cum_delay > options.deadline_s;
+    const std::size_t trained = cohort - record.crashed;
+    const bool target_reached =
+        close_round(world, ctx, std::move(record), trained,
+                    round + 1 == options.max_rounds, over_deadline);
     maybe_write_checkpoint(round);
-
-    if (over_deadline) {
-      util::log_info("FederatedTrainer: deadline reached after round " +
-                     std::to_string(round));
-      break;
-    }
-    if (target_reached) break;
-
-    // Algorithm 1's convergence exit: the training-loss spread over the
-    // last `window` rounds has flattened out.
-    if (options_.convergence_window >= 2 &&
-        history.size() >= options_.convergence_window) {
-      double lo = history.rounds()[history.size() - 1].train_loss;
-      double hi = lo;
-      for (std::size_t k = 2; k <= options_.convergence_window; ++k) {
-        const double loss = history.rounds()[history.size() - k].train_loss;
-        lo = std::min(lo, loss);
-        hi = std::max(hi, loss);
-      }
-      if (hi - lo < options_.convergence_epsilon) {
-        util::log_info("FederatedTrainer: converged after round " +
-                       std::to_string(round));
-        break;
-      }
-    }
+    if (should_stop(world, ctx, round, over_deadline, target_reached)) break;
   }
-
-  if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "run_end",
-                 {{"rounds", history.size()},
-                  {"cum_delay_s", cum_delay},
-                  {"cum_energy_j", cum_energy},
-                  {"wasted_energy_cum_j", cum_wasted_energy}});
-    tracer->flush();
-  }
-
-  nn::load_parameters(model_, global_weights);
-  return history;
+  return finish_run(world, ctx);
 }
 
+}  // namespace stages
 }  // namespace helcfl::fl

@@ -2,10 +2,9 @@
 // docs/ASYNC.md): with --mode=sync, fl::AsyncTrainer must reproduce
 // fl::FederatedTrainer *bitwise* — final weights, every RoundRecord field,
 // the metrics CSV bytes, and the full JSONL trace — across strategies,
-// fault levels, and thread counts.  That identity is what proves the
-// event-queue arrival path is a refactoring, not a behaviour change: TDMA
-// upload ends are non-decreasing in grant order and seq breaks ties by
-// insertion order, so the queue's pop order *is* the grant order.
+// fault levels, and thread counts.  Sync mode runs the same barrier code
+// as FederatedTrainer (fl::stages::run_barrier), so this harness guards
+// against the two paths ever forking again.
 //
 // The async mode carries the repo's determinism contract instead: a run is
 // bitwise reproducible and invariant under --threads, because all event

@@ -55,8 +55,8 @@ TEST(EventQueue, PopsInTimeOrder) {
 
 TEST(EventQueue, EqualTimestampsPopInInsertionOrder) {
   // Four events at the same instant: the seq tie-break makes the pop order
-  // exactly the push order — the property the sync-equivalence contract
-  // leans on (TDMA grants pushed in grant order pop in grant order).
+  // exactly the push order — the property the async engine's uplink leans
+  // on (TDMA grants pushed in grant order pop in grant order).
   EventQueue queue;
   for (std::uint64_t user = 0; user < 4; ++user) {
     queue.push(5.0, EventKind::kUploadFinish, user);

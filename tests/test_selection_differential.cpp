@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "core/greedy_decay_reference.h"
+#include "oracles/greedy_decay_reference.h"
 #include "core/utility.h"
 #include "core/greedy_decay_selection.h"
 #include "fl_fixtures.h"

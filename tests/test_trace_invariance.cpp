@@ -5,8 +5,14 @@
 // values the round already computed (no RNG draws, no reordering).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/helcfl_scheduler.h"
@@ -168,6 +174,53 @@ TEST_F(TraceInvarianceTest, FaultFreeRunAlsoInvariant) {
   const RunResult instrumented = run(traced);
 
   expect_identical(plain, instrumented);
+}
+
+std::vector<char> file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// The checkpoint records the best accuracy so far; it must be tracked
+// whether or not a registry observes it, or attaching --profile would change
+// the bytes written and a resumed run's `accuracy.best` gauge would ignore
+// every pre-resume round.
+TEST_F(TraceInvarianceTest, CheckpointBytesDoNotDependOnAnAttachedRegistry) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("helcfl_registry_ckpt_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto with_checkpoints = [&](const std::string& tag) {
+    TrainerOptions options = base_options(1);
+    options.checkpoint_every = 2;
+    options.checkpoint_path = (dir / (tag + "_r{round}.bin")).string();
+    return options;
+  };
+
+  run(with_checkpoints("plain"));  // no sink at all, so trace_seq is 0 in both
+  obs::Registry registry;
+  TrainerOptions counted = with_checkpoints("counted");
+  counted.obs.registry = &registry;
+  run(counted);
+  for (const int round : {2, 4, 6}) {
+    const std::string suffix = "_r" + std::to_string(round) + ".bin";
+    EXPECT_TRUE(file_bytes(dir / ("plain" + suffix)) ==
+                file_bytes(dir / ("counted" + suffix)))
+        << "checkpoint after round " << round;
+  }
+
+  // Resume the registry-free snapshot with a registry attached: the best
+  // accuracy gauge covers the replayed rounds too.
+  obs::Registry resumed_registry;
+  TrainerOptions resumed = base_options(1);
+  resumed.resume_from = (dir / "plain_r4.bin").string();
+  resumed.obs.registry = &resumed_registry;
+  const RunResult result = run(resumed);
+  ASSERT_TRUE(resumed_registry.gauge("accuracy.best").has_value());
+  EXPECT_EQ(*resumed_registry.gauge("accuracy.best"), result.history.best_accuracy());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "core/helcfl_scheduler.h"
+#include "fl/async_trainer.h"
 #include "fl/trainer.h"
 #include "fl_fixtures.h"
 #include "nn/models.h"
@@ -363,27 +364,41 @@ TEST_F(TrainerFaultTest, InvalidOptionsAreRejectedAtConstruction) {
 
 TEST_F(TrainerFaultTest, ParallelTaskErrorsAreAggregatedAcrossClients) {
   // quantization_bits = 0 makes every client's upload compression throw
-  // inside its worker task; the trainer must join all tasks and report one
-  // error naming every failed client, not just the first.
+  // inside its worker task; the engine must join all tasks and report one
+  // error naming every failed client, not just the first.  Both engines
+  // share the cohort runner, so both must say so.
   TrainerOptions options = base_options();
   options.num_threads = 4;
   options.compression = {.kind = nn::CompressionKind::kQuantization,
                          .quantization_bits = 0};
-  util::Rng rng(99);
-  sched::RandomSelection strategy(1.0, rng);  // the whole fleet, every round
-  nn::load_parameters(*model_, init_);
-  FederatedTrainer trainer(*model_, split_.train, split_.test, partition_, devices_,
-                           testing::paper_channel(), strategy, options);
-  try {
-    trainer.run();
-    FAIL() << "expected the client tasks to fail";
-  } catch (const std::runtime_error& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("10 client task(s) failed"), std::string::npos) << message;
-    for (std::size_t user = 0; user < kUsers; ++user) {
-      EXPECT_NE(message.find("user " + std::to_string(user) + ")"),
-                std::string::npos)
-          << "missing user " << user << " in: " << message;
+  AsyncOptions async;
+  async.mode = AsyncOptions::Mode::kAsync;
+  async.buffer_k = 0;
+  for (const bool event_driven : {false, true}) {
+    SCOPED_TRACE(event_driven ? "AsyncTrainer (async mode)" : "FederatedTrainer");
+    util::Rng rng(99);
+    sched::RandomSelection strategy(1.0, rng);  // the whole fleet, every round
+    nn::load_parameters(*model_, init_);
+    try {
+      if (event_driven) {
+        AsyncTrainer(*model_, split_.train, split_.test, partition_, devices_,
+                     testing::paper_channel(), strategy, options, async)
+            .run();
+      } else {
+        FederatedTrainer(*model_, split_.train, split_.test, partition_, devices_,
+                         testing::paper_channel(), strategy, options)
+            .run();
+      }
+      FAIL() << "expected the client tasks to fail";
+    } catch (const std::runtime_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("10 client task(s) failed"), std::string::npos)
+          << message;
+      for (std::size_t user = 0; user < kUsers; ++user) {
+        EXPECT_NE(message.find("user " + std::to_string(user) + ")"),
+                  std::string::npos)
+            << "missing user " << user << " in: " << message;
+      }
     }
   }
 }
