@@ -25,7 +25,8 @@ namespace {
 /// Everything one dispatched client will produce, resolved when
 /// its terminal event (upload finish or crash burn-out) pops.  The training
 /// itself runs at dispatch time — only the *outcome* travels through the
-/// event queue.
+/// event queue.  An accepted upload moves, as is, into the aggregation
+/// buffer.
 struct AsyncDispatch {
   std::uint64_t id = 0;          ///< dispatch counter; RNG/fault fork key
   std::size_t user = 0;
@@ -41,19 +42,6 @@ struct AsyncDispatch {
   double crash_fraction = 0.0;
   double slowdown = 1.0;
   std::size_t failed_attempts = 0;
-};
-
-/// One update sitting in the server's aggregation buffer.
-struct AsyncArrival {
-  std::size_t user = 0;
-  std::uint64_t dispatch_id = 0;
-  std::size_t version = 0;       ///< staleness = model_version - version
-  double frequency_hz = 0.0;
-  std::vector<float> weights;    ///< delta from the version-`version` model
-  double train_loss = 0.0;
-  std::size_t num_samples = 0;
-  std::vector<float> state;
-  double energy_j = 0.0;
 };
 
 /// Per-server-step accumulators, reset at every aggregation.
@@ -133,41 +121,172 @@ AsyncDispatch load_dispatch(util::ByteReader& in, std::size_t n_users) {
   return d;
 }
 
-void save_arrival(util::ByteWriter& out, const AsyncArrival& a) {
-  out.u64(static_cast<std::uint64_t>(a.user));
-  out.u64(a.dispatch_id);
-  out.u64(static_cast<std::uint64_t>(a.version));
-  out.f64(a.frequency_hz);
-  out.vec_f32(a.weights);
-  out.f64(a.train_loss);
-  out.u64(static_cast<std::uint64_t>(a.num_samples));
-  out.vec_f32(a.state);
-  out.f64(a.energy_j);
+/// A buffered update is stored with only the fields aggregation reads.
+void save_buffered(util::ByteWriter& out, const AsyncDispatch& d) {
+  out.u64(static_cast<std::uint64_t>(d.user));
+  out.u64(d.id);
+  out.u64(static_cast<std::uint64_t>(d.version));
+  out.f64(d.frequency_hz);
+  out.vec_f32(d.out.update.weights);
+  out.f64(d.out.update.train_loss);
+  out.u64(static_cast<std::uint64_t>(d.out.update.num_samples));
+  out.vec_f32(d.out.state);
+  out.f64(d.out.energy_j);
 }
 
-AsyncArrival load_arrival(util::ByteReader& in, std::size_t n_users) {
-  AsyncArrival a;
-  a.user = static_cast<std::size_t>(in.u64());
-  a.dispatch_id = in.u64();
-  a.version = static_cast<std::size_t>(in.u64());
-  a.frequency_hz = in.f64();
-  a.weights = in.vec_f32();
-  a.train_loss = in.f64();
-  a.num_samples = static_cast<std::size_t>(in.u64());
-  a.state = in.vec_f32();
-  a.energy_j = in.f64();
-  if (a.user >= n_users) {
+AsyncDispatch load_buffered(util::ByteReader& in, std::size_t n_users) {
+  AsyncDispatch d;
+  d.user = static_cast<std::size_t>(in.u64());
+  d.id = in.u64();
+  d.version = static_cast<std::size_t>(in.u64());
+  d.frequency_hz = in.f64();
+  d.out.update.weights = in.vec_f32();
+  d.out.update.train_loss = in.f64();
+  d.out.update.num_samples = static_cast<std::size_t>(in.u64());
+  d.out.state = in.vec_f32();
+  d.out.energy_j = in.f64();
+  if (d.user >= n_users) {
     throw CheckpointError("async state buffers an update from user " +
-                          std::to_string(a.user) + " of a " +
+                          std::to_string(d.user) + " of a " +
                           std::to_string(n_users) + "-user fleet");
   }
-  return a;
+  return d;
 }
 
 /// Smallest possible wire sizes, used to cap adversarial counts before
 /// reserving (same policy as fl/checkpoint.cpp's kMinRecordBytes).
 constexpr std::size_t kMinDispatchBytes = 6 * 8 + 11 * 8 + 3 + 2 * 8;
-constexpr std::size_t kMinArrivalBytes = 4 * 8 + 3 * 8 + 2 * 8;
+constexpr std::size_t kMinBufferedBytes = 4 * 8 + 3 * 8 + 2 * 8;
+
+/// The async engine's whole state between two events — what a v3
+/// checkpoint's async_state frame snapshots.
+struct AsyncState {
+  std::size_t model_version = 0;  ///< quorum-met aggregations; staleness base
+  std::size_t step = 0;           ///< all aggregations; the record "round"
+  std::uint64_t next_dispatch_id = 0;
+  std::uint64_t resolutions = 0;  ///< checkpoint-cadence counter
+  std::size_t effective_k = 0;    ///< 0 until the first cohort fixes it
+  double now = 0.0;               ///< global clock = cumulative delay; monotone
+  double uplink_free = 0.0;       ///< rolling TDMA cursor
+  double step_start = 0.0;
+  std::vector<std::uint8_t> busy;
+  EventQueue queue;
+  std::map<std::uint64_t, AsyncDispatch> in_flight;  ///< keyed by dispatch id
+  std::vector<AsyncDispatch> buffer;  ///< accepted uploads awaiting aggregation
+  StepAccum acc;
+
+  void save(util::ByteWriter& out) const {
+    out.u64(static_cast<std::uint64_t>(model_version));
+    out.u64(static_cast<std::uint64_t>(step));
+    out.u64(next_dispatch_id);
+    out.u64(resolutions);
+    out.u64(static_cast<std::uint64_t>(effective_k));
+    out.f64(now);
+    out.f64(uplink_free);
+    out.f64(step_start);
+    out.vec_u8(busy);
+    queue.save_state(out);
+    out.u64(in_flight.size());
+    for (const auto& [id, dispatch] : in_flight) save_dispatch(out, dispatch);
+    out.u64(buffer.size());
+    for (const AsyncDispatch& d : buffer) save_buffered(out, d);
+    out.vec_size(acc.dispatched_users);
+    out.vec_f64(acc.dispatched_freqs);
+    out.vec_size(acc.resolved_users);
+    out.vec_f64(acc.resolved_freqs);
+    out.vec_u8(acc.resolved_completed);
+    out.u64(static_cast<std::uint64_t>(acc.crashed));
+    out.u64(static_cast<std::uint64_t>(acc.upload_failures));
+    out.u64(static_cast<std::uint64_t>(acc.dropped_stale));
+    out.u64(static_cast<std::uint64_t>(acc.retries));
+    out.f64(acc.step_energy);
+    out.f64(acc.step_wasted);
+  }
+
+  /// Parses and validates a whole frame written by save(); throws on the
+  /// first inconsistency.
+  static AsyncState load(std::span<const std::uint8_t> frame, std::size_t n_users) {
+    util::ByteReader in(frame);
+    AsyncState s;
+    s.model_version = static_cast<std::size_t>(in.u64());
+    s.step = static_cast<std::size_t>(in.u64());
+    s.next_dispatch_id = in.u64();
+    s.resolutions = in.u64();
+    s.effective_k = static_cast<std::size_t>(in.u64());
+    s.now = in.f64();
+    s.uplink_free = in.f64();
+    s.step_start = in.f64();
+    if (!std::isfinite(s.now) || !std::isfinite(s.uplink_free) ||
+        !std::isfinite(s.step_start) || s.now < 0.0) {
+      throw CheckpointError("async state holds a non-finite clock");
+    }
+    s.busy = in.vec_u8();
+    if (s.busy.size() != n_users) {
+      throw CheckpointError("async state holds a busy mask for " +
+                            std::to_string(s.busy.size()) + " users, expected " +
+                            std::to_string(n_users));
+    }
+    s.queue.load_state(in);
+    const std::uint64_t n_flight = in.u64();
+    if (n_flight > in.remaining() / kMinDispatchBytes) {
+      throw CheckpointError(
+          "async state declares " + std::to_string(n_flight) +
+          " in-flight clients but only " + std::to_string(in.remaining()) +
+          " byte(s) remain — corrupted or malformed");
+    }
+    for (std::uint64_t i = 0; i < n_flight; ++i) {
+      AsyncDispatch d = load_dispatch(in, n_users);
+      if (d.id >= s.next_dispatch_id) {
+        throw CheckpointError("async state holds an in-flight dispatch id " +
+                              std::to_string(d.id) + " beyond the dispatch counter");
+      }
+      const std::uint64_t id = d.id;
+      if (!s.in_flight.emplace(id, std::move(d)).second) {
+        throw CheckpointError("async state repeats in-flight dispatch id " +
+                              std::to_string(id));
+      }
+    }
+    const std::uint64_t n_buffer = in.u64();
+    if (n_buffer > in.remaining() / kMinBufferedBytes) {
+      throw CheckpointError(
+          "async state declares " + std::to_string(n_buffer) +
+          " buffered updates but only " + std::to_string(in.remaining()) +
+          " byte(s) remain — corrupted or malformed");
+    }
+    s.buffer.reserve(static_cast<std::size_t>(n_buffer));
+    for (std::uint64_t i = 0; i < n_buffer; ++i) {
+      s.buffer.push_back(load_buffered(in, n_users));
+    }
+    StepAccum& acc = s.acc;
+    acc.dispatched_users = in.vec_size();
+    acc.dispatched_freqs = in.vec_f64();
+    acc.resolved_users = in.vec_size();
+    acc.resolved_freqs = in.vec_f64();
+    acc.resolved_completed = in.vec_u8();
+    acc.crashed = static_cast<std::size_t>(in.u64());
+    acc.upload_failures = static_cast<std::size_t>(in.u64());
+    acc.dropped_stale = static_cast<std::size_t>(in.u64());
+    acc.retries = static_cast<std::size_t>(in.u64());
+    acc.step_energy = in.f64();
+    acc.step_wasted = in.f64();
+    in.expect_end("checkpoint async state");
+    if (acc.resolved_users.size() != acc.resolved_freqs.size() ||
+        acc.resolved_users.size() != acc.resolved_completed.size() ||
+        acc.dispatched_users.size() != acc.dispatched_freqs.size()) {
+      throw CheckpointError("async state step accumulators disagree in size");
+    }
+    // Every pending compute/upload/fault event must reference a live
+    // in-flight dispatch; a dangling tag would fault mid-run.
+    for (const Event& event : s.queue.sorted_events()) {
+      if (event.kind == EventKind::kChurn) continue;
+      if (s.in_flight.find(event.tag) == s.in_flight.end()) {
+        throw CheckpointError("async state queues an event for unknown dispatch id " +
+                              std::to_string(event.tag));
+      }
+    }
+    return s;
+  }
+};
 
 }  // namespace
 
@@ -230,20 +349,9 @@ TrainingHistory AsyncTrainer::run_async_() {
   stages::RunContext ctx(world);
   const std::size_t n_users = world.users.size();
 
-  // --- engine state (everything a v3 checkpoint snapshots) ---
-  EventQueue queue;
-  double& now = ctx.cum_delay;    ///< global clock = cumulative delay; monotone
-  double uplink_free = 0.0;       ///< rolling TDMA cursor
-  double step_start = 0.0;
-  std::size_t model_version = 0;  ///< quorum-met aggregations; staleness base
-  std::size_t step = 0;           ///< all aggregations; the record "round"
-  std::uint64_t next_dispatch_id = 0;
-  std::uint64_t resolutions = 0;  ///< checkpoint-cadence counter
-  std::size_t effective_k = async_.buffer_k;  ///< 0 until the first cohort fixes it
-  std::vector<std::uint8_t> busy(n_users, 0);
-  std::map<std::uint64_t, AsyncDispatch> in_flight;  ///< keyed by dispatch id
-  std::vector<AsyncArrival> buffer;
-  StepAccum acc;
+  AsyncState s;
+  s.effective_k = async_.buffer_k;
+  s.busy.assign(n_users, 0);
   bool stopping = false;
 
   // Anti-livelock: a hard cap on total dispatches, far above anything a
@@ -256,117 +364,18 @@ TrainingHistory AsyncTrainer::run_async_() {
   if (!options.resume_from.empty()) {
     const Checkpoint ckpt =
         stages::read_resume_checkpoint(world, ctx, /*async_engine=*/true);
-
-    // Parse every engine structure into locals before mutating anything.
-    EventQueue restored_queue;
-    std::map<std::uint64_t, AsyncDispatch> restored_flight;
-    std::vector<AsyncArrival> restored_buffer;
-    std::vector<std::uint8_t> restored_busy;
-    StepAccum restored_acc;
-    std::size_t r_model_version = 0, r_step = 0, r_effective_k = 0;
-    std::uint64_t r_next_id = 0, r_resolutions = 0;
-    double r_now = 0.0, r_uplink = 0.0, r_step_start = 0.0;
+    AsyncState restored;
     try {
-      util::ByteReader in(ckpt.async_state);
-      r_model_version = static_cast<std::size_t>(in.u64());
-      r_step = static_cast<std::size_t>(in.u64());
-      r_next_id = in.u64();
-      r_resolutions = in.u64();
-      r_effective_k = static_cast<std::size_t>(in.u64());
-      r_now = in.f64();
-      r_uplink = in.f64();
-      r_step_start = in.f64();
-      if (!std::isfinite(r_now) || !std::isfinite(r_uplink) ||
-          !std::isfinite(r_step_start) || r_now < 0.0) {
-        throw CheckpointError("async state holds a non-finite clock");
-      }
-      restored_busy = in.vec_u8();
-      if (restored_busy.size() != n_users) {
-        throw CheckpointError(
-            "async state holds a busy mask for " +
-            std::to_string(restored_busy.size()) + " users, expected " +
-            std::to_string(n_users));
-      }
-      restored_queue.load_state(in);
-      const std::uint64_t n_flight = in.u64();
-      if (n_flight > in.remaining() / kMinDispatchBytes) {
-        throw CheckpointError(
-            "async state declares " + std::to_string(n_flight) +
-            " in-flight clients but only " + std::to_string(in.remaining()) +
-            " byte(s) remain — corrupted or malformed");
-      }
-      for (std::uint64_t i = 0; i < n_flight; ++i) {
-        AsyncDispatch d = load_dispatch(in, n_users);
-        if (d.id >= r_next_id) {
-          throw CheckpointError("async state holds an in-flight dispatch id " +
-                                std::to_string(d.id) +
-                                " beyond the dispatch counter");
-        }
-        const std::uint64_t id = d.id;
-        if (!restored_flight.emplace(id, std::move(d)).second) {
-          throw CheckpointError("async state repeats in-flight dispatch id " +
-                                std::to_string(id));
-        }
-      }
-      const std::uint64_t n_buffer = in.u64();
-      if (n_buffer > in.remaining() / kMinArrivalBytes) {
-        throw CheckpointError(
-            "async state declares " + std::to_string(n_buffer) +
-            " buffered updates but only " + std::to_string(in.remaining()) +
-            " byte(s) remain — corrupted or malformed");
-      }
-      restored_buffer.reserve(static_cast<std::size_t>(n_buffer));
-      for (std::uint64_t i = 0; i < n_buffer; ++i) {
-        restored_buffer.push_back(load_arrival(in, n_users));
-      }
-      restored_acc.dispatched_users = in.vec_size();
-      restored_acc.dispatched_freqs = in.vec_f64();
-      restored_acc.resolved_users = in.vec_size();
-      restored_acc.resolved_freqs = in.vec_f64();
-      restored_acc.resolved_completed = in.vec_u8();
-      restored_acc.crashed = static_cast<std::size_t>(in.u64());
-      restored_acc.upload_failures = static_cast<std::size_t>(in.u64());
-      restored_acc.dropped_stale = static_cast<std::size_t>(in.u64());
-      restored_acc.retries = static_cast<std::size_t>(in.u64());
-      restored_acc.step_energy = in.f64();
-      restored_acc.step_wasted = in.f64();
-      in.expect_end("checkpoint async state");
-      if (restored_acc.resolved_users.size() != restored_acc.resolved_freqs.size() ||
-          restored_acc.resolved_users.size() !=
-              restored_acc.resolved_completed.size() ||
-          restored_acc.dispatched_users.size() !=
-              restored_acc.dispatched_freqs.size()) {
-        throw CheckpointError("async state step accumulators disagree in size");
-      }
-      // Every pending compute/upload/fault event must reference a live
-      // in-flight dispatch; a dangling tag would fault mid-run.
-      for (const Event& event : restored_queue.sorted_events()) {
-        if (event.kind == EventKind::kChurn) continue;
-        if (restored_flight.find(event.tag) == restored_flight.end()) {
-          throw CheckpointError(
-              "async state queues an event for unknown dispatch id " +
-              std::to_string(event.tag));
-        }
-      }
+      restored = AsyncState::load(ckpt.async_state, n_users);
     } catch (const std::exception& error) {
       throw CheckpointError("'" + options.resume_from + "': " + error.what());
     }
     mec::BatteryFleet batteries = stages::parse_resume_cursors(world, ctx, ckpt);
-    // Commit — nothing below throws.
+    // Commit — nothing below throws.  The frame's clock is the cumulative
+    // delay the shared stages read.
     stages::commit_resume(world, ctx, ckpt, std::move(batteries));
-    queue = std::move(restored_queue);
-    in_flight = std::move(restored_flight);
-    buffer = std::move(restored_buffer);
-    busy = std::move(restored_busy);
-    acc = std::move(restored_acc);
-    model_version = r_model_version;
-    step = r_step;
-    next_dispatch_id = r_next_id;
-    resolutions = r_resolutions;
-    effective_k = r_effective_k;
-    now = r_now;
-    uplink_free = r_uplink;
-    step_start = r_step_start;
+    s = std::move(restored);
+    ctx.cum_delay = s.now;
     resumed = true;
   }
 
@@ -377,13 +386,13 @@ TrainingHistory AsyncTrainer::run_async_() {
   stages::emit_run_start(world, ctx, run_start_extra);
   if (resumed && ctx.traces(obs::TraceLevel::kRound)) {
     ctx.tracer->emit(obs::TraceLevel::kRound, "checkpoint_resume",
-                     {{"round", step},
+                     {{"round", s.step},
                       {"records", ctx.history.size()},
-                      {"cum_delay_s", now},
+                      {"cum_delay_s", s.now},
                       {"cum_energy_j", ctx.cum_energy},
-                      {"resolutions", resolutions},
-                      {"in_flight", in_flight.size()},
-                      {"buffered", buffer.size()}});
+                      {"resolutions", s.resolutions},
+                      {"in_flight", s.in_flight.size()},
+                      {"buffered", s.buffer.size()}});
   }
 
   // Cadenced snapshot writer.  The async cadence is counted in event
@@ -392,78 +401,42 @@ TrainingHistory AsyncTrainer::run_async_() {
   // non-empty event queue, in-flight clients, and a partial buffer.  The
   // {round} path token expands to the resolution count.
   const auto maybe_write_checkpoint = [&]() {
-    if (!stages::checkpoint_due(options, resolutions)) return;
+    if (!stages::checkpoint_due(options, s.resolutions)) return;
     obs::ScopedSpan span(ctx.profiler, "checkpoint",
-                         static_cast<std::int64_t>(resolutions));
-    Checkpoint ckpt = stages::snapshot(world, ctx, step);
+                         static_cast<std::int64_t>(s.resolutions));
+    Checkpoint ckpt = stages::snapshot(world, ctx, s.step);
     ckpt.async_enabled = true;
     util::ByteWriter out;
-    out.u64(static_cast<std::uint64_t>(model_version));
-    out.u64(static_cast<std::uint64_t>(step));
-    out.u64(next_dispatch_id);
-    out.u64(resolutions);
-    out.u64(static_cast<std::uint64_t>(effective_k));
-    out.f64(now);
-    out.f64(uplink_free);
-    out.f64(step_start);
-    out.vec_u8(busy);
-    queue.save_state(out);
-    out.u64(in_flight.size());
-    for (const auto& [id, dispatch] : in_flight) save_dispatch(out, dispatch);
-    out.u64(buffer.size());
-    for (const AsyncArrival& arrival : buffer) save_arrival(out, arrival);
-    out.vec_size(acc.dispatched_users);
-    out.vec_f64(acc.dispatched_freqs);
-    out.vec_size(acc.resolved_users);
-    out.vec_f64(acc.resolved_freqs);
-    out.vec_u8(acc.resolved_completed);
-    out.u64(static_cast<std::uint64_t>(acc.crashed));
-    out.u64(static_cast<std::uint64_t>(acc.upload_failures));
-    out.u64(static_cast<std::uint64_t>(acc.dropped_stale));
-    out.u64(static_cast<std::uint64_t>(acc.retries));
-    out.f64(acc.step_energy);
-    out.f64(acc.step_wasted);
+    s.save(out);
     ckpt.async_state = out.take();
-    stages::write_checkpoint(world, ctx, ckpt, resolutions, resolutions);
+    stages::write_checkpoint(world, ctx, ckpt, s.resolutions, s.resolutions);
   };
 
   // Dispatches every idle selectable device the strategy picks, trains the
   // new cohort (in parallel), and schedules each client's next event.
   // Called at every churn boundary and after every resolution.
   const auto try_dispatch = [&]() {
-    if (next_dispatch_id >= dispatch_cap) return;
-    sched::FleetView fleet{world.users};
-    std::vector<std::uint8_t> selectable(n_users, 0);
-    const std::span<const std::uint8_t> churn_mask = ctx.injector.availability();
-    const std::span<const std::uint8_t> battery_mask =
-        world.batteries_enabled() ? world.batteries.alive_mask()
-                                  : std::span<const std::uint8_t>{};
-    bool any_idle = false;
-    for (std::size_t i = 0; i < n_users; ++i) {
-      const bool ok = busy[i] == 0 &&
-                      (churn_mask.empty() || churn_mask[i] != 0) &&
-                      (battery_mask.empty() || battery_mask[i] != 0);
-      selectable[i] = ok ? 1 : 0;
-      any_idle = any_idle || ok;
-    }
-    if (!any_idle) return;
-    fleet.alive = selectable;
+    if (s.next_dispatch_id >= dispatch_cap) return;
+    std::vector<std::uint8_t> selectable;
+    const sched::FleetView fleet =
+        stages::selectable_fleet(world, ctx, s.busy, selectable);
+    if (fleet.alive_count() == 0) return;
 
     sched::Decision decision;
     {
       obs::ScopedSpan selection_span(ctx.profiler, "selection",
-                                     static_cast<std::int64_t>(step));
-      decision = world.strategy.decide(fleet, step);
+                                     static_cast<std::int64_t>(s.step));
+      decision = world.strategy.decide(fleet, s.step);
     }
     if (decision.selected.empty()) return;
     stages::check_decision(world, fleet, decision);
 
     std::size_t cohort = decision.selected.size();
-    if (next_dispatch_id + cohort > dispatch_cap) {
-      cohort = static_cast<std::size_t>(dispatch_cap - next_dispatch_id);
+    if (s.next_dispatch_id + cohort > dispatch_cap) {
+      cohort = static_cast<std::size_t>(dispatch_cap - s.next_dispatch_id);
     }
     // The first cohort fixes the semi-async buffer size (buffer_k == 0).
-    if (effective_k == 0) effective_k = std::max<std::size_t>(cohort, 1);
+    if (s.effective_k == 0) s.effective_k = std::max<std::size_t>(cohort, 1);
 
     // Streams are keyed on the dispatch id — unique and deterministic in
     // dispatch order — so mini-batch draws and fault outcomes are identical
@@ -472,11 +445,11 @@ TrainingHistory AsyncTrainer::run_async_() {
     draws.reserve(cohort);
     for (std::size_t k = 0; k < cohort; ++k) {
       const std::size_t user = decision.selected[k];
-      const std::uint64_t id = next_dispatch_id + k;
+      const std::uint64_t id = s.next_dispatch_id + k;
       draws.push_back(stages::draw_client(ctx, user, id, id));
-      busy[user] = 1;
-      acc.dispatched_users.push_back(user);
-      acc.dispatched_freqs.push_back(decision.frequencies_hz[k]);
+      s.busy[user] = 1;
+      s.acc.dispatched_users.push_back(user);
+      s.acc.dispatched_freqs.push_back(decision.frequencies_hz[k]);
     }
 
     const std::vector<float> dispatch_state =
@@ -484,10 +457,10 @@ TrainingHistory AsyncTrainer::run_async_() {
     std::vector<AsyncDispatch> outcomes(cohort);
     {
       obs::ScopedSpan training_span(ctx.profiler, "local_training",
-                                    static_cast<std::int64_t>(step));
-      stages::run_cohort(world, ctx, cohort, decision.selected, step, [&](std::size_t k) {
+                                    static_cast<std::int64_t>(s.step));
+      stages::run_cohort(world, ctx, cohort, decision.selected, s.step, [&](std::size_t k) {
         stages::ClientOutcome& out = outcomes[k].out;
-        out = stages::train_client(world, ctx, step, decision.selected[k],
+        out = stages::train_client(world, ctx, s.step, decision.selected[k],
                                    decision.frequencies_hz[k], draws[k], dispatch_state);
         // FedBuff aggregates *updates*: the arrival carries the client's
         // delta from the model it was dispatched with, so a stale update
@@ -504,11 +477,11 @@ TrainingHistory AsyncTrainer::run_async_() {
     for (std::size_t k = 0; k < cohort; ++k) {
       AsyncDispatch& d = outcomes[k];
       const mec::ClientFaults& faults = draws[k].faults;
-      d.id = next_dispatch_id++;
+      d.id = s.next_dispatch_id++;
       d.user = decision.selected[k];
-      d.version = model_version;
+      d.version = s.model_version;
       d.frequency_hz = decision.frequencies_hz[k];
-      d.dispatch_time_s = now;
+      d.dispatch_time_s = s.now;
       d.slowdown = faults.slowdown;
       d.crashed = faults.crashed;
       if (faults.crashed) {
@@ -518,17 +491,17 @@ TrainingHistory AsyncTrainer::run_async_() {
       }
       const EventKind kind =
           d.crashed ? EventKind::kFault : EventKind::kComputeFinish;
-      queue.push(now + d.out.compute_delay_s, kind, d.user, d.id);
+      s.queue.push(s.now + d.out.compute_delay_s, kind, d.user, d.id);
       if (ctx.traces(obs::TraceLevel::kDecision)) {
         ctx.tracer->emit(obs::TraceLevel::kDecision, "async.dispatch",
-                         {{"step", step},
+                         {{"step", s.step},
                           {"user", d.user},
                           {"dispatch_id", d.id},
                           {"version", d.version},
-                          {"time_s", now},
+                          {"time_s", s.now},
                           {"compute_delay_s", d.out.compute_delay_s}});
       }
-      in_flight.emplace(d.id, std::move(d));
+      s.in_flight.emplace(d.id, std::move(d));
     }
   };
 
@@ -537,19 +510,20 @@ TrainingHistory AsyncTrainer::run_async_() {
   // RoundRecord, eval cadence, and the stop checks.
   const auto aggregate = [&](bool flush) {
     obs::ScopedSpan aggregation_span(ctx.profiler, "aggregation",
-                                     static_cast<std::int64_t>(step));
-    const std::size_t arrivals = buffer.size();
+                                     static_cast<std::int64_t>(s.step));
+    StepAccum& acc = s.acc;
+    const std::size_t arrivals = s.buffer.size();
     const bool quorum_met = arrivals >= options.min_clients;
     double staleness_sum = 0.0;
-    for (const AsyncArrival& a : buffer) {
-      staleness_sum += static_cast<double>(model_version - a.version);
+    for (const AsyncDispatch& a : s.buffer) {
+      staleness_sum += static_cast<double>(s.model_version - a.version);
     }
     const double staleness_mean =
         arrivals > 0 ? staleness_sum / static_cast<double>(arrivals) : 0.0;
 
     if (!quorum_met && ctx.traces(obs::TraceLevel::kRound)) {
       ctx.tracer->emit(obs::TraceLevel::kRound, "quorum",
-                       {{"round", step},
+                       {{"round", s.step},
                         {"survivors", arrivals},
                         {"min_clients", options.min_clients}});
     }
@@ -559,45 +533,45 @@ TrainingHistory AsyncTrainer::run_async_() {
       // Staleness-discounted FedBuff step: each buffered arrival holds the
       // client's *delta* from its dispatch base, weighted by
       // num_samples / (1+s)^β, and the weighted mean delta is applied to the
-      // current model.  With β = 0 every discount is exactly 1.0 and
-      // fedavg_discounted degrades bitwise to the plain weighted mean.
-      std::vector<DiscountedModel> uploads;
+      // current model.  With β = 0 every discount is exactly 1.0 — the
+      // plain weighted mean of the barrier engine.
+      std::vector<WeightedModel> uploads;
       uploads.reserve(arrivals);
-      for (const AsyncArrival& a : buffer) {
-        const double staleness = static_cast<double>(model_version - a.version);
+      for (const AsyncDispatch& a : s.buffer) {
+        const double staleness = static_cast<double>(s.model_version - a.version);
         const double discount =
             async_.staleness_beta == 0.0
                 ? 1.0
                 : 1.0 / std::pow(1.0 + staleness, async_.staleness_beta);
-        uploads.push_back({a.weights, a.num_samples, discount});
+        uploads.push_back({a.out.update.weights, a.out.update.num_samples, discount});
       }
-      const std::vector<float> mean_delta = fedavg_discounted(uploads);
+      const std::vector<float> mean_delta = fedavg(uploads);
       for (std::size_t i = 0; i < ctx.global_weights.size(); ++i) {
         ctx.global_weights[i] += mean_delta[i];
       }
-      ++model_version;
+      ++s.model_version;
 
       sched::Decision agg_decision;
       std::vector<double> losses;
       agg_decision.selected.reserve(arrivals);
       agg_decision.frequencies_hz.reserve(arrivals);
       losses.reserve(arrivals);
-      for (const AsyncArrival& a : buffer) {
+      for (const AsyncDispatch& a : s.buffer) {
         agg_decision.selected.push_back(a.user);
         agg_decision.frequencies_hz.push_back(a.frequency_hz);
-        losses.push_back(a.train_loss);
-        train_loss_sum += a.train_loss;
+        losses.push_back(a.out.update.train_loss);
+        train_loss_sum += a.out.update.train_loss;
       }
-      world.strategy.observe(step, agg_decision, losses);
-      if (ctx.has_state && !buffer.empty()) {
-        nn::load_state(world.model, buffer.back().state);
+      world.strategy.observe(s.step, agg_decision, losses);
+      if (ctx.has_state && !s.buffer.empty()) {
+        nn::load_state(world.model, s.buffer.back().out.state);
       }
     } else {
       // Quorum failed: the model holds still and every buffered update's
       // energy is wasted on top of what already failed this step.
-      for (const AsyncArrival& a : buffer) {
-        acc.step_wasted += a.energy_j;
-        train_loss_sum += a.train_loss;
+      for (const AsyncDispatch& a : s.buffer) {
+        acc.step_wasted += a.out.energy_j;
+        train_loss_sum += a.out.update.train_loss;
       }
     }
 
@@ -612,42 +586,27 @@ TrainingHistory AsyncTrainer::run_async_() {
       for (std::uint8_t& c : completed) {
         c = (c == 2 && quorum_met) ? 1 : 0;
       }
-      world.strategy.report_completion(step, resolved_decision, completed);
+      world.strategy.report_completion(s.step, resolved_decision, completed);
     }
     aggregation_span.finish();
 
     ctx.cum_energy += acc.step_energy;
-    std::size_t available = n_users;
-    {
-      const std::span<const std::uint8_t> churn_mask = ctx.injector.availability();
-      const std::span<const std::uint8_t> battery_mask =
-          world.batteries_enabled() ? world.batteries.alive_mask()
-                                    : std::span<const std::uint8_t>{};
-      if (!churn_mask.empty() || !battery_mask.empty()) {
-        available = 0;
-        for (std::size_t i = 0; i < n_users; ++i) {
-          if ((churn_mask.empty() || churn_mask[i] != 0) &&
-              (battery_mask.empty() || battery_mask[i] != 0)) {
-            ++available;
-          }
-        }
-      }
-    }
-
+    std::vector<std::uint8_t> present;
     RoundRecord record;
-    record.round = step;
+    record.round = s.step;
     record.selected = acc.dispatched_users;
-    record.round_delay_s = now - step_start;
+    record.round_delay_s = s.now - s.step_start;
     record.round_energy_j = acc.step_energy;
-    record.cum_delay_s = now;
+    record.cum_delay_s = s.now;
     record.cum_energy_j = ctx.cum_energy;
     record.train_loss =
         arrivals > 0 ? train_loss_sum / static_cast<double>(arrivals) : 0.0;
     record.alive_users = world.alive_users();
-    record.available_users = available;
+    record.available_users =
+        stages::selectable_fleet(world, ctx, {}, present).alive_count();
     if (quorum_met) {
       record.aggregated.reserve(arrivals);
-      for (const AsyncArrival& a : buffer) record.aggregated.push_back(a.user);
+      for (const AsyncDispatch& a : s.buffer) record.aggregated.push_back(a.user);
     }
     record.survivors = record.aggregated.size();
     record.crashed = acc.crashed;
@@ -659,8 +618,8 @@ TrainingHistory AsyncTrainer::run_async_() {
     record.quorum_failed = !quorum_met;
     record.wasted_energy_j = acc.step_wasted;
 
-    const bool last_step = step + 1 >= options.max_rounds;
-    const bool over_deadline = now > options.deadline_s;
+    const bool last_step = s.step + 1 >= options.max_rounds;
+    const bool over_deadline = s.now > options.deadline_s;
     const bool target_reached = stages::close_round(
         world, ctx, std::move(record), arrivals, last_step, over_deadline);
     if (ctx.registry != nullptr) {
@@ -669,64 +628,70 @@ TrainingHistory AsyncTrainer::run_async_() {
       if (flush) registry.add("async.flushes");
       if (acc.dropped_stale > 0) registry.add("async.dropped_stale", acc.dropped_stale);
       registry.set_gauge("async.staleness_mean", staleness_mean);
-      registry.set_gauge("async.model_version", static_cast<double>(model_version));
-      registry.set_gauge("async.in_flight", static_cast<double>(in_flight.size()));
+      registry.set_gauge("async.model_version", static_cast<double>(s.model_version));
+      registry.set_gauge("async.in_flight", static_cast<double>(s.in_flight.size()));
     }
     if (ctx.traces(obs::TraceLevel::kRound)) {
       ctx.tracer->emit(obs::TraceLevel::kRound, "async.step",
-                       {{"round", step},
+                       {{"round", s.step},
                         {"arrivals", arrivals},
-                        {"buffer_k", effective_k},
+                        {"buffer_k", s.effective_k},
                         {"staleness_mean", staleness_mean},
-                        {"model_version", model_version},
-                        {"in_flight", in_flight.size()},
+                        {"model_version", s.model_version},
+                        {"in_flight", s.in_flight.size()},
                         {"flush", flush}});
     }
-    stopping = stages::should_stop(world, ctx, step, over_deadline, target_reached) ||
+    stopping = stages::should_stop(world, ctx, s.step, over_deadline, target_reached) ||
                last_step;
 
-    buffer.clear();
+    s.buffer.clear();
     acc = StepAccum{};
-    ++step;
-    step_start = now;
+    ++s.step;
+    s.step_start = s.now;
     if (!stopping) {
-      queue.push(now, EventKind::kChurn, 0, /*tag=*/step);
+      s.queue.push(s.now, EventKind::kChurn, 0, /*tag=*/s.step);
     }
   };
 
-  // Pulls one resolved dispatch out of the in-flight map.
-  const auto take_flight = [&](std::uint64_t id) {
-    const auto it = in_flight.find(id);
-    if (it == in_flight.end()) {
+  // The in-flight dispatch an event names.
+  const auto find_flight = [&](std::uint64_t id) {
+    const auto it = s.in_flight.find(id);
+    if (it == s.in_flight.end()) {
       throw std::logic_error(
           "AsyncTrainer: event references unknown dispatch id " +
           std::to_string(id));
     }
+    return it;
+  };
+  // Pulls one resolved dispatch out of the in-flight map.
+  const auto take_flight = [&](std::uint64_t id) {
+    const auto it = find_flight(id);
     AsyncDispatch d = std::move(it->second);
-    in_flight.erase(it);
+    s.in_flight.erase(it);
     return d;
   };
 
   // Bootstrap: the first churn boundary enters the queue at t = 0.  A
   // resumed run's queue already carries its pending events.
   if (!resumed && options.max_rounds > 0) {
-    queue.push(0.0, EventKind::kChurn, 0, /*tag=*/step);
+    s.queue.push(0.0, EventKind::kChurn, 0, /*tag=*/s.step);
   }
   if (options.max_rounds == 0) stopping = true;
 
   while (!stopping) {
-    if (queue.empty()) {
+    if (s.queue.empty()) {
       // Nothing left in flight.  Flush a partial buffer (or settle pending
       // completion feedback) as one final server step; otherwise the run is
       // over — fleet depleted, strategy empty, or dispatch cap reached.
-      if (!buffer.empty() || !acc.resolved_users.empty()) {
+      if (!s.buffer.empty() || !s.acc.resolved_users.empty()) {
         aggregate(/*flush=*/true);
         continue;
       }
       break;
     }
-    const Event event = queue.pop();
-    now = event.time_s;  // monotone: every push is at >= now
+    const Event event = s.queue.pop();
+    ctx.cum_delay = s.now = event.time_s;  // monotone: every push is at >= now
+    StepAccum& acc = s.acc;
 
     switch (event.kind) {
       case EventKind::kChurn: {
@@ -736,19 +701,19 @@ TrainingHistory AsyncTrainer::run_async_() {
         ctx.injector.begin_round();
         ctx.fading.step();
         try_dispatch();
-        if (in_flight.empty() && buffer.empty() && queue.empty() &&
+        if (s.in_flight.empty() && s.buffer.empty() && s.queue.empty() &&
             acc.resolved_users.empty() && ctx.injector.active() &&
-            ctx.injector.away_count() > 0 && next_dispatch_id < dispatch_cap &&
-            step < options.max_rounds) {
+            ctx.injector.away_count() > 0 && s.next_dispatch_id < dispatch_cap &&
+            s.step < options.max_rounds) {
           // Churn emptied the fleet before anything was dispatched: record
           // a skipped step (the barrier engine's churn-skip path) and try
           // the next churn boundary.
-          stages::skip_round(world, ctx, step, 0);
+          stages::skip_round(world, ctx, s.step, 0);
           acc = StepAccum{};
-          ++step;
-          step_start = now;
-          if (step < options.max_rounds) {
-            queue.push(now, EventKind::kChurn, 0, /*tag=*/step);
+          ++s.step;
+          s.step_start = s.now;
+          if (s.step < options.max_rounds) {
+            s.queue.push(s.now, EventKind::kChurn, 0, /*tag=*/s.step);
           }
         }
         break;
@@ -758,27 +723,21 @@ TrainingHistory AsyncTrainer::run_async_() {
         // TDMA grant: the single uplink is a rolling cursor — this client
         // transmits as soon as both it and the channel are ready, holding
         // the channel for its full retry-inclusive occupancy.
-        const auto it = in_flight.find(event.tag);
-        if (it == in_flight.end()) {
-          throw std::logic_error(
-              "AsyncTrainer: compute_finish for unknown dispatch id " +
-              std::to_string(event.tag));
-        }
-        AsyncDispatch& d = it->second;
+        AsyncDispatch& d = find_flight(event.tag)->second;
         d.compute_end_s = event.time_s;
-        d.upload_start_s = std::max(event.time_s, uplink_free);
-        uplink_free = d.upload_start_s + d.out.occupancy_s;
-        queue.push(uplink_free, EventKind::kUploadFinish, d.user, d.id);
+        d.upload_start_s = std::max(event.time_s, s.uplink_free);
+        s.uplink_free = d.upload_start_s + d.out.occupancy_s;
+        s.queue.push(s.uplink_free, EventKind::kUploadFinish, d.user, d.id);
         break;
       }
 
       case EventKind::kUploadFinish: {
         AsyncDispatch d = take_flight(event.tag);
-        busy[d.user] = 0;
+        s.busy[d.user] = 0;
         acc.step_energy += d.out.energy_j;
         if (world.batteries_enabled()) world.batteries.drain(d.user, d.out.energy_j);
         acc.retries += d.out.attempts > 0 ? d.out.attempts - 1 : 0;
-        const std::size_t staleness = model_version - d.version;
+        const std::size_t staleness = s.model_version - d.version;
 
         bool accepted = false;
         if (!d.out.upload_ok) {
@@ -794,7 +753,7 @@ TrainingHistory AsyncTrainer::run_async_() {
 
         if (ctx.traces(obs::TraceLevel::kDecision)) {
           ctx.tracer->emit(obs::TraceLevel::kDecision, "tdma",
-                           {{"round", step},
+                           {{"round", s.step},
                             {"user", d.user},
                             {"attempts", d.out.attempts},
                             {"compute_end_s", d.compute_end_s},
@@ -807,14 +766,14 @@ TrainingHistory AsyncTrainer::run_async_() {
         if (ctx.traces(obs::TraceLevel::kRound)) {
           if (d.slowdown > 1.0) {
             ctx.tracer->emit(obs::TraceLevel::kRound, "fault",
-                             {{"round", step},
+                             {{"round", s.step},
                               {"user", d.user},
                               {"kind", "straggler"},
                               {"slowdown", d.slowdown}});
           }
           if (d.failed_attempts > 0) {
             ctx.tracer->emit(obs::TraceLevel::kRound, "fault",
-                             {{"round", step},
+                             {{"round", s.step},
                               {"user", d.user},
                               {"kind", "upload_failure"},
                               {"failed_attempts", d.failed_attempts},
@@ -822,7 +781,7 @@ TrainingHistory AsyncTrainer::run_async_() {
           }
           if (!accepted && d.out.upload_ok) {
             ctx.tracer->emit(obs::TraceLevel::kRound, "fault",
-                             {{"round", step},
+                             {{"round", s.step},
                               {"user", d.user},
                               {"kind", "dropped_stale"},
                               {"staleness", staleness},
@@ -836,28 +795,18 @@ TrainingHistory AsyncTrainer::run_async_() {
         if (accepted) {
           if (ctx.traces(obs::TraceLevel::kDecision)) {
             ctx.tracer->emit(obs::TraceLevel::kDecision, "async.arrival",
-                             {{"step", step},
+                             {{"step", s.step},
                               {"user", d.user},
                               {"dispatch_id", d.id},
                               {"staleness", staleness},
-                              {"buffered", buffer.size() + 1},
-                              {"buffer_k", effective_k}});
+                              {"buffered", s.buffer.size() + 1},
+                              {"buffer_k", s.effective_k}});
           }
-          AsyncArrival arrival;
-          arrival.user = d.user;
-          arrival.dispatch_id = d.id;
-          arrival.version = d.version;
-          arrival.frequency_hz = d.frequency_hz;
-          arrival.weights = std::move(d.out.update.weights);
-          arrival.train_loss = d.out.update.train_loss;
-          arrival.num_samples = d.out.update.num_samples;
-          arrival.state = std::move(d.out.state);
-          arrival.energy_j = d.out.energy_j;
-          buffer.push_back(std::move(arrival));
+          s.buffer.push_back(std::move(d));
         }
 
-        ++resolutions;
-        if (accepted && effective_k > 0 && buffer.size() >= effective_k) {
+        ++s.resolutions;
+        if (accepted && s.effective_k > 0 && s.buffer.size() >= s.effective_k) {
           // Step boundary: aggregate now; the kChurn event it schedules
           // owns the re-dispatch, so churn advances before the next cohort.
           aggregate(/*flush=*/false);
@@ -873,14 +822,14 @@ TrainingHistory AsyncTrainer::run_async_() {
         // through its local update — the cycles burned still cost energy,
         // but nothing ever reaches the uplink.
         AsyncDispatch d = take_flight(event.tag);
-        busy[d.user] = 0;
+        s.busy[d.user] = 0;
         acc.step_energy += d.out.energy_j;
         acc.step_wasted += d.out.energy_j;
         if (world.batteries_enabled()) world.batteries.drain(d.user, d.out.energy_j);
         ++acc.crashed;
         if (ctx.traces(obs::TraceLevel::kRound)) {
           ctx.tracer->emit(obs::TraceLevel::kRound, "fault",
-                           {{"round", step},
+                           {{"round", s.step},
                             {"user", d.user},
                             {"kind", "crash"},
                             {"crash_fraction", d.crash_fraction}});
@@ -888,7 +837,7 @@ TrainingHistory AsyncTrainer::run_async_() {
         acc.resolved_users.push_back(d.user);
         acc.resolved_freqs.push_back(d.frequency_hz);
         acc.resolved_completed.push_back(0);
-        ++resolutions;
+        ++s.resolutions;
         try_dispatch();
         maybe_write_checkpoint();
         break;

@@ -17,9 +17,10 @@
 // so the two are bitwise identical by construction — final weights,
 // per-round metrics, the history CSV bytes, and the trace
 // (tests/test_async_differential.cpp).  Async mode shares every other
-// stage of fl/round_stages.h (local training, the cohort runner,
-// evaluation, round bookkeeping, checkpoint fields) and keeps only the
-// event loop, dispatch bookkeeping, and FedBuff aggregation.  That the
+// stage of fl/round_stages.h (the selectable fleet, local training, the
+// cohort runner, evaluation, round bookkeeping, checkpoint fields) and
+// fl::fedavg, and keeps only the event loop, dispatch bookkeeping, and its
+// checkpoint frame.  That the
 // EventQueue's (time, seq) pop order equals insertion order on equal
 // timestamps — the TDMA grant order — is pinned by tests/test_event_queue.cpp.
 #pragma once

@@ -6,8 +6,6 @@ namespace helcfl::fl {
 
 namespace {
 
-constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
-
 // Smallest possible wire size of one RoundRecord: 16 fixed 8-byte fields
 // (u64/f64), two empty vec_size (8-byte count each), and two booleans.
 // Used to cap an adversarial record count before reserving for it.
@@ -103,55 +101,16 @@ std::vector<std::uint8_t> Checkpoint::serialize() const {
   payload.u64(records.size());
   for (const RoundRecord& record : records) write_record(payload, record);
 
-  util::ByteWriter file;
-  file.u32(kMagic);
-  file.u32(kVersion);
-  file.u64(payload.size());
-  file.u64(util::fnv1a64(payload.data()));
-  file.raw(payload.data());
-  return file.take();
+  return util::seal(kMagic, kVersion, payload.data());
 }
 
 Checkpoint Checkpoint::deserialize(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kHeaderBytes) {
-    throw CheckpointError(
-        "checkpoint is truncated: " + std::to_string(bytes.size()) +
-        " bytes, shorter than the " + std::to_string(kHeaderBytes) +
-        "-byte header");
+  std::span<const std::uint8_t> rest;
+  try {
+    rest = util::open_sealed(bytes, kMagic, kVersion, "HELCFL checkpoint");
+  } catch (const util::SerialError& error) {
+    throw CheckpointError(error.what());
   }
-  util::ByteReader header(bytes.subspan(0, kHeaderBytes));
-  const std::uint32_t magic = header.u32();
-  if (magic != kMagic) {
-    throw CheckpointError(
-        "not a HELCFL checkpoint: bad magic (expected \"HCKP\")");
-  }
-  const std::uint32_t version = header.u32();
-  if (version != kVersion) {
-    throw CheckpointError(
-        "checkpoint version " + std::to_string(version) +
-        " is not supported by this build (expected version " +
-        std::to_string(kVersion) +
-        "); it was probably written by a newer release");
-  }
-  const std::uint64_t payload_size = header.u64();
-  const std::uint64_t checksum = header.u64();
-  const std::span<const std::uint8_t> rest = bytes.subspan(kHeaderBytes);
-  if (payload_size > rest.size()) {
-    throw CheckpointError(
-        "checkpoint is truncated: header declares a " +
-        std::to_string(payload_size) + "-byte payload but only " +
-        std::to_string(rest.size()) + " bytes follow");
-  }
-  if (payload_size < rest.size()) {
-    throw CheckpointError(
-        "checkpoint has " + std::to_string(rest.size() - payload_size) +
-        " trailing byte(s) after the declared payload");
-  }
-  if (util::fnv1a64(rest) != checksum) {
-    throw CheckpointError(
-        "checkpoint payload checksum mismatch: the file is corrupted");
-  }
-
   try {
     util::ByteReader payload(rest);
     Checkpoint ckpt;

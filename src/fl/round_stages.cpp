@@ -153,6 +153,7 @@ RunContext::RunContext(World& world)
     replicas.push_back(std::make_unique<nn::Sequential>(world.model));
     eval_models.push_back(replicas.back().get());
   }
+  if (eval_models.empty()) eval_models.push_back(&world.model);
 }
 
 Checkpoint read_resume_checkpoint(const World& world, const RunContext& ctx,
@@ -326,6 +327,28 @@ ClientDraw draw_client(RunContext& ctx, std::size_t user, std::uint64_t stream_k
   return draw;
 }
 
+sched::FleetView selectable_fleet(const World& world, const RunContext& ctx,
+                                  std::span<const std::uint8_t> busy,
+                                  std::vector<std::uint8_t>& storage) {
+  sched::FleetView fleet{world.users};
+  const std::span<const std::uint8_t> churn = ctx.injector.availability();
+  const std::span<const std::uint8_t> battery =
+      world.batteries_enabled() ? world.batteries.alive_mask()
+                                : std::span<const std::uint8_t>{};
+  if (busy.empty() && (churn.empty() || battery.empty())) {
+    fleet.alive = churn.empty() ? battery : churn;  // empty = the whole fleet
+    return fleet;
+  }
+  storage.resize(world.users.size());
+  for (std::size_t i = 0; i < storage.size(); ++i) {
+    const bool ok = (busy.empty() || busy[i] == 0) && (churn.empty() || churn[i] != 0) &&
+                    (battery.empty() || battery[i] != 0);
+    storage[i] = ok ? 1 : 0;
+  }
+  fleet.alive = storage;
+  return fleet;
+}
+
 void check_decision(const World& world, const sched::FleetView& fleet,
                     const sched::Decision& decision) {
   const auto fail = [&](const char* what) {
@@ -471,19 +494,13 @@ bool close_round(World& world, RunContext& ctx, RoundRecord record,
   if (record.round % options.eval_every == 0 || last || over_deadline) {
     obs::ScopedSpan eval_span(ctx.profiler, "evaluation",
                               static_cast<std::int64_t>(record.round));
-    Evaluation eval;
-    if (ctx.pool.worker_count() == 0) {
-      eval = evaluate(world.model, ctx.global_weights, ctx.eval_plan);
-    } else {
-      if (ctx.has_state) {
-        const std::vector<float> eval_state = nn::extract_state(world.model);
-        for (nn::Sequential* replica : ctx.eval_models) {
-          nn::load_state(*replica, eval_state);
-        }
-      }
-      eval = evaluate_parallel(ctx.eval_models, ctx.global_weights, ctx.eval_plan,
-                               ctx.pool);
+    // Worker replicas evaluate with the server's persistent buffers.
+    if (ctx.has_state && !ctx.replicas.empty()) {
+      const std::vector<float> eval_state = nn::extract_state(world.model);
+      for (const auto& replica : ctx.replicas) nn::load_state(*replica, eval_state);
     }
+    const Evaluation eval = evaluate_parallel(ctx.eval_models, ctx.global_weights,
+                                              ctx.eval_plan, ctx.pool);
     record.evaluated = true;
     record.test_loss = eval.loss;
     record.test_accuracy = eval.accuracy;

@@ -95,6 +95,7 @@ struct RunContext {
   // sequential path.  Replicas never outlive the pool that indexes them.
   util::ThreadPool pool;
   std::vector<std::unique_ptr<nn::Sequential>> replicas;
+  /// The replicas, or the borrowed model alone when the pool is inline.
   std::vector<nn::Sequential*> eval_models;
   /// Persistent non-trainable buffers (BatchNorm running statistics): each
   /// client starts from a round-start snapshot regardless of the worker it
@@ -161,6 +162,15 @@ struct ClientDraw {
 /// faults keyed on (`fault_round`, user).
 ClientDraw draw_client(RunContext& ctx, std::size_t user, std::uint64_t stream_key,
                        std::uint64_t fault_round);
+
+/// Line 4's fleet: the strategy only sees devices that are charged
+/// (battery extension), present (churn), and — for the async engine — not
+/// `busy` with an earlier dispatch.  With no busy mask, a lone churn or
+/// battery mask is passed through and no mask at all leaves `alive` empty;
+/// otherwise `storage` backs the combined mask.
+sched::FleetView selectable_fleet(const World& world, const RunContext& ctx,
+                                  std::span<const std::uint8_t> busy,
+                                  std::vector<std::uint8_t>& storage);
 
 /// DVFS check of Algorithm 1 line 4: throws std::logic_error unless the
 /// decision is well-formed, every pick is selectable, and every frequency

@@ -12,53 +12,25 @@ namespace helcfl::fl {
 std::vector<float> fedavg(std::span<const WeightedModel> uploads) {
   if (uploads.empty()) throw std::invalid_argument("fedavg: no uploads");
   const std::size_t dim = uploads.front().weights.size();
-  double total_samples = 0.0;
+  double total_weight = 0.0;
   for (const auto& upload : uploads) {
     if (upload.weights.size() != dim) {
       throw std::invalid_argument("fedavg: weight dimension mismatch");
     }
-    total_samples += static_cast<double>(upload.num_samples);
-  }
-  if (total_samples <= 0.0) {
-    throw std::invalid_argument("fedavg: total sample count must be positive");
-  }
-
-  // Accumulate in double to keep aggregation exact for Eq. (19) checks.
-  std::vector<double> accumulator(dim, 0.0);
-  for (const auto& upload : uploads) {
-    const double w = static_cast<double>(upload.num_samples) / total_samples;
-    for (std::size_t i = 0; i < dim; ++i) {
-      accumulator[i] += w * static_cast<double>(upload.weights[i]);
-    }
-  }
-  std::vector<float> result(dim);
-  for (std::size_t i = 0; i < dim; ++i) result[i] = static_cast<float>(accumulator[i]);
-  return result;
-}
-
-std::vector<float> fedavg_discounted(std::span<const DiscountedModel> uploads) {
-  if (uploads.empty()) throw std::invalid_argument("fedavg_discounted: no uploads");
-  const std::size_t dim = uploads.front().weights.size();
-  double total_weight = 0.0;
-  for (const auto& upload : uploads) {
-    if (upload.weights.size() != dim) {
-      throw std::invalid_argument("fedavg_discounted: weight dimension mismatch");
-    }
     if (!std::isfinite(upload.discount) || upload.discount < 0.0) {
-      throw std::invalid_argument(
-          "fedavg_discounted: discount must be finite and non-negative");
+      throw std::invalid_argument("fedavg: discount must be finite and non-negative");
     }
     total_weight += static_cast<double>(upload.num_samples) * upload.discount;
   }
   if (total_weight <= 0.0) {
     throw std::invalid_argument(
-        "fedavg_discounted: total discounted weight must be positive (every "
-        "buffered update was discounted or sampled to zero)");
+        "fedavg: total weight must be positive (every update was discounted "
+        "or sampled to zero)");
   }
 
-  // Same double-accumulation order as fedavg(): with all discounts == 1 the
-  // per-upload weight is num_samples * 1.0 — the identical double — so the
-  // two functions agree bitwise (the sync-equivalence contract).
+  // Accumulate in double to keep aggregation exact for Eq. (19) checks.  A
+  // unit discount multiplies exactly, so a barrier round's weights are
+  // num_samples / total, bit for bit.
   std::vector<double> accumulator(dim, 0.0);
   for (const auto& upload : uploads) {
     const double w =
@@ -109,12 +81,6 @@ Evaluation evaluate(nn::Sequential& model, std::span<const float> weights,
   eval.accuracy =
       static_cast<double>(total_correct) / static_cast<double>(plan.total);
   return eval;
-}
-
-Evaluation evaluate(nn::Sequential& model, std::span<const float> weights,
-                    const data::Dataset& dataset, std::size_t batch_size) {
-  if (dataset.size() == 0) throw std::invalid_argument("evaluate: empty dataset");
-  return evaluate(model, weights, make_eval_plan(dataset, batch_size));
 }
 
 Evaluation evaluate_parallel(std::span<nn::Sequential* const> replicas,
@@ -169,15 +135,6 @@ Evaluation evaluate_parallel(std::span<nn::Sequential* const> replicas,
   eval.accuracy =
       static_cast<double>(total_correct) / static_cast<double>(plan.total);
   return eval;
-}
-
-Evaluation evaluate_parallel(std::span<nn::Sequential* const> replicas,
-                             std::span<const float> weights,
-                             const data::Dataset& dataset, std::size_t batch_size,
-                             util::ThreadPool& pool) {
-  if (dataset.size() == 0) throw std::invalid_argument("evaluate: empty dataset");
-  return evaluate_parallel(replicas, weights,
-                           make_eval_plan(dataset, batch_size), pool);
 }
 
 }  // namespace helcfl::fl

@@ -12,35 +12,21 @@
 
 namespace helcfl::fl {
 
-/// One uploaded model with its FedAvg weight |D_q|.
+/// One uploaded model with its FedAvg weight |D_q| · discount.  A barrier
+/// round leaves discount at 1; the async engine passes FedBuff's staleness
+/// discount 1 / (1 + staleness)^β (docs/ASYNC.md).
 struct WeightedModel {
   std::span<const float> weights;
   std::size_t num_samples = 0;
+  double discount = 1.0;  ///< in [0, 1]; 1 = a perfectly fresh update
 };
 
-/// FedAvg (Eq. 18): sample-count-weighted average of the uploaded models.
-/// All weight vectors must have equal length and the total sample count
-/// must be positive.
+/// FedAvg (Eq. 18): the average of the uploaded models, each weighed by
+/// num_samples * discount.  All weight vectors must have equal length,
+/// every discount must be finite and non-negative, and the total weight
+/// must be positive: a buffer whose every entry was discounted or sampled
+/// to zero cannot define an average.
 std::vector<float> fedavg(std::span<const WeightedModel> uploads);
-
-/// One buffered async arrival entering a staleness-discounted aggregation
-/// (docs/ASYNC.md): the model a client trained `staleness` server steps ago,
-/// weighed down by `discount` = 1 / (1 + staleness)^β.
-struct DiscountedModel {
-  std::span<const float> weights;
-  std::size_t num_samples = 0;
-  double discount = 1.0;  ///< in (0, 1]; 1 = a perfectly fresh update
-};
-
-/// FedBuff-style staleness-discounted FedAvg: each upload weighs
-/// num_samples * discount.  With every discount == 1 the arithmetic
-/// degenerates bitwise to fedavg() (identical doubles in identical order) —
-/// the sync-equivalence contract of docs/ASYNC.md.  All weight vectors must
-/// have equal length, every discount must be finite and non-negative, and
-/// the *total* discounted weight must be positive: a buffer whose every
-/// entry has been discounted to zero cannot define an average (the
-/// division-by-zero guard the zero-survivor property tests exercise).
-std::vector<float> fedavg_discounted(std::span<const DiscountedModel> uploads);
 
 /// Evaluation result of a model on a dataset.
 struct Evaluation {
@@ -52,9 +38,7 @@ struct Evaluation {
 /// trainer evaluates the same test set every eval round (and the separated
 /// baseline evaluates every user's model on it), so re-gathering the batch
 /// tensors per evaluation is pure waste — a plan materializes them once.
-/// Batches cover [0, total) in order with the same boundaries the direct
-/// evaluate() overloads use, so plan-based results are bitwise identical
-/// to dataset-based ones for the same batch size.
+/// Batches cover [0, total) in order.
 struct EvalPlan {
   std::vector<data::Batch> batches;
   std::size_t total = 0;  ///< dataset size = sum of batch sizes
@@ -71,13 +55,6 @@ EvalPlan make_eval_plan(const data::Dataset& dataset, std::size_t batch_size);
 Evaluation evaluate(nn::Sequential& model, std::span<const float> weights,
                     const EvalPlan& plan);
 
-/// Evaluates `model` (with `weights` loaded) on `dataset`, batched to bound
-/// peak memory.  Leaves `weights` loaded in the model.  Gathers the batches
-/// on every call; callers that evaluate repeatedly should build an
-/// EvalPlan once instead.
-Evaluation evaluate(nn::Sequential& model, std::span<const float> weights,
-                    const data::Dataset& dataset, std::size_t batch_size = 256);
-
 /// Multi-threaded evaluate: distributes the evaluation batches over `pool`,
 /// where worker i forwards through `replicas[i]` (one model per worker, so
 /// layer caches never race).  `weights` is loaded into every replica first
@@ -89,11 +66,5 @@ Evaluation evaluate(nn::Sequential& model, std::span<const float> weights,
 Evaluation evaluate_parallel(std::span<nn::Sequential* const> replicas,
                              std::span<const float> weights,
                              const EvalPlan& plan, util::ThreadPool& pool);
-
-/// Dataset-gathering convenience over the plan-based overload above.
-Evaluation evaluate_parallel(std::span<nn::Sequential* const> replicas,
-                             std::span<const float> weights,
-                             const data::Dataset& dataset, std::size_t batch_size,
-                             util::ThreadPool& pool);
 
 }  // namespace helcfl::fl

@@ -32,28 +32,6 @@ struct Landing {
   bool dropped_late = false;  ///< arrived after the straggler cutoff
 };
 
-/// Line 4's fleet: the strategy only sees devices that are both charged
-/// (battery extension) and present (churn).  `storage` backs a combined
-/// mask when both apply.
-sched::FleetView selectable_fleet(const World& world, const RunContext& ctx,
-                                  std::vector<std::uint8_t>& storage) {
-  sched::FleetView fleet{world.users};
-  const std::span<const std::uint8_t> churn_mask = ctx.injector.availability();
-  if (world.batteries_enabled() && !churn_mask.empty()) {
-    const std::span<const std::uint8_t> battery_mask = world.batteries.alive_mask();
-    storage.resize(world.users.size());
-    for (std::size_t i = 0; i < world.users.size(); ++i) {
-      storage[i] = battery_mask[i] != 0 && churn_mask[i] != 0 ? 1 : 0;
-    }
-    fleet.alive = storage;
-  } else if (world.batteries_enabled()) {
-    fleet.alive = world.batteries.alive_mask();
-  } else if (!churn_mask.empty()) {
-    fleet.alive = churn_mask;
-  }
-  return fleet;
-}
-
 /// Line 8 (Fig. 1): serializes the uploads of the clients that actually
 /// transmit (crashed clients never reach the uplink) and closes the round
 /// at the straggler cutoff or when the last upload lands, whichever is
@@ -266,7 +244,7 @@ TrainingHistory run_barrier(World& world) {
     // --- select (line 4): Γ_j and F_Γj; with fading the strategy ranks
     // users by the (stale) delays of the init phase.
     std::vector<std::uint8_t> selectable;
-    const sched::FleetView fleet = selectable_fleet(world, ctx, selectable);
+    const sched::FleetView fleet = selectable_fleet(world, ctx, {}, selectable);
     const std::size_t available = fleet.alive_count();
     if (ctx.traces(obs::TraceLevel::kRound)) {
       ctx.tracer->emit(obs::TraceLevel::kRound, "round_start",

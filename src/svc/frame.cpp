@@ -71,6 +71,18 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   return out.take();
 }
 
+std::uint32_t peek_frame_type(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < kFrameHeaderBytes) return 0;
+  util::ByteReader in(bytes.subspan(4 + 4, 4));  // after magic and version
+  return in.u32();
+}
+
+std::uint64_t peek_payload_u64(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < kFrameHeaderBytes + 8) return UINT64_MAX;
+  util::ByteReader in(bytes.subspan(kFrameHeaderBytes, 8));
+  return in.u64();
+}
+
 void FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
   // Compact lazily: only when the dead prefix dominates the live bytes, so
   // feed/next cycles stay amortized O(bytes).
@@ -190,12 +202,25 @@ void decode_datagram(std::span<const std::uint8_t> bytes,
 
 // --- messages ------------------------------------------------------------
 
-Frame encode(const DeviceReport& msg) {
-  util::ByteWriter out;
+void write_device_report(util::ByteWriter& out, const DeviceReport& msg) {
   out.u64(msg.device_id);
   out.u64(msg.report_seq);
   out.f64(msg.t_cal_max_s);
   out.f64(msg.t_com_s);
+}
+
+DeviceReport read_device_report(util::ByteReader& in) {
+  DeviceReport msg;
+  msg.device_id = in.u64();
+  msg.report_seq = in.u64();
+  msg.t_cal_max_s = in.f64();
+  msg.t_com_s = in.f64();
+  return msg;
+}
+
+Frame encode(const DeviceReport& msg) {
+  util::ByteWriter out;
+  write_device_report(out, msg);
   return Frame{MsgType::kDeviceReport, out.take()};
 }
 
@@ -225,11 +250,7 @@ Frame encode(const DecisionResponse& msg) {
 
 DeviceReport decode_device_report(std::span<const std::uint8_t> payload) {
   util::ByteReader in(payload);
-  DeviceReport msg;
-  msg.device_id = in.u64();
-  msg.report_seq = in.u64();
-  msg.t_cal_max_s = in.f64();
-  msg.t_com_s = in.f64();
+  const DeviceReport msg = read_device_report(in);
   in.expect_end("DeviceReport");
   return msg;
 }

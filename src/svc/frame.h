@@ -77,6 +77,14 @@ std::string_view frame_error_name(FrameError error);
 /// Encodes one frame: header (with payload checksum) + payload.
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
+/// Raw type field of an encoded frame, read from its header without a
+/// checksum pass; 0 (no MsgType) when `bytes` is shorter than a header.
+std::uint32_t peek_frame_type(std::span<const std::uint8_t> bytes);
+
+/// First u64 of an encoded frame's payload (a ReportAck's device_id) without
+/// a full decode; UINT64_MAX when the frame is too short to hold one.
+std::uint64_t peek_payload_u64(std::span<const std::uint8_t> bytes);
+
 /// Incremental decoder over a byte stream.  feed() appends transport
 /// bytes; next() yields complete frames, rejection reasons, or asks for
 /// more input.  The decoder never throws on wire data and always makes
@@ -168,6 +176,11 @@ struct DecisionResponse {
   std::vector<std::size_t> selected;
   std::vector<double> frequencies_hz;
 };
+
+/// A DeviceReport's fields, unframed: the report payload, and the layout
+/// the service snapshot stores its queued reports in.
+void write_device_report(util::ByteWriter& out, const DeviceReport& msg);
+DeviceReport read_device_report(util::ByteReader& in);
 
 Frame encode(const DeviceReport& msg);
 Frame encode(const ReportAck& msg);

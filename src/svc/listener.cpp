@@ -16,26 +16,6 @@ namespace helcfl::svc {
 
 namespace {
 
-/// Message type of an encoded frame without a full decode: u32 at byte 8
-/// (magic | version | TYPE | size | checksum — svc/frame.h).
-std::uint32_t frame_type_of(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kFrameHeaderBytes) return 0;
-  return static_cast<std::uint32_t>(bytes[8]) |
-         (static_cast<std::uint32_t>(bytes[9]) << 8) |
-         (static_cast<std::uint32_t>(bytes[10]) << 16) |
-         (static_cast<std::uint32_t>(bytes[11]) << 24);
-}
-
-/// First u64 of the payload (device_id for acks) without a full decode.
-std::uint64_t payload_u64_of(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kFrameHeaderBytes + 8) return UINT64_MAX;
-  std::uint64_t value = 0;
-  for (int i = 7; i >= 0; --i) {
-    value = (value << 8) | bytes[kFrameHeaderBytes + static_cast<std::size_t>(i)];
-  }
-  return value;
-}
-
 void drain_pipe(int fd) {
   std::uint8_t buf[256];
   while (::read(fd, buf, sizeof(buf)) > 0) {
@@ -371,10 +351,10 @@ void SocketServer::enqueue_ingress(IngressItem item) {
 
 SocketServer::ConnPtr SocketServer::route_of(
     std::span<const std::uint8_t> frame_bytes) {
-  const std::uint32_t type = frame_type_of(frame_bytes);
+  const std::uint32_t type = peek_frame_type(frame_bytes);
   std::uint64_t conn_id = 0;
   if (type == static_cast<std::uint32_t>(MsgType::kReportAck)) {
-    const std::uint64_t device = payload_u64_of(frame_bytes);
+    const std::uint64_t device = peek_payload_u64(frame_bytes);
     const auto it = device_route_.find(device);
     if (it == device_route_.end()) return nullptr;
     conn_id = it->second;

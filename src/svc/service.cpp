@@ -12,30 +12,12 @@ namespace helcfl::svc {
 
 namespace {
 
-constexpr std::size_t kSnapshotHeaderBytes = 4 + 4 + 8 + 8;
-
 core::HelcflOptions scheduler_options(const ServiceOptions& options) {
   core::HelcflOptions helcfl;
   helcfl.fraction = options.fraction;
   helcfl.eta = options.eta;
   helcfl.enable_dvfs = options.enable_dvfs;
   return helcfl;
-}
-
-void write_report(util::ByteWriter& out, const DeviceReport& r) {
-  out.u64(r.device_id);
-  out.u64(r.report_seq);
-  out.f64(r.t_cal_max_s);
-  out.f64(r.t_com_s);
-}
-
-DeviceReport read_report(util::ByteReader& in) {
-  DeviceReport r;
-  r.device_id = in.u64();
-  r.report_seq = in.u64();
-  r.t_cal_max_s = in.f64();
-  r.t_com_s = in.f64();
-  return r;
 }
 
 bool valid_delay(double value) {
@@ -390,59 +372,24 @@ std::vector<std::uint8_t> SchedulerService::snapshot() const {
 
   // In-flight work: queued reports and the staged request survive a crash.
   payload.u64(report_queue_.size());
-  for (const DeviceReport& r : report_queue_) write_report(payload, r);
+  for (const DeviceReport& r : report_queue_) write_device_report(payload, r);
   payload.boolean(pending_request_.has_value());
   if (pending_request_.has_value()) {
     payload.u64(pending_request_->controller_seq);
     payload.u64(pending_request_->round);
   }
 
-  util::ByteWriter file;
-  file.u32(kSnapshotMagic);
-  file.u32(kSnapshotVersion);
-  file.u64(payload.size());
-  file.u64(util::fnv1a64(payload.data()));
-  file.raw(payload.data());
-  return file.take();
+  return util::seal(kSnapshotMagic, kSnapshotVersion, payload.data());
 }
 
 void SchedulerService::restore(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kSnapshotHeaderBytes) {
-    throw ServiceError("service snapshot is truncated: " +
-                       std::to_string(bytes.size()) +
-                       " bytes, shorter than the " +
-                       std::to_string(kSnapshotHeaderBytes) + "-byte header");
+  std::span<const std::uint8_t> rest;
+  try {
+    rest = util::open_sealed(bytes, kSnapshotMagic, kSnapshotVersion,
+                             "scheduler-service snapshot");
+  } catch (const util::SerialError& error) {
+    throw ServiceError(error.what());
   }
-  util::ByteReader header(bytes.subspan(0, kSnapshotHeaderBytes));
-  if (header.u32() != kSnapshotMagic) {
-    throw ServiceError("not a scheduler-service snapshot: bad magic "
-                       "(expected \"HSVS\")");
-  }
-  const std::uint32_t version = header.u32();
-  if (version != kSnapshotVersion) {
-    throw ServiceError("service snapshot version " + std::to_string(version) +
-                       " is not supported by this build (expected version " +
-                       std::to_string(kSnapshotVersion) + ")");
-  }
-  const std::uint64_t payload_size = header.u64();
-  const std::uint64_t checksum = header.u64();
-  const std::span<const std::uint8_t> rest = bytes.subspan(kSnapshotHeaderBytes);
-  if (payload_size > rest.size()) {
-    throw ServiceError("service snapshot is truncated: header declares a " +
-                       std::to_string(payload_size) +
-                       "-byte payload but only " + std::to_string(rest.size()) +
-                       " bytes follow");
-  }
-  if (payload_size < rest.size()) {
-    throw ServiceError("service snapshot has " +
-                       std::to_string(rest.size() - payload_size) +
-                       " trailing byte(s) after the declared payload");
-  }
-  if (util::fnv1a64(rest) != checksum) {
-    throw ServiceError(
-        "service snapshot payload checksum mismatch: the file is corrupted");
-  }
-
   try {
     util::ByteReader payload(rest);
 
@@ -499,7 +446,7 @@ void SchedulerService::restore(std::span<const std::uint8_t> bytes) {
     }
     std::deque<DeviceReport> queue;
     for (std::uint64_t i = 0; i < queue_size; ++i) {
-      const DeviceReport r = read_report(payload);
+      const DeviceReport r = read_device_report(payload);
       if (r.device_id >= users_.size() || !valid_delay(r.t_cal_max_s) ||
           !valid_delay(r.t_com_s) || r.report_seq == 0) {
         throw ServiceError("service snapshot holds an invalid queued report");

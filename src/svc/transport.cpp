@@ -218,12 +218,6 @@ void Socket::set_send_buffer(int bytes) {
   }
 }
 
-void Socket::set_receive_buffer(int bytes) {
-  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes)) < 0) {
-    fail("setsockopt(SO_RCVBUF)");
-  }
-}
-
 FramedConn::FramedConn(Socket socket)
     : FramedConn(std::move(socket), Options()) {}
 
@@ -298,7 +292,6 @@ FramedConn::IoStatus FramedConn::flush() {
     const ssize_t n = ::send(socket_.fd(), outbuf_.data() + out_head_, backlog,
                              MSG_NOSIGNAL);
     if (n > 0) {
-      bytes_written_ += static_cast<std::uint64_t>(n);
       out_head_ += static_cast<std::size_t>(n);
       if (static_cast<std::size_t>(n) < backlog) ++short_writes_;
       continue;

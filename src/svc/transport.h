@@ -110,7 +110,6 @@ class Socket {
   /// Shrinks/grows the kernel send buffer (tests force short writes with
   /// tiny values; the kernel clamps to its floor).
   void set_send_buffer(int bytes);
-  void set_receive_buffer(int bytes);
 
  private:
   int fd_ = -1;
@@ -161,7 +160,6 @@ class FramedConn {
 
   const FrameDecoder::Stats& decode_stats() const { return decoder_.stats(); }
   std::uint64_t bytes_read() const { return bytes_read_; }
-  std::uint64_t bytes_written() const { return bytes_written_; }
   /// flush() calls that moved only part of the backlog (short writes).
   std::uint64_t short_writes() const { return short_writes_; }
 
@@ -175,7 +173,6 @@ class FramedConn {
   std::vector<std::uint8_t> outbuf_;
   std::size_t out_head_ = 0;  ///< sent prefix, compacted when it dominates
   std::uint64_t bytes_read_ = 0;
-  std::uint64_t bytes_written_ = 0;
   std::uint64_t short_writes_ = 0;
 };
 

@@ -73,7 +73,6 @@ class WireFaultInjector {
   /// frame-for-frame from the seed.
   Plan plan_frame();
 
-  std::uint64_t frames_planned() const { return frame_counter_; }
   const WireFaultOptions& options() const { return options_; }
 
  private:

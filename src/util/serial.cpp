@@ -183,6 +183,58 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> data) {
   return hash;
 }
 
+std::vector<std::uint8_t> seal(std::uint32_t magic, std::uint32_t version,
+                               std::span<const std::uint8_t> payload) {
+  ByteWriter image;
+  image.u32(magic);
+  image.u32(version);
+  image.u64(payload.size());
+  image.u64(fnv1a64(payload));
+  image.raw(payload);
+  return image.take();
+}
+
+std::span<const std::uint8_t> open_sealed(std::span<const std::uint8_t> image,
+                                          std::uint32_t magic, std::uint32_t version,
+                                          std::string_view what) {
+  const std::string name(what);
+  if (image.size() < kSealHeaderBytes) {
+    throw SerialError(name + " is truncated: " + std::to_string(image.size()) +
+                      " bytes, shorter than the " +
+                      std::to_string(kSealHeaderBytes) + "-byte header");
+  }
+  ByteReader header(image.subspan(0, kSealHeaderBytes));
+  if (header.u32() != magic) {
+    std::string expected(4, ' ');
+    for (std::size_t i = 0; i < 4; ++i) expected[i] = static_cast<char>(magic >> (8 * i));
+    throw SerialError("not a " + name + ": bad magic (expected \"" + expected + "\")");
+  }
+  const std::uint32_t found = header.u32();
+  if (found != version) {
+    throw SerialError(name + " version " + std::to_string(found) +
+                      " is not supported by this build (expected version " +
+                      std::to_string(version) + ")" +
+                      (found > version ? "; it was probably written by a newer release"
+                                       : ""));
+  }
+  const std::uint64_t payload_size = header.u64();
+  const std::uint64_t checksum = header.u64();
+  const std::span<const std::uint8_t> payload = image.subspan(kSealHeaderBytes);
+  if (payload_size > payload.size()) {
+    throw SerialError(name + " is truncated: header declares a " +
+                      std::to_string(payload_size) + "-byte payload but only " +
+                      std::to_string(payload.size()) + " bytes follow");
+  }
+  if (payload_size < payload.size()) {
+    throw SerialError(name + " has " + std::to_string(payload.size() - payload_size) +
+                      " trailing byte(s) after the declared payload");
+  }
+  if (fnv1a64(payload) != checksum) {
+    throw SerialError(name + " payload checksum mismatch: the file is corrupted");
+  }
+  return payload;
+}
+
 void write_rng(ByteWriter& out, const Rng& rng) {
   const Rng::State state = rng.state();
   for (const std::uint64_t word : state.words) out.u64(word);

@@ -5,8 +5,8 @@
 // writes its state through a ByteWriter and restores it through a
 // ByteReader.  The encoding is deliberately dumb: fixed-width little-endian
 // integers, IEEE-754 bit patterns for floats, and u64 length prefixes for
-// strings and vectors.  There is no schema negotiation here — framing,
-// versioning, and integrity checks live one level up in fl::Checkpoint.
+// strings and vectors.  There is no schema negotiation here; the sealed
+// image at the bottom adds the magic, version, and checksum envelope.
 //
 // Readers are strict: any read past the end of the buffer throws
 // SerialError, and callers that expect to consume a buffer exactly call
@@ -105,6 +105,24 @@ class ByteReader {
 /// FNV-1a 64-bit hash — the checkpoint payload checksum.  Not
 /// cryptographic; it detects corruption, not tampering.
 std::uint64_t fnv1a64(std::span<const std::uint8_t> data);
+
+/// A sealed state image (fl::Checkpoint, the scheduler-service snapshot):
+/// u32 magic | u32 version | u64 payload size | u64 fnv1a64(payload) |
+/// payload.
+inline constexpr std::size_t kSealHeaderBytes = 4 + 4 + 8 + 8;
+
+/// Wraps `payload` in the sealed-image envelope.
+std::vector<std::uint8_t> seal(std::uint32_t magic, std::uint32_t version,
+                               std::span<const std::uint8_t> payload);
+
+/// Validates a sealed image and returns its payload (a view into `image`).
+/// Throws SerialError, naming the image `what` (e.g. "checkpoint"), when
+/// the image is shorter than the header, has a bad magic or a foreign
+/// version, is truncated or followed by trailing bytes, or fails the
+/// checksum.
+std::span<const std::uint8_t> open_sealed(std::span<const std::uint8_t> image,
+                                          std::uint32_t magic, std::uint32_t version,
+                                          std::string_view what);
 
 /// Serializes a full Rng cursor (state words, seed, Box-Muller cache).
 void write_rng(ByteWriter& out, const Rng& rng);

@@ -115,6 +115,25 @@ inline fl::TrainerOptions resume_options(bool faults, std::size_t threads) {
   return options;
 }
 
+/// Battery capacity (J) at which resume_options() runs deplete some of the
+/// fleet mid-run: small enough that devices die, large enough that others
+/// keep training to the last round.
+constexpr double kResumeBatteryJ = 0.2;
+
+/// resume_options() with batteries of kResumeBatteryJ.
+inline fl::TrainerOptions with_batteries(fl::TrainerOptions options) {
+  options.battery_capacity_j = kResumeBatteryJ;
+  return options;
+}
+
+/// True when some record of `history` ran with part of the fleet depleted.
+inline bool some_device_depleted(const fl::TrainingHistory& history) {
+  for (const fl::RoundRecord& record : history.rounds()) {
+    if (record.alive_users < kResumeUsers) return true;
+  }
+  return false;
+}
+
 /// The dataset / partition / fleet shared by every run of a test; building
 /// it once per fixture keeps all runs paired on identical inputs.
 struct ResumeWorld {

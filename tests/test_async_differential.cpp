@@ -158,6 +158,13 @@ TEST(AsyncDifferential, AsyncModeIsThreadInvariant) {
     expect_bitwise_identical_across_threads(faults ? "faults" : "clean", threads1,
                                             threads4);
   }
+  // Batteries: devices drop out of the selectable mask as they deplete.
+  const ResumeRun battery1 = run_async_case(
+      world, "HELCFL", with_batteries(resume_options(true, 1)), fedbuff_engine());
+  const ResumeRun battery4 = run_async_case(
+      world, "HELCFL", with_batteries(resume_options(true, 4)), fedbuff_engine());
+  expect_bitwise_identical_across_threads("batteries", battery1, battery4);
+  EXPECT_TRUE(some_device_depleted(battery1.history));
 }
 
 TEST(AsyncDifferential, SemiAsyncBufferZeroLocksToFirstCohort) {

@@ -86,48 +86,56 @@ std::uint64_t trace_field_u64(const std::string& trace, std::string_view event,
 // and at least some of them must be genuinely mid-flight (clients in the
 // air, a partially filled buffer) or the suite proves nothing.
 TEST(AsyncResume, EveryCadencePointResumesBitwiseIdentically) {
-  const std::filesystem::path dir = testing::resume_tmp_dir("async_cadence");
-  TrainerOptions golden_options = testing::resume_options(/*faults=*/true, 1);
-  golden_options.checkpoint_every = 3;
-  golden_options.checkpoint_path = (dir / "ckpt_r{round}.bin").string();
-  const testing::ResumeRun golden =
-      testing::run_async_case(world(), "HELCFL", golden_options, fedbuff_engine());
+  // Also with batteries: depleted devices leave the selectable mask mid-run.
+  for (const bool batteries : {false, true}) {
+    SCOPED_TRACE(batteries ? "batteries" : "no batteries");
+    TrainerOptions options = testing::resume_options(/*faults=*/true, 1);
+    if (batteries) options = testing::with_batteries(options);
+    const std::filesystem::path dir = testing::resume_tmp_dir(
+        batteries ? "async_cadence_batteries" : "async_cadence");
+    TrainerOptions golden_options = options;
+    golden_options.checkpoint_every = 3;
+    golden_options.checkpoint_path = (dir / "ckpt_r{round}.bin").string();
+    const testing::ResumeRun golden =
+        testing::run_async_case(world(), "HELCFL", golden_options, fedbuff_engine());
 
-  const std::vector<std::filesystem::path> snapshots = cadence_files(dir);
-  ASSERT_GE(snapshots.size(), 2U) << "cadence produced too few snapshots";
+    const std::vector<std::filesystem::path> snapshots = cadence_files(dir);
+    ASSERT_GE(snapshots.size(), 2U) << "cadence produced too few snapshots";
 
-  bool saw_in_flight = false;
-  bool saw_buffered = false;
-  bool saw_pending_events = false;
-  for (const std::filesystem::path& path : snapshots) {
-    SCOPED_TRACE(path.filename().string());
-    const Checkpoint ckpt = Checkpoint::read_file(path.string());
-    EXPECT_TRUE(ckpt.async_enabled);
-    EXPECT_FALSE(ckpt.async_state.empty());
-    // The async frame opens with five u64 cursors and three f64 clocks;
-    // the event queue (next_seq, count, events) follows the busy mask.
-    util::ByteReader reader(ckpt.async_state);
-    for (int i = 0; i < 5; ++i) reader.u64();
-    for (int i = 0; i < 3; ++i) reader.f64();
-    reader.vec_u8();     // busy mask
-    reader.u64();        // queue next_seq
-    saw_pending_events = saw_pending_events || reader.u64() > 0;
+    bool saw_in_flight = false;
+    bool saw_buffered = false;
+    bool saw_pending_events = false;
+    for (const std::filesystem::path& path : snapshots) {
+      SCOPED_TRACE(path.filename().string());
+      const Checkpoint ckpt = Checkpoint::read_file(path.string());
+      EXPECT_TRUE(ckpt.async_enabled);
+      EXPECT_FALSE(ckpt.async_state.empty());
+      // The async frame opens with five u64 cursors and three f64 clocks;
+      // the event queue (next_seq, count, events) follows the busy mask.
+      util::ByteReader reader(ckpt.async_state);
+      for (int i = 0; i < 5; ++i) reader.u64();
+      for (int i = 0; i < 3; ++i) reader.f64();
+      reader.vec_u8();     // busy mask
+      reader.u64();        // queue next_seq
+      saw_pending_events = saw_pending_events || reader.u64() > 0;
 
-    TrainerOptions resumed_options = testing::resume_options(/*faults=*/true, 1);
-    resumed_options.resume_from = path.string();
-    const testing::ResumeRun resumed = testing::run_async_case(
-        world(), "HELCFL", resumed_options, fedbuff_engine());
-    testing::expect_bitwise_resume(dir, golden, resumed, ckpt.trace_seq);
+      TrainerOptions resumed_options = options;
+      resumed_options.resume_from = path.string();
+      const testing::ResumeRun resumed = testing::run_async_case(
+          world(), "HELCFL", resumed_options, fedbuff_engine());
+      testing::expect_bitwise_resume(dir, golden, resumed, ckpt.trace_seq);
 
-    saw_in_flight = saw_in_flight ||
-                    trace_field_u64(resumed.trace, "checkpoint_resume", "in_flight") > 0;
-    saw_buffered = saw_buffered ||
-                   trace_field_u64(resumed.trace, "checkpoint_resume", "buffered") > 0;
+      saw_in_flight = saw_in_flight ||
+                      trace_field_u64(resumed.trace, "checkpoint_resume", "in_flight") > 0;
+      saw_buffered = saw_buffered ||
+                     trace_field_u64(resumed.trace, "checkpoint_resume", "buffered") > 0;
+    }
+    // Non-vacuousness: the matrix really crossed mid-flight state.
+    EXPECT_TRUE(saw_pending_events);
+    EXPECT_TRUE(saw_in_flight);
+    EXPECT_TRUE(saw_buffered);
+    if (batteries) EXPECT_TRUE(testing::some_device_depleted(golden.history));
   }
-  // Non-vacuousness: the matrix really crossed mid-flight state.
-  EXPECT_TRUE(saw_pending_events);
-  EXPECT_TRUE(saw_in_flight);
-  EXPECT_TRUE(saw_buffered);
 }
 
 // A snapshot taken by a sequential run must resume bitwise identically on a

@@ -216,7 +216,8 @@ TEST_F(ParallelTrainerTest, ModelCloneIsDeepAndExact) {
 TEST_F(ParallelTrainerTest, ParallelEvaluateMatchesSequential) {
   const auto model = fresh_model();
   const std::vector<float> weights = nn::extract_parameters(*model);
-  const Evaluation sequential = evaluate(*model, weights, split_.test, 32);
+  const EvalPlan plan = make_eval_plan(split_.test, 32);
+  const Evaluation sequential = evaluate(*model, weights, plan);
 
   util::ThreadPool pool(3);
   std::vector<std::unique_ptr<nn::Sequential>> replicas;
@@ -226,7 +227,7 @@ TEST_F(ParallelTrainerTest, ParallelEvaluateMatchesSequential) {
     views.push_back(replicas.back().get());
   }
   const Evaluation parallel =
-      evaluate_parallel(views, weights, split_.test, 32, pool);
+      evaluate_parallel(views, weights, plan, pool);
   EXPECT_EQ(sequential.loss, parallel.loss);
   EXPECT_EQ(sequential.accuracy, parallel.accuracy);
 }

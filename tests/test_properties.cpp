@@ -224,39 +224,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FedAvgProperty, ::testing::Range<std::uint64_t>(
 
 class FedAvgDiscountedProperty : public SeededProperty {};
 
-TEST_P(FedAvgDiscountedProperty, UnitDiscountDegeneratesToFedAvgBitwise) {
-  // discount == 1.0 for every upload must reproduce fedavg() *bitwise*:
-  // x * 1.0 is x in IEEE-754 and the accumulation order is identical.  This
-  // is the arithmetic half of the sync-equivalence contract.
-  util::Rng r = rng();
-  const std::size_t dim = 1 + static_cast<std::size_t>(r.uniform_int(0, 40));
-  const std::size_t k = 1 + static_cast<std::size_t>(r.uniform_int(0, 7));
-  std::vector<std::vector<float>> weights(k, std::vector<float>(dim));
-  std::vector<fl::WeightedModel> plain;
-  std::vector<fl::DiscountedModel> discounted;
-  for (std::size_t j = 0; j < k; ++j) {
-    for (auto& w : weights[j]) w = static_cast<float>(r.normal());
-    const std::size_t count = 1 + static_cast<std::size_t>(r.uniform_int(0, 99));
-    plain.push_back({weights[j], count});
-    discounted.push_back({weights[j], count, 1.0});
-  }
-  EXPECT_EQ(fl::fedavg_discounted(discounted), fl::fedavg(plain));
-}
-
 TEST_P(FedAvgDiscountedProperty, AverageIsWithinComponentwiseHull) {
   // Any positive discounts: still a convex combination per component.
   util::Rng r = rng();
   const std::size_t dim = 1 + static_cast<std::size_t>(r.uniform_int(0, 30));
   const std::size_t k = 1 + static_cast<std::size_t>(r.uniform_int(0, 7));
   std::vector<std::vector<float>> weights(k, std::vector<float>(dim));
-  std::vector<fl::DiscountedModel> uploads;
+  std::vector<fl::WeightedModel> uploads;
   for (std::size_t j = 0; j < k; ++j) {
     for (auto& w : weights[j]) w = static_cast<float>(r.normal());
     uploads.push_back({weights[j],
                        1 + static_cast<std::size_t>(r.uniform_int(0, 99)),
                        r.uniform(0.01, 1.0)});
   }
-  const std::vector<float> avg = fl::fedavg_discounted(uploads);
+  const std::vector<float> avg = fl::fedavg(uploads);
   ASSERT_EQ(avg.size(), dim);
   for (std::size_t i = 0; i < dim; ++i) {
     float lo = weights[0][i];
@@ -277,33 +258,33 @@ TEST(FedAvgDiscountedValidation, DegenerateBuffersAreRejected) {
   const std::vector<float> w = {1.0F, 2.0F};
   const std::vector<float> short_w = {1.0F};
   {  // Empty buffer.
-    EXPECT_THROW(fl::fedavg_discounted({}), std::invalid_argument);
+    EXPECT_THROW(fl::fedavg({}), std::invalid_argument);
   }
   {  // Dimension mismatch.
-    const std::vector<fl::DiscountedModel> uploads = {{w, 3, 1.0},
-                                                      {short_w, 3, 1.0}};
-    EXPECT_THROW(fl::fedavg_discounted(uploads), std::invalid_argument);
+    const std::vector<fl::WeightedModel> uploads = {{w, 3, 1.0},
+                                                    {short_w, 3, 1.0}};
+    EXPECT_THROW(fl::fedavg(uploads), std::invalid_argument);
   }
   {  // Non-finite and negative discounts.
-    const std::vector<fl::DiscountedModel> nan_uploads = {
+    const std::vector<fl::WeightedModel> nan_uploads = {
         {w, 3, std::numeric_limits<double>::quiet_NaN()}};
-    EXPECT_THROW(fl::fedavg_discounted(nan_uploads), std::invalid_argument);
-    const std::vector<fl::DiscountedModel> neg_uploads = {{w, 3, -0.5}};
-    EXPECT_THROW(fl::fedavg_discounted(neg_uploads), std::invalid_argument);
+    EXPECT_THROW(fl::fedavg(nan_uploads), std::invalid_argument);
+    const std::vector<fl::WeightedModel> neg_uploads = {{w, 3, -0.5}};
+    EXPECT_THROW(fl::fedavg(neg_uploads), std::invalid_argument);
   }
   {  // The division-by-zero guard: every entry discounted or sampled to
      // zero leaves no mass to average.
-    const std::vector<fl::DiscountedModel> zero_discount = {{w, 3, 0.0},
-                                                            {w, 9, 0.0}};
-    EXPECT_THROW(fl::fedavg_discounted(zero_discount), std::invalid_argument);
-    const std::vector<fl::DiscountedModel> zero_samples = {{w, 0, 1.0},
-                                                           {w, 0, 0.7}};
-    EXPECT_THROW(fl::fedavg_discounted(zero_samples), std::invalid_argument);
+    const std::vector<fl::WeightedModel> zero_discount = {{w, 3, 0.0},
+                                                          {w, 9, 0.0}};
+    EXPECT_THROW(fl::fedavg(zero_discount), std::invalid_argument);
+    const std::vector<fl::WeightedModel> zero_samples = {{w, 0, 1.0},
+                                                         {w, 0, 0.7}};
+    EXPECT_THROW(fl::fedavg(zero_samples), std::invalid_argument);
   }
   {  // But any positive mass among zeros is fine (survivor defines it).
-    const std::vector<fl::DiscountedModel> one_alive = {{w, 3, 0.0},
-                                                        {w, 5, 0.25}};
-    EXPECT_EQ(fl::fedavg_discounted(one_alive), std::vector<float>(w));
+    const std::vector<fl::WeightedModel> one_alive = {{w, 3, 0.0},
+                                                      {w, 5, 0.25}};
+    EXPECT_EQ(fl::fedavg(one_alive), std::vector<float>(w));
   }
 }
 

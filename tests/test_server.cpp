@@ -115,8 +115,8 @@ TEST(Evaluate, PerfectModelScoresOne) {
     model->backward(loss.grad_logits);
     sgd.step(model->params());
   }
-  const Evaluation eval =
-      evaluate(*model, nn::extract_parameters(*model), split.test);
+  const Evaluation eval = evaluate(*model, nn::extract_parameters(*model),
+                                   make_eval_plan(split.test, 256));
   EXPECT_GT(eval.accuracy, 0.9);
   EXPECT_LT(eval.loss, 1.0);
 }
@@ -126,8 +126,8 @@ TEST(Evaluate, BatchSizeDoesNotChangeResult) {
   util::Rng model_rng(6);
   auto model = nn::make_mlp(split.train.spec(), 8, 10, model_rng);
   const auto weights = nn::extract_parameters(*model);
-  const Evaluation small = evaluate(*model, weights, split.test, 7);
-  const Evaluation large = evaluate(*model, weights, split.test, 1000);
+  const Evaluation small = evaluate(*model, weights, make_eval_plan(split.test, 7));
+  const Evaluation large = evaluate(*model, weights, make_eval_plan(split.test, 1000));
   EXPECT_NEAR(small.accuracy, large.accuracy, 1e-12);
   EXPECT_NEAR(small.loss, large.loss, 1e-9);
 }
@@ -137,7 +137,8 @@ TEST(Evaluate, RejectsEmptyDataset) {
   const nn::ImageSpec spec{1, 2, 2};
   auto model = nn::make_logistic(spec, 3, model_rng);
   data::Dataset empty;
-  EXPECT_THROW(evaluate(*model, nn::extract_parameters(*model), empty),
+  EXPECT_THROW(evaluate(*model, nn::extract_parameters(*model),
+                        make_eval_plan(empty, 256)),
                std::invalid_argument);
 }
 
