@@ -120,6 +120,7 @@ BENCHMARK(BM_Conv2DForward)->Arg(1)->Arg(32);
 
 struct ConvShape {
   std::size_t in_ch, out_ch, extent, batch;
+  bool params_only = false;  // accumulate_grads(): no input gradient
 };
 
 void BM_Conv2DTrainStep(benchmark::State& state, ConvShape shape) {
@@ -129,7 +130,7 @@ void BM_Conv2DTrainStep(benchmark::State& state, ConvShape shape) {
   x.fill_normal(rng, 0.0F, 1.0F);
   Tensor dy(Shape{shape.batch, shape.out_ch, shape.extent, shape.extent});
   dy.fill(0.01F);
-  // Warm-up sizes the im2col scratch; the timed loop must then run
+  // Warm-up sizes the layer scratch; the timed loop must then run
   // allocation-free (the no-alloc steady-state contract, docs/KERNELS.md).
   conv.zero_grad();
   conv.backward(conv.forward(x, true));
@@ -137,8 +138,13 @@ void BM_Conv2DTrainStep(benchmark::State& state, ConvShape shape) {
   for (auto _ : state) {
     conv.zero_grad();
     Tensor y = conv.forward(x, true);
-    Tensor dx = conv.backward(dy);
-    benchmark::DoNotOptimize(dx.data().data());
+    if (shape.params_only) {
+      conv.accumulate_grads(dy);
+    } else {
+      Tensor dx = conv.backward(dy);
+      benchmark::DoNotOptimize(dx.data().data());
+    }
+    benchmark::DoNotOptimize(y.data().data());
   }
   if (tensor::scratch_realloc_count() != reallocs_before) {
     state.SkipWithError("scratch grew during steady-state Conv2D training");
@@ -154,6 +160,10 @@ BENCHMARK(BM_Conv2DTrainStep);
 // 4 samples per lowered chunk for the 8x8 map, 16 for the 4x4 map.
 BENCHMARK_CAPTURE(BM_Conv2DTrainStep, small_cnn_conv1_b40, ConvShape{3, 8, 8, 40});
 BENCHMARK_CAPTURE(BM_Conv2DTrainStep, small_cnn_conv2_b40, ConvShape{8, 16, 4, 40});
+// conv1 as the client trains it: the first layer's input gradient is never
+// read, so Sequential::accumulate_grads skips it.
+BENCHMARK_CAPTURE(BM_Conv2DTrainStep, small_cnn_conv1_b40_params_only,
+                  ConvShape{3, 8, 8, 40, true});
 
 void BM_SoftmaxCrossEntropy(benchmark::State& state) {
   util::Rng rng(7);
@@ -188,7 +198,7 @@ void BM_ModelTrainStep(benchmark::State& state) {
     model->zero_grad();
     Tensor logits = model->forward(x, true);
     nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
-    model->backward(loss.grad_logits);
+    model->accumulate_grads(loss.grad_logits);  // as fl::local_update does
     sgd.step(model->params());
     benchmark::DoNotOptimize(loss.loss);
   }

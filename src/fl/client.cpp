@@ -53,7 +53,7 @@ ClientUpdate local_update(nn::Sequential& model, std::span<const float> global_w
     const tensor::Tensor logits = model.forward(batch->images, /*training=*/true);
     const nn::LossResult loss = nn::softmax_cross_entropy(logits, batch->labels);
     if (step == 0) update.train_loss = loss.loss;
-    model.backward(loss.grad_logits);
+    model.accumulate_grads(loss.grad_logits);
     optimizer.step(model.params());
   }
 

@@ -50,7 +50,7 @@ EvalPlan make_eval_plan(const data::Dataset& dataset, std::size_t batch_size);
 
 /// Evaluates `model` (with `weights` loaded) over a pre-gathered plan.
 /// Leaves `weights` loaded in the model.  Repeated calls against the same
-/// model reuse its layer scratch (im2col columns, packed weight panels),
+/// model reuse its layer scratch (conv chunk panels, packed weight panels),
 /// so steady-state evaluation allocates only activations.
 Evaluation evaluate(nn::Sequential& model, std::span<const float> weights,
                     const EvalPlan& plan);

@@ -1,8 +1,8 @@
 #include "nn/conv2d.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "tensor/gemm_kernel.h"
@@ -64,77 +64,68 @@ namespace {
 // micro-tile columns for every kernel (Nr = 8, 16, 32), so a 4x4 map (16
 // positions) no longer fills half a 32-wide panel, and one GEMM call
 // amortizes its packing and dispatch over 256 columns.  It stays small
-// enough that the zoo's column panels [in_ch*k*k, 256] (at most 72 KB)
-// remain cache-resident and scratch stays bounded for any batch.
+// enough that the zoo's padded chunks and gradient panels remain
+// cache-resident and scratch stays bounded for any batch.
 constexpr std::size_t kChunkCols = 256;
-
-/// Samples per chunk when each has `hw` output positions:
-/// floor(kChunkCols / hw), at least 1, at most the batch.
-std::size_t chunk_samples(std::size_t batch, std::size_t hw) {
-  return std::clamp<std::size_t>(kChunkCols / hw, 1, std::max<std::size_t>(batch, 1));
-}
 
 }  // namespace
 
-const float* Conv2D::pad(const float* src, std::size_t h_in, std::size_t w_in) {
-  if (padding_ == 0) return src;
-  const std::size_t hp = h_in + 2 * padding_;
-  const std::size_t wp = w_in + 2 * padding_;
-  std::fill_n(pad_.data(), in_channels_ * hp * wp, 0.0F);
-  for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-    for (std::size_t y = 0; y < h_in; ++y) {
-      std::copy_n(src + (ic * h_in + y) * w_in, w_in,
-                  pad_.data() + (ic * hp + y + padding_) * wp + padding_);
-    }
-  }
-  return pad_.data();
+Conv2D::Geometry Conv2D::prepare(const Shape& s) {
+  const std::size_t h_out = output_extent(s[2]);
+  const std::size_t w_out = output_extent(s[3]);
+  const std::size_t hw = h_out * w_out;
+  // Samples per chunk: floor(kChunkCols / hw), at least 1, at most the batch.
+  const std::size_t chunk =
+      std::clamp<std::size_t>(kChunkCols / hw, 1, std::max<std::size_t>(s[0], 1));
+  const Geometry g{s[0], s[2], s[3], h_out, w_out, hw, s[2] + 2 * padding_,
+                   s[3] + 2 * padding_, in_channels_ * kernel_ * kernel_, chunk,
+                   in_channels_ * s[2] * s[3], out_channels_ * hw};
+  tensor::detail::ensure_scratch(panel_, out_channels_ * chunk * hw);
+  if (padding_ > 0) tensor::detail::ensure_scratch(pad_, chunk * in_channels_ * g.hp * g.wp);
+  return g;
 }
 
-void Conv2D::unpad(std::size_t h_in, std::size_t w_in, float* dst) const {
-  const std::size_t hp = h_in + 2 * padding_;
-  const std::size_t wp = w_in + 2 * padding_;
-  for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-    for (std::size_t y = 0; y < h_in; ++y) {
-      std::copy_n(pad_.data() + (ic * hp + y + padding_) * wp + padding_, w_in,
-                  dst + (ic * h_in + y) * w_in);
+tensor::detail::Im2colView Conv2D::padded_view(const float* src, std::size_t cnt,
+                                               const Geometry& g) {
+  const tensor::detail::Im2colView view{
+      padding_ == 0 ? src : pad_.data(), in_channels_, kernel_, stride_, g.hp,
+      g.wp, g.h_out, g.w_out, in_channels_ * g.hp * g.wp};
+  if (padding_ == 0) return view;
+  std::fill_n(pad_.data(), cnt * view.sample_stride, 0.0F);
+  for (std::size_t plane = 0; plane < cnt * in_channels_; ++plane) {
+    for (std::size_t y = 0; y < g.h_in; ++y) {
+      std::copy_n(src + (plane * g.h_in + y) * g.w_in, g.w_in,
+                  pad_.data() + (plane * g.hp + y + padding_) * g.wp + padding_);
     }
   }
+  return view;
 }
 
-void Conv2D::im2col(const float* __restrict__ src, std::size_t hp, std::size_t wp,
-                    std::size_t h_out, std::size_t w_out, std::size_t ld,
-                    float* __restrict__ dst) const {
+void Conv2D::col2im(const float* __restrict__ src, const Geometry& g, std::size_t ld,
+                    float* __restrict__ dst) {
+  // With padding the columns land in a zeroed padded sample whose interior
+  // is the gradient; the additions reach each element in the same order.
+  float* padded = padding_ == 0 ? dst : pad_.data();
+  if (padding_ > 0) std::fill_n(padded, in_channels_ * g.hp * g.wp, 0.0F);
   std::size_t r = 0;
   for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-    const float* plane = src + ic * hp * wp;
-    for (std::size_t ky = 0; ky < kernel_; ++ky) {
-      for (std::size_t kx = 0; kx < kernel_; ++kx, ++r) {
-        float* row = dst + r * ld;
-        for (std::size_t y = 0; y < h_out; ++y) {
-          const float* in = plane + (y * stride_ + ky) * wp + kx;
-          float* out = row + y * w_out;
-          for (std::size_t x = 0; x < w_out; ++x) out[x] = in[x * stride_];
-        }
-      }
-    }
-  }
-}
-
-void Conv2D::col2im(const float* __restrict__ src, std::size_t hp, std::size_t wp,
-                    std::size_t h_out, std::size_t w_out, std::size_t ld,
-                    float* __restrict__ dst) const {
-  std::size_t r = 0;
-  for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-    float* plane = dst + ic * hp * wp;
+    float* plane = padded + ic * g.hp * g.wp;
     for (std::size_t ky = 0; ky < kernel_; ++ky) {
       for (std::size_t kx = 0; kx < kernel_; ++kx, ++r) {
         const float* row = src + r * ld;
-        for (std::size_t y = 0; y < h_out; ++y) {
-          const float* in = row + y * w_out;
-          float* out = plane + (y * stride_ + ky) * wp + kx;
-          for (std::size_t x = 0; x < w_out; ++x) out[x * stride_] += in[x];
+        for (std::size_t y = 0; y < g.h_out; ++y) {
+          const float* in = row + y * g.w_out;
+          float* out = plane + (y * stride_ + ky) * g.wp + kx;
+          for (std::size_t x = 0; x < g.w_out; ++x) out[x * stride_] += in[x];
         }
       }
+    }
+  }
+  if (padding_ == 0) return;
+  for (std::size_t ic = 0; ic < in_channels_; ++ic) {
+    for (std::size_t y = 0; y < g.h_in; ++y) {
+      std::copy_n(padded + (ic * g.hp + y + padding_) * g.wp + padding_, g.w_in,
+                  dst + (ic * g.h_in + y) * g.w_in);
     }
   }
 }
@@ -146,55 +137,33 @@ Tensor Conv2D::forward(const Tensor& input, bool training) {
                                 std::to_string(in_channels_) + ", H, W], got " +
                                 s.to_string());
   }
-  const std::size_t batch = s[0];
-  const std::size_t h_in = s[2];
-  const std::size_t w_in = s[3];
-  const std::size_t h_out = output_extent(h_in);
-  const std::size_t w_out = output_extent(w_in);
-  const std::size_t ckk = in_channels_ * kernel_ * kernel_;
-  const std::size_t hw = h_out * w_out;
-  const std::size_t hp = h_in + 2 * padding_;
-  const std::size_t wp = w_in + 2 * padding_;
-  const std::size_t in_plane = in_channels_ * h_in * w_in;
-  const std::size_t out_plane = out_channels_ * hw;
-  const std::size_t chunk = chunk_samples(batch, hw);
-
-  Tensor output(Shape{batch, out_channels_, h_out, w_out});
-  tensor::detail::ensure_scratch(col_, ckk * chunk * hw);
-  tensor::detail::ensure_scratch(panel_, out_channels_ * chunk * hw);
-  if (padding_ > 0) tensor::detail::ensure_scratch(pad_, in_channels_ * hp * wp);
+  const Geometry g = prepare(s);
+  Tensor output(Shape{g.batch, out_channels_, g.h_out, g.w_out});
   const float* in = input.data().data();
   float* out = output.data().data();
   // The weight acts as the [out_ch, ckk] left operand of every chunk's
   // GEMM; pack its panels once per weight mutation instead of per call.
   // Packed and unpacked paths produce identical bits (ops.h).
   const bool prepack = tensor::weight_prepack_enabled();
-  if (prepack && !packed_.is_a(out_channels_, ckk)) {
-    packed_.pack_a(out_channels_, ckk, weight_.data());
+  if (prepack && !packed_.is_a(out_channels_, g.ckk)) {
+    packed_.pack_a(out_channels_, g.ckk, weight_.data());
   }
-  // Per chunk of cnt samples: panel[out_ch, cnt*hw] = W * col[ckk, cnt*hw]
-  // + bias (fused), then scatter the panel's per-sample column blocks into
-  // NCHW.
-  for (std::size_t n0 = 0; n0 < batch; n0 += chunk) {
-    const std::size_t cnt = std::min(chunk, batch - n0);
-    const std::size_t cols = cnt * hw;
-    for (std::size_t i = 0; i < cnt; ++i) {
-      im2col(pad(in + (n0 + i) * in_plane, h_in, w_in), hp, wp, h_out, w_out,
-             cols, col_.data() + i * hw);
-    }
-    const std::span<const float> col(col_.data(), ckk * cols);
-    const std::span<float> panel(panel_.data(), out_channels_ * cols);
-    if (prepack) {
-      tensor::gemm_bias_rows(out_channels_, ckk, cols, packed_, col,
-                             bias_.data(), panel);
-    } else {
-      tensor::gemm_bias_rows(out_channels_, ckk, cols, weight_.data(), col,
-                             bias_.data(), panel);
-    }
+  // Per chunk of cnt samples: panel[out_ch, cnt*hw] = W * cols[ckk, cnt*hw]
+  // + bias (fused), packing cols straight from the padded chunk; then
+  // scatter the panel's per-sample column blocks into NCHW.
+  for (std::size_t n0 = 0; n0 < g.batch; n0 += g.chunk) {
+    const std::size_t cnt = std::min(g.chunk, g.batch - n0);
+    const std::size_t cols = cnt * g.hw;
+    const tensor::detail::Im2colView view = padded_view(in + n0 * g.in_plane, cnt, g);
+    tensor::detail::run_gemm({.m = out_channels_, .k = g.ckk, .n = cols,
+                              .a = weight_.data().data(), .c = panel_.data(),
+                              .bias = bias_.data().data(),
+                              .packed_a = prepack ? packed_.panels() : nullptr,
+                              .b_view = &view});
     for (std::size_t i = 0; i < cnt; ++i) {
       for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-        std::copy_n(panel_.data() + oc * cols + i * hw, hw,
-                    out + (n0 + i) * out_plane + oc * hw);
+        std::copy_n(panel_.data() + oc * cols + i * g.hw, g.hw,
+                    out + (n0 + i) * g.out_plane + oc * g.hw);
       }
     }
   }
@@ -202,78 +171,54 @@ Tensor Conv2D::forward(const Tensor& input, bool training) {
   return output;
 }
 
-Tensor Conv2D::backward(const Tensor& grad_output) {
-  assert(!cached_input_.empty() && "backward() requires a training forward()");
-  const Shape& s = cached_input_.shape();
-  const std::size_t batch = s[0];
-  const std::size_t h_in = s[2];
-  const std::size_t w_in = s[3];
-  const std::size_t h_out = grad_output.shape()[2];
-  const std::size_t w_out = grad_output.shape()[3];
-  assert(grad_output.shape() == Shape({batch, out_channels_, h_out, w_out}));
-  const std::size_t ckk = in_channels_ * kernel_ * kernel_;
-  const std::size_t hw = h_out * w_out;
-  const std::size_t hp = h_in + 2 * padding_;
-  const std::size_t wp = w_in + 2 * padding_;
-  const std::size_t in_plane = in_channels_ * h_in * w_in;
-  const std::size_t out_plane = out_channels_ * hw;
-  const std::size_t chunk = chunk_samples(batch, hw);
-
-  tensor::detail::ensure_scratch(col_, ckk * hw);
-  tensor::detail::ensure_scratch(col_grad_, ckk * chunk * hw);
-  tensor::detail::ensure_scratch(panel_, out_channels_ * chunk * hw);
-  if (padding_ > 0) tensor::detail::ensure_scratch(pad_, in_channels_ * hp * wp);
-
-  Tensor grad_input(s);
+Tensor Conv2D::backprop(const Tensor& grad_output, bool input_grad) {
+  if (cached_input_.shape().rank() == 0) {
+    throw std::logic_error("Conv2D::backward: requires a training forward()");
+  }
+  const Geometry g = prepare(cached_input_.shape());
+  tensor::require_same_shape(grad_output.shape(), {g.batch, out_channels_, g.h_out, g.w_out},
+                             "Conv2D::backward: grad_output vs forward output");
+  if (input_grad) tensor::detail::ensure_scratch(col_grad_, g.ckk * g.chunk * g.hw);
+  Tensor grad_input(input_grad ? cached_input_.shape() : Shape{});
   const float* in = cached_input_.data().data();
   const float* gout = grad_output.data().data();
-  float* gin = grad_input.data().data();
-  for (std::size_t n0 = 0; n0 < batch; n0 += chunk) {
-    const std::size_t cnt = std::min(chunk, batch - n0);
-    const std::size_t cols = cnt * hw;
+  for (std::size_t n0 = 0; n0 < g.batch; n0 += g.chunk) {
+    const std::size_t cnt = std::min(g.chunk, g.batch - n0);
+    const std::size_t cols = cnt * g.hw;
     // Gather the chunk's output gradients into one [out_ch, cnt*hw] panel
     // (the inverse of the forward scatter).
     for (std::size_t i = 0; i < cnt; ++i) {
       for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-        std::copy_n(gout + (n0 + i) * out_plane + oc * hw, hw,
-                    panel_.data() + oc * cols + i * hw);
+        std::copy_n(gout + (n0 + i) * g.out_plane + oc * g.hw, g.hw,
+                    panel_.data() + oc * cols + i * g.hw);
       }
     }
     // grad_col[ckk, cnt*hw] = W^T[ckk, oc] * panel[oc, cnt*hw]; every
     // element reduces over out_ch alone, so chunking cannot move its bits.
-    tensor::gemm_at_b(ckk, out_channels_, cols, weight_.data(),
-                      std::span<const float>(panel_.data(), out_channels_ * cols),
-                      std::span<float>(col_grad_.data(), ckk * cols));
-    for (std::size_t i = 0; i < cnt; ++i) {
-      const std::size_t n = n0 + i;
-      const float* gout_n = gout + n * out_plane;
-      float* gin_n = gin + n * in_plane;
-      // Fold the sample's column gradients back.  With padding they land in
-      // a zeroed padded plane whose interior is the gradient; the additions
-      // reach each element in the same order either way.
-      if (padding_ == 0) {
-        col2im(col_grad_.data() + i * hw, hp, wp, h_out, w_out, cols, gin_n);
-      } else {
-        std::fill_n(pad_.data(), in_channels_ * hp * wp, 0.0F);
-        col2im(col_grad_.data() + i * hw, hp, wp, h_out, w_out, cols, pad_.data());
-        unpad(h_in, w_in, gin_n);
+    // Each sample's columns then fold back through col2im.
+    if (input_grad) {
+      tensor::gemm_at_b(g.ckk, out_channels_, cols, weight_.data(),
+                        std::span<const float>(panel_.data(), out_channels_ * cols),
+                        std::span<float>(col_grad_.data(), g.ckk * cols));
+      for (std::size_t i = 0; i < cnt; ++i) {
+        col2im(col_grad_.data() + i * g.hw, g, cols,
+               grad_input.data().data() + (n0 + i) * g.in_plane);
       }
-      // The weight and bias gradients sum over samples, so they stay one
-      // sample at a time in sample order: that loop is their reduction
-      // order.  Recompute the sample's columns (forward kept only its input).
-      im2col(pad(in + n * in_plane, h_in, w_in), hp, wp, h_out, w_out, hw,
-             col_.data());
-      // grad_W[oc, ckk] += gout[oc, hw] * col^T[hw, ckk]
-      tensor::gemm_a_bt_accumulate(out_channels_, hw, ckk,
-                                   std::span<const float>(gout_n, out_plane),
-                                   std::span<const float>(col_.data(), ckk * hw),
-                                   grad_weight_.data());
-      // grad_b[oc] += sum over spatial positions
+    }
+    // grad_W[oc, ckk] += panel[oc, cnt*hw] * cols^T, packing cols straight
+    // from the padded chunk.  k_segment = hw restarts the k-blocks at every
+    // sample, so C folds one sample at a time in sample order, exactly as
+    // one GEMM per sample would.
+    const tensor::detail::Im2colView view = padded_view(in + n0 * g.in_plane, cnt, g);
+    tensor::detail::run_gemm({.m = out_channels_, .k = cols, .n = g.ckk,
+                              .a = panel_.data(), .c = grad_weight_.data().data(),
+                              .trans_b = true, .accumulate = true,
+                              .b_view = &view, .k_segment = g.hw});
+    // grad_b[oc] += sum over spatial positions, one sample at a time.
+    for (std::size_t i = 0; i < cnt; ++i) {
       for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-        const float* g_row = gout_n + oc * hw;
-        float sum = 0.0F;
-        for (std::size_t j = 0; j < hw; ++j) sum += g_row[j];
-        grad_bias_[oc] += sum;
+        const float* g_row = gout + (n0 + i) * g.out_plane + oc * g.hw;
+        grad_bias_[oc] += std::accumulate(g_row, g_row + g.hw, 0.0F);
       }
     }
   }

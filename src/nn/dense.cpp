@@ -1,6 +1,5 @@
 #include "nn/dense.h"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -61,11 +60,13 @@ Tensor Dense::forward(const Tensor& input, bool training) {
   return output;
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
-  assert(!cached_input_.empty() && "backward() requires a training forward()");
+void Dense::accumulate_grads(const Tensor& grad_output) {
+  if (cached_input_.shape().rank() == 0) {
+    throw std::logic_error("Dense::backward: requires a training forward()");
+  }
   const std::size_t batch = cached_input_.shape()[0];
-  assert(grad_output.shape() == Shape({batch, out_features_}));
-
+  tensor::require_same_shape(grad_output.shape(), {batch, out_features_},
+                             "Dense::backward: grad_output vs forward output");
   // grad_weight[o, i] += sum_b grad_output[b, o] * input[b, i], accumulated
   // straight into the parameter gradient (no temporary).
   tensor::gemm_at_b_accumulate(out_features_, batch, in_features_,
@@ -77,8 +78,12 @@ Tensor Dense::backward(const Tensor& grad_output) {
     const float* g_row = g + b * out_features_;
     for (std::size_t o = 0; o < out_features_; ++o) grad_bias_[o] += g_row[o];
   }
+}
 
+Tensor Dense::backward(const Tensor& grad_output) {
+  Dense::accumulate_grads(grad_output);
   // grad_input[b, i] = sum_o grad_output[b, o] * weight[o, i]
+  const std::size_t batch = grad_output.shape()[0];
   Tensor grad_input(Shape{batch, in_features_});
   tensor::gemm(batch, out_features_, in_features_, grad_output.data(), weight_.data(),
                grad_input.data());

@@ -22,6 +22,7 @@ class Dense : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  void accumulate_grads(const tensor::Tensor& grad_output) override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   void mark_weights_dirty() override { packed_.invalidate(); }

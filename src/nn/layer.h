@@ -4,6 +4,8 @@
 //   1. zero_grad()
 //   2. y = forward(x, /*training=*/true)   -- caches whatever backward needs
 //   3. dx = backward(dy)                   -- accumulates parameter gradients
+//      (accumulate_grads(dy) instead when nothing reads dx, as in the FL
+//      client's local update)
 //   4. optimizer steps over params()
 //
 // forward(x, /*training=*/false) must not perturb results (e.g. dropout
@@ -51,6 +53,12 @@ class Layer {
   /// Given dLoss/dOutput, accumulates parameter gradients and returns
   /// dLoss/dInput.  Must be called after a training-mode forward().
   virtual tensor::Tensor backward(const tensor::Tensor& grad_output) = 0;
+
+  /// backward() without dLoss/dInput: the same parameter gradients, bit for
+  /// bit.  Conv2D and Dense override it to skip the input-gradient work.
+  virtual void accumulate_grads(const tensor::Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
 
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<ParamRef> params() { return {}; }

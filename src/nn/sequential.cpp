@@ -1,5 +1,6 @@
 #include "nn/sequential.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace helcfl::nn {
@@ -28,6 +29,15 @@ Tensor Sequential::backward(const Tensor& grad_output) {
     grad = (*it)->backward(grad);
   }
   return grad;
+}
+
+void Sequential::accumulate_grads(const Tensor& grad_output) {
+  const auto lowest = std::find_if(layers_.begin(), layers_.end(),
+                                   [](auto& layer) { return !layer->params().empty(); });
+  if (lowest == layers_.end()) return;
+  Tensor grad = grad_output;
+  for (auto it = layers_.end() - 1; it != lowest; --it) grad = (*it)->backward(grad);
+  (*lowest)->accumulate_grads(grad);
 }
 
 std::vector<ParamRef> Sequential::params() {

@@ -30,6 +30,9 @@ class Sequential : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  /// Runs backward() down to the lowest layer with parameters and
+  /// accumulate_grads() on that layer; nothing below it runs.
+  void accumulate_grads(const tensor::Tensor& grad_output) override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::vector<std::span<float>> state_buffers() override;

@@ -107,8 +107,6 @@ KernelTeam& team() {
 
 const KernelVTable& active_kernel_vtable() { return resolved(); }
 
-GemmFn active_kernel() { return resolved().gemm; }
-
 void run_gemm(const GemmArgs& args) {
   const KernelVTable& vt = resolved();
   KernelTeam& t = team();
@@ -121,6 +119,7 @@ void run_gemm(const GemmArgs& args) {
   // Shard C's rows at mc granularity: chunk boundaries land on the same kMc
   // block edges a sequential sweep visits, and every element's ascending-k
   // reduction stays whole on one thread — bitwise equal to 1-thread runs.
+  // Chunk i runs on worker i, so one full-width call reaches every worker.
   const auto chunks =
       util::ThreadPool::partition_chunks(args.m, t.threads, vt.mc);
   if (chunks.size() <= 1) {
@@ -129,11 +128,11 @@ void run_gemm(const GemmArgs& args) {
   }
   std::vector<std::future<void>> joins;
   joins.reserve(chunks.size());
-  for (const auto& chunk : chunks) {
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
     GemmArgs shard = args;
-    shard.row_begin = chunk.begin;
-    shard.row_end = chunk.end;
-    joins.push_back(t.pool->submit([shard, &vt] { vt.gemm(shard); }));
+    shard.row_begin = chunks[i].begin;
+    shard.row_end = chunks[i].end;
+    joins.push_back(t.pool->submit_to(i, [shard, &vt] { vt.gemm(shard); }));
   }
   // Join every shard before rethrowing so no worker touches freed operands.
   std::exception_ptr first_error;

@@ -34,6 +34,18 @@
 
 namespace helcfl::tensor::detail {
 
+/// A B operand read in place from images: the column panel
+/// [channels*kernel^2, cnt*h_out*w_out] that im2col would unroll from `cnt`
+/// zero-bordered samples.  Panel element (r, c), r = (ic, ky, kx) and
+/// c = (s, y, x), is image[s*sample_stride + ic*hp*wp + (y*stride + ky)*wp
+/// + x*stride + kx].
+struct Im2colView {
+  const float* image = nullptr;  ///< first sample [channels, hp, wp]
+  std::size_t channels = 0, kernel = 0, stride = 1;
+  std::size_t hp = 0, wp = 0, h_out = 0, w_out = 0;  ///< padded in, out extents
+  std::size_t sample_stride = 0;  ///< floats from one sample to the next
+};
+
 /// One C = op(A)·op(B) [+ C] [+ bias] problem over row-major storage.
 struct GemmArgs {
   std::size_t m = 0;  ///< rows of op(A) and C
@@ -62,6 +74,14 @@ struct GemmArgs {
   /// guarantees this by partitioning at mc granularity).
   std::size_t row_begin = 0;
   std::size_t row_end = 0;
+  /// When set, B is this view's panel (op(B) its transpose when trans_b)
+  /// and `b` is ignored: packing reads through the im2col index map.
+  const Im2colView* b_view = nullptr;
+  /// When nonzero, k-blocks restart at every multiple of k_segment (still
+  /// at most kc long), so one accumulate call over k = cnt*k_segment folds
+  /// C exactly as cnt per-segment calls would.  Prepacked panels must come
+  /// from a pack with the same k_segment.
+  std::size_t k_segment = 0;
 };
 
 using GemmFn = void (*)(const GemmArgs&);
@@ -124,9 +144,6 @@ const KernelVTable& gemm_avx512_vtable();
 /// bit-reproducibility.
 const KernelVTable& active_kernel_vtable();
 
-/// The resolved kernel's GEMM entry (no threading, no packing cache).
-GemmFn active_kernel();
-
 /// Runs one GEMM through the resolved kernel, sharding C's rows across the
 /// kernel thread pool when (a) more than one kernel thread is configured,
 /// (b) the problem is large enough to amortize the fork/join, and (c) the
@@ -151,7 +168,7 @@ std::size_t kernel_threads();
 std::string_view kernel_isa();
 
 /// Process-wide count of scratch-buffer growths (GEMM packing panels and
-/// layer im2col buffers), aggregated across every thread — the panels are
+/// layer scratch), aggregated across every thread — the panels are
 /// thread_local but the counter is one process-global atomic, so pool
 /// workers' growths are visible here too.  In steady state — repeated calls
 /// with shapes no larger than already seen on each thread — this must not

@@ -1,8 +1,8 @@
 // AVX2+FMA GEMM driver: same source as the generic TU, compiled with
 // -mavx2 -mfma (per-file flags set in CMakeLists.txt) and a 6x16
 // micro-tile — 12 YMM accumulators + 2 B vectors + 1 broadcast fits the
-// 16-register file.  Selected at runtime by detail::active_kernel() only
-// when CPUID reports both AVX2 and FMA.
+// 16-register file.  Selected at runtime by detail::active_kernel_vtable()
+// only when CPUID reports both AVX2 and FMA.
 #define HELCFL_KERNEL_FN gemm_avx2
 #define HELCFL_KERNEL_PACK_A_FN gemm_avx2_pack_a
 #define HELCFL_KERNEL_PACK_B_FN gemm_avx2_pack_b

@@ -188,24 +188,15 @@ std::string_view kernel_isa() { return detail::kernel_isa(); }
 
 std::uint64_t scratch_realloc_count() { return detail::scratch_reallocs(); }
 
-namespace {
-void require_same_shape(const Tensor& a, const Tensor& b, const char* op) {
-  if (a.shape() != b.shape()) {
-    throw std::invalid_argument(std::string(op) + ": shape mismatch " +
-                                a.shape().to_string() + " vs " + b.shape().to_string());
-  }
-}
-}  // namespace
-
 Tensor add(const Tensor& a, const Tensor& b) {
-  require_same_shape(a, b, "tensor::add");
+  require_same_shape(a.shape(), b.shape(), "tensor::add");
   Tensor out = a;
   add_inplace(out.data(), b.data());
   return out;
 }
 
 Tensor sub(const Tensor& a, const Tensor& b) {
-  require_same_shape(a, b, "tensor::sub");
+  require_same_shape(a.shape(), b.shape(), "tensor::sub");
   Tensor out = a;
   sub_inplace(out.data(), b.data());
   return out;

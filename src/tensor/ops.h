@@ -53,8 +53,8 @@ void gemm_accumulate(std::size_t m, std::size_t k, std::size_t n,
                      std::span<float> c);
 
 /// C[M,N] = A[M,K] * B[K,N] + bias[i] broadcast across row i.  The bias
-/// lands in the kernel's store pass (no second sweep over C); Conv2D's
-/// im2col forward uses it with bias = per-output-channel.
+/// lands in the kernel's store pass (no second sweep over C), as in
+/// Conv2D's forward with bias = per-output-channel.
 void gemm_bias_rows(std::size_t m, std::size_t k, std::size_t n,
                     std::span<const float> a, std::span<const float> b,
                     std::span<const float> bias, std::span<float> c);
@@ -73,8 +73,8 @@ void gemm_at_b_accumulate(std::size_t m, std::size_t k, std::size_t n,
 void gemm_a_bt(std::size_t m, std::size_t k, std::size_t n, std::span<const float> a,
                std::span<const float> b, std::span<float> c);
 
-/// C[M,N] += A[M,K] * B^T[K,N] where B is stored as [N,K] (Conv2D
-/// grad_weight accumulation over im2col panels).
+/// C[M,N] += A[M,K] * B^T[K,N] where B is stored as [N,K] (a conv
+/// grad_weight step on an explicit im2col panel).
 void gemm_a_bt_accumulate(std::size_t m, std::size_t k, std::size_t n,
                           std::span<const float> a, std::span<const float> b,
                           std::span<float> c);
@@ -102,7 +102,7 @@ void gemm_a_bt_bias_cols(std::size_t m, std::size_t k, std::size_t n,
 class PackedWeights {
  public:
   /// Packs W[m,k] as the left operand of gemm_bias_rows/gemm-style
-  /// products (Conv2D forward: W * im2col-panel).
+  /// products (Conv2D forward: W * im2col view).
   void pack_a(std::size_t m, std::size_t k, std::span<const float> w);
 
   /// Packs W[n,k] as the transposed right operand of

@@ -25,6 +25,13 @@ std::string Shape::to_string() const {
   return out;
 }
 
+void require_same_shape(const Shape& a, const Shape& b, const std::string& what) {
+  if (a != b) {
+    throw std::invalid_argument(what + ": shape mismatch " + a.to_string() + " vs " +
+                                b.to_string());
+  }
+}
+
 Tensor::Tensor(Shape shape)
     : shape_(std::move(shape)), data_(shape_.num_elements(), 0.0F) {}
 

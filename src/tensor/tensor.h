@@ -43,6 +43,10 @@ class Shape {
   std::vector<std::size_t> dims_;
 };
 
+/// Throws std::invalid_argument "<what>: shape mismatch <a> vs <b>" unless
+/// a == b.
+void require_same_shape(const Shape& a, const Shape& b, const std::string& what);
+
 /// Owning dense float tensor.  Copyable, movable; copies are deep.
 class Tensor {
  public:

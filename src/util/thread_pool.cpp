@@ -12,6 +12,7 @@ thread_local std::size_t tls_worker_index = ThreadPool::npos;
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads <= 1) return;  // inline mode
+  pinned_.resize(num_threads);
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -60,10 +61,12 @@ void ThreadPool::worker_loop(std::size_t index) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and fully drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      auto& mine = pinned_[index];
+      cv_.wait(lock, [&] { return stopping_ || !mine.empty() || !queue_.empty(); });
+      auto& from = mine.empty() ? queue_ : mine;
+      if (from.empty()) return;  // stopping_ and fully drained
+      task = std::move(from.front());
+      from.pop_front();
     }
     task();  // packaged_task captures any exception into its future
   }

@@ -75,6 +75,16 @@ class ThreadPool {
   /// task surfaces its exception from future.get(), never std::terminate.
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
+    return submit_to(npos, std::forward<F>(fn));
+  }
+
+  /// submit() pinned to worker `worker` (< worker_count()); `npos` lets any
+  /// worker run it.  Lets a caller that hands chunk i of partition_chunks()
+  /// to worker i place its work deterministically.  A worker runs its own
+  /// pinned tasks before shared ones.
+  template <typename F>
+  auto submit_to(std::size_t worker, F&& fn)
+      -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using Result = std::invoke_result_t<std::decay_t<F>>;
     auto task = std::make_shared<std::packaged_task<Result()>>(std::forward<F>(fn));
     std::future<Result> future = task->get_future();
@@ -84,9 +94,14 @@ class ThreadPool {
     }
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      queue_.emplace_back([task] { (*task)(); });
+      (worker == npos ? queue_ : pinned_.at(worker)).emplace_back([task] { (*task)(); });
     }
-    cv_.notify_one();
+    // A pinned task must wake its own worker, not just any one.
+    if (worker == npos) {
+      cv_.notify_one();
+    } else {
+      cv_.notify_all();
+    }
     return future;
   }
 
@@ -95,6 +110,7 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
+  std::vector<std::deque<std::function<void()>>> pinned_;  // one per worker
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;

@@ -5,10 +5,13 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gradcheck.h"
 #include "nn/serialize.h"
+#include "oracles/explicit_conv.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -298,6 +301,118 @@ TEST(Conv2D, ChunkedBatchMatchesOneSampleBatchesBitwise) {
     EXPECT_EQ(bits(got[0].grad), bits(want[0].grad)) << "grad_weight";
     EXPECT_EQ(bits(got[1].grad), bits(want[1].grad)) << "grad_bias";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Implicit GEMM against the explicit-panel oracle (tests/oracles/
+// explicit_conv): forward output, grad_W, grad_b and grad_input must match
+// bit for bit, for backward() and for the parameter-only accumulate_grads(),
+// with weight prepacking on and off and with 1 and 4 kernel threads.
+
+/// Restores the process-wide kernel knobs a test changes.
+struct KernelKnobs {
+  const std::size_t threads = tensor::kernel_threads();
+  const bool prepack = tensor::weight_prepack_enabled();
+  ~KernelKnobs() {
+    tensor::set_kernel_threads(threads);
+    tensor::set_weight_prepack(prepack);
+  }
+};
+
+TEST(Conv2D, ImplicitGemmMatchesExplicitPanelOracleBitwise) {
+  std::vector<ConvConfig> configs;
+  for (const std::size_t batch : {1, 5, 40, 67}) {
+    configs.push_back({3, 8, 3, 1, 1, 8, 8, batch});   // small_cnn conv1
+    configs.push_back({8, 16, 3, 1, 1, 4, 4, batch});  // small_cnn conv2
+  }
+  configs.push_back({2, 4, 3, 2, 0, 9, 7, 7});    // stride 2, no padding
+  configs.push_back({1, 2, 3, 3, 1, 11, 8, 6});   // stride 3
+  configs.push_back({2, 3, 5, 1, 2, 7, 10, 9});   // 5x5, padding 2, non-square
+  configs.push_back({4, 8, 1, 1, 0, 4, 4, 21});   // 1x1 (Fire squeeze/expand)
+  configs.push_back({3, 4, 3, 1, 1, 32, 32, 3});  // hw = 1024: four k-blocks a sample
+  // 192 output channels: the GEMMs are large enough to shard their rows
+  // across the kernel pool.
+  configs.push_back({16, 192, 3, 1, 1, 16, 16, 2});
+  const KernelKnobs restore;
+  std::uint64_t seed = 300;
+  for (const ConvConfig& cfg : configs) {
+    SCOPED_TRACE("in_ch=" + std::to_string(cfg.in_ch) + " out_ch=" +
+                 std::to_string(cfg.out_ch) + " k=" + std::to_string(cfg.k) +
+                 " s=" + std::to_string(cfg.stride) + " p=" + std::to_string(cfg.pad) +
+                 " h=" + std::to_string(cfg.h) + " w=" + std::to_string(cfg.w) +
+                 " batch=" + std::to_string(cfg.batch));
+    util::Rng rng(seed++);
+    Conv2D conv(cfg.in_ch, cfg.out_ch, cfg.k, cfg.stride, cfg.pad, rng);
+    const std::vector<float> params = extract_parameters(conv);
+    const std::size_t wsize = cfg.out_ch * cfg.in_ch * cfg.k * cfg.k;
+    const Tensor x =
+        testing::random_input(Shape{cfg.batch, cfg.in_ch, cfg.h, cfg.w}, seed++);
+    const Tensor dy = testing::random_input(
+        Shape{cfg.batch, cfg.out_ch, conv.output_extent(cfg.h), conv.output_extent(cfg.w)},
+        seed++);
+    const ExplicitConvResult want = explicit_conv(
+        {cfg.in_ch, cfg.out_ch, cfg.k, cfg.stride, cfg.pad},
+        std::span<const float>(params.data(), wsize),
+        std::span<const float>(params.data() + wsize, cfg.out_ch), x, dy);
+    for (const std::size_t threads : {1, 4}) {
+      for (const bool prepack : {true, false}) {
+        SCOPED_TRACE("kernel_threads=" + std::to_string(threads) +
+                     " prepack=" + std::to_string(prepack));
+        tensor::set_kernel_threads(threads);
+        tensor::set_weight_prepack(prepack);
+        for (const bool params_only : {false, true}) {
+          conv.zero_grad();
+          const Tensor y = conv.forward(x, true);
+          EXPECT_EQ(bits(y.data()), bits(want.output.data())) << "forward output";
+          if (params_only) {
+            conv.accumulate_grads(dy);
+          } else {
+            const Tensor dx = conv.backward(dy);
+            EXPECT_EQ(bits(dx.data()), bits(want.grad_input.data())) << "grad_input";
+          }
+          const std::vector<ParamRef> got = conv.params();
+          EXPECT_EQ(bits(got[0].grad), bits(want.grad_weight))
+              << "grad_weight, params_only=" << params_only;
+          EXPECT_EQ(bits(got[1].grad), bits(want.grad_bias))
+              << "grad_bias, params_only=" << params_only;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// backward() argument checks hold in every build type.
+
+TEST(Conv2D, BackwardWithoutTrainingForwardThrows) {
+  util::Rng rng(17);
+  Conv2D conv(3, 4, 3, 1, 1, rng);
+  const Tensor dy(Shape{2, 4, 8, 8});
+  EXPECT_THROW(conv.backward(dy), std::logic_error);
+  EXPECT_THROW(conv.accumulate_grads(dy), std::logic_error);
+  // An inference forward caches nothing either.
+  (void)conv.forward(Tensor(Shape{2, 3, 8, 8}), false);
+  EXPECT_THROW(conv.backward(dy), std::logic_error);
+}
+
+TEST(Conv2D, BackwardRejectsMismatchedGradShapeNamingBoth) {
+  util::Rng rng(18);
+  Conv2D conv(3, 4, 3, 1, 1, rng);
+  (void)conv.forward(Tensor(Shape{2, 3, 8, 8}), true);
+  for (const Shape& bad : {Shape{3, 4, 8, 8}, Shape{2, 4, 7, 8}, Shape{2, 5, 8, 8},
+                           Shape{2, 4, 64}}) {
+    SCOPED_TRACE(bad.to_string());
+    try {
+      (void)conv.backward(Tensor(bad));
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(bad.to_string()), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("[2, 4, 8, 8]"), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(conv.accumulate_grads(Tensor(bad)), std::invalid_argument);
+  }
+  // The layer is still usable with the right gradient.
+  EXPECT_NO_THROW((void)conv.backward(Tensor(Shape{2, 4, 8, 8})));
 }
 
 TEST(Conv2D, OutputExtentFormula) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "gradcheck.h"
 #include "nn/serialize.h"
 #include "util/rng.h"
@@ -121,6 +126,55 @@ TEST(Dense, ZeroGradClears) {
   (void)layer.backward(dy);
   layer.zero_grad();
   for (const float g : extract_gradients(layer)) EXPECT_EQ(g, 0.0F);
+}
+
+TEST(Dense, BackwardWithoutTrainingForwardThrows) {
+  util::Rng rng(12);
+  Dense layer(3, 2, rng);
+  const Tensor dy(Shape{4, 2});
+  EXPECT_THROW(layer.backward(dy), std::logic_error);
+  EXPECT_THROW(layer.accumulate_grads(dy), std::logic_error);
+  (void)layer.forward(Tensor(Shape{4, 3}), false);  // inference caches nothing
+  EXPECT_THROW(layer.backward(dy), std::logic_error);
+}
+
+TEST(Dense, BackwardRejectsMismatchedGradShapeNamingBoth) {
+  util::Rng rng(13);
+  Dense layer(3, 2, rng);
+  (void)layer.forward(Tensor(Shape{4, 3}), true);
+  for (const Shape& bad : {Shape{5, 2}, Shape{4, 3}, Shape{8}}) {
+    SCOPED_TRACE(bad.to_string());
+    try {
+      (void)layer.backward(Tensor(bad));
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(bad.to_string()), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("[4, 2]"), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(layer.accumulate_grads(Tensor(bad)), std::invalid_argument);
+  }
+  EXPECT_NO_THROW((void)layer.backward(Tensor(Shape{4, 2})));
+}
+
+TEST(Dense, AccumulateGradsMatchesBackwardBitwise) {
+  util::Rng rng(14);
+  Dense layer(7, 5, rng);
+  Dense twin(layer);
+  const Tensor x = testing::random_input(Shape{6, 7}, 15);
+  const Tensor dy = testing::random_input(Shape{6, 5}, 16);
+  for (int step = 0; step < 2; ++step) {  // the second call accumulates
+    (void)layer.forward(x, true);
+    (void)layer.backward(dy);
+    (void)twin.forward(x, true);
+    twin.accumulate_grads(dy);
+  }
+  const std::vector<float> want = extract_gradients(layer);
+  const std::vector<float> got = extract_gradients(twin);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(want[i]))
+        << "gradient " << i;
+  }
 }
 
 TEST(Dense, NameDescribesDimensions) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "nn/loss.h"
 #include "nn/optimizer.h"
@@ -68,6 +72,42 @@ TEST_P(ModelZooTest, DeterministicGivenSeed) {
   auto a = make_model(GetParam(), kSpec, kClasses, rng_a);
   auto b = make_model(GetParam(), kSpec, kClasses, rng_b);
   EXPECT_EQ(extract_parameters(*a), extract_parameters(*b));
+}
+
+// The client's parameter-only backward skips every input gradient below the
+// lowest parameterized layer; the parameter gradients, and so every SGD
+// step, must stay bit-for-bit those of a full backward().
+TEST_P(ModelZooTest, AccumulateGradsMatchesBackwardBitwise) {
+  for (const std::size_t batch : {1, 40}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    util::Rng rng(6);
+    auto full = make_model(GetParam(), kSpec, kClasses, rng);
+    Sequential params_only(*full);
+    Tensor x(Shape{batch, 3, 8, 8});
+    x.fill_normal(rng, 0.0F, 1.0F);
+    std::vector<std::int32_t> labels(batch);
+    for (std::size_t i = 0; i < batch; ++i) labels[i] = static_cast<std::int32_t>(i % 10);
+    Sgd sgd_full({.learning_rate = 0.05F, .momentum = 0.9F});
+    Sgd sgd_params_only({.learning_rate = 0.05F, .momentum = 0.9F});
+    for (int step = 0; step < 3; ++step) {
+      full->zero_grad();
+      (void)full->backward(
+          softmax_cross_entropy(full->forward(x, true), labels).grad_logits);
+      params_only.zero_grad();
+      params_only.accumulate_grads(
+          softmax_cross_entropy(params_only.forward(x, true), labels).grad_logits);
+      const std::vector<float> want = extract_gradients(*full);
+      const std::vector<float> got = extract_gradients(params_only);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                  std::bit_cast<std::uint32_t>(want[i]))
+            << "step " << step << ", gradient " << i;
+      }
+      sgd_full.step(full->params());
+      sgd_params_only.step(params_only.params());
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, ModelZooTest,

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
+#include "oracles/explicit_conv.h"
+#include "tensor/gemm_kernel.h"
 #include "util/rng.h"
 
 namespace helcfl::tensor {
@@ -299,6 +304,110 @@ TEST(OpsKernel, ScratchIsReusedInSteadyState) {
   for (int i = 0; i < 5; ++i) gemm(m, k, n, a, b, c);
   EXPECT_EQ(scratch_realloc_count(), before)
       << "steady-state gemm must not grow scratch";
+}
+
+// ---------------------------------------------------------------------------
+// GemmArgs::k_segment and Im2colView, the two engine features Conv2D's
+// implicit GEMM rests on, against the public calls they replace.
+
+std::vector<std::uint32_t> bits_of(std::span<const float> v) {
+  std::vector<std::uint32_t> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) out[i] = std::bit_cast<std::uint32_t>(v[i]);
+  return out;
+}
+
+/// Columns [begin, begin+count) of a row-major [rows, ld] matrix.
+std::vector<float> columns(const std::vector<float>& m, std::size_t rows, std::size_t ld,
+                           std::size_t begin, std::size_t count) {
+  std::vector<float> out(rows * count);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::copy_n(m.begin() + static_cast<std::ptrdiff_t>(r * ld + begin), count,
+                out.begin() + static_cast<std::ptrdiff_t>(r * count));
+  }
+  return out;
+}
+
+TEST(OpsKernel, KSegmentGemmEqualsPerSegmentAccumulateLoop) {
+  util::Rng rng(0x5E6);
+  const std::size_t m = 13, n = 37, segments = 3;
+  // Shorter than, equal to and longer than one 256 k-block.
+  for (const std::size_t seg : {64, 100, 256, 300, 600}) {
+    SCOPED_TRACE("k_segment=" + std::to_string(seg));
+    const std::size_t k = segments * seg;
+    const std::vector<float> a = random_vec(m * k, rng);
+    const std::vector<float> b = random_vec(k * n, rng);   // [k, n]
+    const std::vector<float> bt = random_vec(n * k, rng);  // [n, k]
+    const std::vector<float> c0 = random_vec(m * n, rng);
+    std::vector<float> want = c0;
+    std::vector<float> want_t = c0;
+    for (std::size_t s = 0; s < segments; ++s) {
+      const std::vector<float> a_s = columns(a, m, k, s * seg, seg);
+      gemm_accumulate(m, seg, n, a_s,
+                      std::span<const float>(b).subspan(s * seg * n, seg * n), want);
+      gemm_a_bt_accumulate(m, seg, n, a_s, columns(bt, n, k, s * seg, seg), want_t);
+    }
+    std::vector<float> got = c0;
+    std::vector<float> got_t = c0;
+    detail::run_gemm({.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
+                      .c = got.data(), .accumulate = true, .k_segment = seg});
+    detail::run_gemm({.m = m, .k = k, .n = n, .a = a.data(), .b = bt.data(),
+                      .c = got_t.data(), .trans_b = true, .accumulate = true,
+                      .k_segment = seg});
+    EXPECT_EQ(bits_of(got), bits_of(want));
+    EXPECT_EQ(bits_of(got_t), bits_of(want_t));
+  }
+}
+
+TEST(OpsKernel, Im2colViewGemmEqualsExplicitPanelGemm) {
+  struct Geom {
+    std::size_t channels, kernel, stride, hp, wp, cnt;
+  };
+  const Geom geoms[] = {
+      {3, 3, 1, 10, 10, 4},  // small_cnn conv1 chunk (8x8 map, padded)
+      {8, 3, 1, 6, 6, 16},   // small_cnn conv2 chunk
+      {2, 3, 2, 9, 7, 3},    // stride 2, non-square
+      {1, 3, 3, 13, 10, 2},  // stride 3
+      {2, 5, 1, 11, 14, 2},  // 5x5 kernel
+      {4, 1, 1, 4, 4, 5},    // 1x1
+      {3, 3, 1, 34, 34, 1},  // 1024 output positions: several k-blocks
+  };
+  util::Rng rng(0x1C0);
+  const std::size_t m = 11;
+  for (const Geom& g : geoms) {
+    const std::size_t h_out = (g.hp - g.kernel) / g.stride + 1;
+    const std::size_t w_out = (g.wp - g.kernel) / g.stride + 1;
+    const std::size_t ckk = g.channels * g.kernel * g.kernel;
+    const std::size_t cols = g.cnt * h_out * w_out;
+    const std::size_t sample = g.channels * g.hp * g.wp;
+    SCOPED_TRACE("channels=" + std::to_string(g.channels) + " k=" +
+                 std::to_string(g.kernel) + " s=" + std::to_string(g.stride) +
+                 " cols=" + std::to_string(cols));
+    const std::vector<float> image = random_vec(g.cnt * sample, rng);
+    std::vector<float> panel(ckk * cols);
+    for (std::size_t i = 0; i < g.cnt; ++i) {
+      nn::explicit_im2col(image.data() + i * sample, g.channels, g.kernel, g.stride,
+                          g.hp, g.wp, h_out, w_out, cols,
+                          panel.data() + i * h_out * w_out);
+    }
+    const detail::Im2colView view{image.data(), g.channels, g.kernel, g.stride, g.hp,
+                                  g.wp, h_out, w_out, sample};
+    // B = the panel [ckk, cols] (Conv2D forward).
+    const std::vector<float> w = random_vec(m * ckk, rng);
+    std::vector<float> want(m * cols);
+    std::vector<float> got(m * cols);
+    gemm(m, ckk, cols, w, panel, want);
+    detail::run_gemm({.m = m, .k = ckk, .n = cols, .a = w.data(), .c = got.data(),
+                      .b_view = &view});
+    EXPECT_EQ(bits_of(got), bits_of(want)) << "forward orientation";
+    // B = the panel's transpose [cols, ckk] (Conv2D weight gradient).
+    const std::vector<float> gout = random_vec(m * cols, rng);
+    std::vector<float> want_t(m * ckk);
+    std::vector<float> got_t(m * ckk);
+    gemm_a_bt(m, cols, ckk, gout, panel, want_t);
+    detail::run_gemm({.m = m, .k = cols, .n = ckk, .a = gout.data(), .c = got_t.data(),
+                      .trans_b = true, .b_view = &view});
+    EXPECT_EQ(bits_of(got_t), bits_of(want_t)) << "transposed orientation";
+  }
 }
 
 TEST(Ops, TensorAdd) {

@@ -48,6 +48,35 @@ TEST(ThreadPool, WorkerIndexIsStableAndInRange) {
   EXPECT_EQ(ThreadPool::worker_index(), ThreadPool::npos);
 }
 
+TEST(ThreadPool, SubmitToRunsOnTheNamedWorker) {
+  ThreadPool pool(4);
+  std::vector<std::future<std::size_t>> futures;
+  for (std::size_t k = 0; k < 64; ++k) {
+    futures.push_back(pool.submit_to(k % 4, [] { return ThreadPool::worker_index(); }));
+    // Shared tasks interleave with pinned ones without stealing them.
+    (void)pool.submit([] { return ThreadPool::worker_index(); });
+  }
+  for (std::size_t k = 0; k < futures.size(); ++k) EXPECT_EQ(futures[k].get(), k % 4);
+  // Inline mode ignores the pin and runs on the caller.
+  ThreadPool inline_pool(1);
+  EXPECT_EQ(inline_pool.submit_to(0, [] { return ThreadPool::worker_index(); }).get(),
+            ThreadPool::npos);
+}
+
+TEST(ThreadPool, DestructionDrainsPinnedWork) {
+  std::atomic<std::size_t> completed{0};
+  {
+    ThreadPool pool(2);
+    for (std::size_t k = 0; k < 16; ++k) {
+      pool.submit_to(k % 2, [&completed] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        completed.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+  }
+  EXPECT_EQ(completed.load(), 16u);
+}
+
 TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
   ThreadPool pool(2);
   auto ok = pool.submit([] { return 41 + 1; });
