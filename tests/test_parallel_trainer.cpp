@@ -317,8 +317,7 @@ TEST_F(ParallelTrainerTest, EightThreadsAreMeasurablyFasterThanOne) {
   const double sequential_s = timed_run(1);
   const double parallel_s = timed_run(8);
   const double speedup = sequential_s / parallel_s;
-  // The acceptance bar is 2x with a core per thread (4-7 core hosts, which
-  // had a 1.5x bar, now skip).
+  // The acceptance bar, with a core per client thread.
   EXPECT_GE(speedup, 2.0)
       << "sequential " << sequential_s << " s vs parallel " << parallel_s << " s";
 }
