@@ -83,17 +83,21 @@ void GreedyDecaySelector::restore_appearance_counts(std::vector<std::size_t> cou
   index_.clear();
 }
 
+void GreedyDecaySelector::fields(auto&& io,
+                                 util::RecordOf<GreedyDecaySelector> auto& s) {
+  io(s.counters_);
+  UtilityIndex::fields(io, s.index_);
+}
+
 void GreedyDecaySelector::save_state(util::ByteWriter& out) const {
-  out.vec_size(counters_);
-  index_.save(out);
+  fields(util::Save(out), *this);
 }
 
 void GreedyDecaySelector::load_state(util::ByteReader& in) {
-  std::vector<std::size_t> counters = in.vec_size();
-  UtilityIndex staged(eta_);
-  staged.load(in, counters);
-  counters_ = std::move(counters);
-  index_ = std::move(staged);
+  GreedyDecaySelector fresh(fraction_, eta_);
+  fields(util::Load(in), fresh);
+  fresh.index_.rebuild(fresh.counters_);
+  *this = std::move(fresh);
 }
 
 }  // namespace helcfl::core

@@ -84,6 +84,9 @@ class GreedyDecaySelector {
   double eta() const { return eta_; }
 
  private:
+  /// The frame: appearance counters, then the index frame.
+  static void fields(auto&& io, util::RecordOf<GreedyDecaySelector> auto& s);
+
   double fraction_;
   double eta_;
   std::vector<std::size_t> counters_;

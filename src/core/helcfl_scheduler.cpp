@@ -86,26 +86,22 @@ void HelcflScheduler::report_completion(std::size_t /*round*/,
   }
 }
 
-void HelcflScheduler::do_save_state(util::ByteWriter& out) const {
-  out.f64(options_.fraction);
-  out.f64(options_.eta);
-  out.boolean(options_.enable_dvfs);
-  // Selector frame: appearance counters, then the utility-index frame
-  // (initialized flag + delay cache) — deterministic, heap-layout-free.
-  selector_.save_state(out);
+void HelcflScheduler::fields(auto&& io,
+                             util::RecordOf<GreedyDecaySelector> auto& selector) const {
+  io.echo(options_.fraction, "HelcflScheduler fraction");
+  io.echo(options_.eta, "HelcflScheduler eta");
+  io.echo(options_.enable_dvfs, "HelcflScheduler enable_dvfs");
+  io(selector);
 }
 
+void HelcflScheduler::do_save_state(util::ByteWriter& out) const {
+  fields(util::Save(out), selector_);
+}
+
+// The echo is checked before the selector frame is read, and the
+// selector's own load_state is parse-then-commit.
 void HelcflScheduler::do_load_state(util::ByteReader& in) {
-  const double fraction = in.f64();
-  const double eta = in.f64();
-  const bool enable_dvfs = in.boolean();
-  if (fraction != options_.fraction || eta != options_.eta ||
-      enable_dvfs != options_.enable_dvfs) {
-    throw util::SerialError(
-        "HelcflScheduler: state was saved under different options "
-        "(fraction/eta/enable_dvfs mismatch)");
-  }
-  selector_.load_state(in);
+  fields(util::Load(in), selector_);
 }
 
 std::string HelcflScheduler::name() const {

@@ -37,6 +37,9 @@ class HelcflScheduler : public sched::SelectionStrategy {
   void do_load_state(util::ByteReader& in) override;
 
  private:
+  /// The payload: configuration echo, then the selector's frame.
+  void fields(auto&& io, util::RecordOf<GreedyDecaySelector> auto& selector) const;
+
   HelcflOptions options_;
   GreedyDecaySelector selector_;
 };

@@ -142,50 +142,46 @@ void UtilityIndex::compact(std::span<const std::size_t> counters) {
   std::make_heap(heap_.begin(), heap_.end(), outranked);
 }
 
-void UtilityIndex::save(util::ByteWriter& out) const {
-  out.boolean(initialized_);
-  if (!initialized_) return;
-  out.vec_f64(t_cal_);
-  out.vec_f64(t_com_);
-}
+void UtilityIndex::save(util::ByteWriter& out) const { fields(util::Save(out), *this); }
 
 void UtilityIndex::load(util::ByteReader& in, std::span<const std::size_t> counters) {
-  const bool stored_initialized = in.boolean();
-  if (!stored_initialized) {
+  UtilityIndex fresh = *this;
+  fields(util::Load(in), fresh);
+  fresh.rebuild(counters);
+  *this = std::move(fresh);
+}
+
+void UtilityIndex::rebuild(std::span<const std::size_t> counters) {
+  if (!initialized_) {
     clear();
     return;
   }
-  std::vector<double> t_cal = in.vec_f64();
-  std::vector<double> t_com = in.vec_f64();
-  if (t_cal.size() != counters.size() || t_com.size() != counters.size()) {
+  if (t_cal_.size() != counters.size() || t_com_.size() != counters.size()) {
     throw util::SerialError(
         "UtilityIndex: delay cache size does not match the appearance "
         "counters (" +
-        std::to_string(t_cal.size()) + "/" + std::to_string(t_com.size()) +
+        std::to_string(t_cal_.size()) + "/" + std::to_string(t_com_.size()) +
         " vs " + std::to_string(counters.size()) + ")");
   }
-  for (std::size_t i = 0; i < t_cal.size(); ++i) {
-    if (!(t_cal[i] + t_com[i] > 0.0)) {
+  for (std::size_t i = 0; i < t_cal_.size(); ++i) {
+    if (!(t_cal_[i] + t_com_[i] > 0.0)) {
       throw util::SerialError("UtilityIndex: non-positive cached delay for user " +
                               std::to_string(i));
     }
   }
-  // All parsed and validated — commit, then rebuild the heap canonically
-  // (ascending user order, version 0, nobody parked; dead users re-park on
-  // their next extraction).
-  clear();
-  t_cal_ = std::move(t_cal);
-  t_com_ = std::move(t_com);
+  // Canonical heap: ascending user order, version 0, nobody parked; dead
+  // users re-park on their next extraction.
   const std::size_t q = t_cal_.size();
   versions_.assign(q, 0);
   parked_.assign(q, 0);
+  parked_list_.clear();
+  heap_.clear();
   heap_.reserve(2 * q + 64);
   for (std::size_t i = 0; i < q; ++i) {
     heap_.push_back(Entry{utility(counters[i], t_cal_[i], t_com_[i], eta_), 0,
                           static_cast<std::uint32_t>(i)});
   }
   std::make_heap(heap_.begin(), heap_.end(), outranked);
-  initialized_ = true;
 }
 
 }  // namespace helcfl::core

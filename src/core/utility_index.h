@@ -94,6 +94,18 @@ class UtilityIndex {
   /// size mismatch or a non-positive cached delay.
   void load(util::ByteReader& in, std::span<const std::size_t> counters);
 
+  /// The save() frame: initialized flag, then (if set) the delay cache.
+  static void fields(auto&& io, util::RecordOf<UtilityIndex> auto& index) {
+    io(index.initialized_);
+    if (!index.initialized_) return;
+    io(index.t_cal_);
+    io(index.t_com_);
+  }
+
+  /// Finishes a fields() load: validates the delay cache against
+  /// `counters` and rebuilds the heap canonically, as load() does.
+  void rebuild(std::span<const std::size_t> counters);
+
   // --- incrementality audit (tests and benches) ---------------------------
   std::size_t heap_entries() const { return heap_.size(); }
   std::uint64_t stale_discards() const { return stale_discards_; }

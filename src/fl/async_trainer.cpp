@@ -3,292 +3,20 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 
+#include "fl/async_state.h"
 #include "fl/checkpoint.h"
-#include "fl/event_queue.h"
 #include "fl/server.h"
 #include "nn/serialize.h"
 #include "obs/profiler.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "util/serial.h"
 
 namespace helcfl::fl {
-
-namespace {
-
-/// Everything one dispatched client will produce, resolved when
-/// its terminal event (upload finish or crash burn-out) pops.  The training
-/// itself runs at dispatch time — only the *outcome* travels through the
-/// event queue.  An accepted upload moves, as is, into the aggregation
-/// buffer.
-struct AsyncDispatch {
-  std::uint64_t id = 0;          ///< dispatch counter; RNG/fault fork key
-  std::size_t user = 0;
-  std::size_t version = 0;       ///< model_version trained against
-  double frequency_hz = 0.0;
-  double dispatch_time_s = 0.0;
-  double compute_end_s = 0.0;    ///< set when kComputeFinish pops
-  double upload_start_s = 0.0;   ///< set at the TDMA grant
-  /// The local round; update.weights holds the post-compression delta from
-  /// the dispatch base.
-  stages::ClientOutcome out;
-  bool crashed = false;
-  double crash_fraction = 0.0;
-  double slowdown = 1.0;
-  std::size_t failed_attempts = 0;
-};
-
-/// Per-server-step accumulators, reset at every aggregation.
-struct StepAccum {
-  std::vector<std::size_t> dispatched_users;
-  std::vector<double> dispatched_freqs;
-  std::vector<std::size_t> resolved_users;
-  std::vector<double> resolved_freqs;
-  /// 2 = arrival awaiting the step's quorum verdict; rewritten to 1/0 at
-  /// aggregation time, when report_completion fires.
-  std::vector<std::uint8_t> resolved_completed;
-  std::size_t crashed = 0;
-  std::size_t upload_failures = 0;
-  std::size_t dropped_stale = 0;
-  std::size_t retries = 0;
-  double step_energy = 0.0;
-  double step_wasted = 0.0;
-};
-
-void save_dispatch(util::ByteWriter& out, const AsyncDispatch& d) {
-  out.u64(d.id);
-  out.u64(static_cast<std::uint64_t>(d.user));
-  out.u64(static_cast<std::uint64_t>(d.version));
-  out.f64(d.frequency_hz);
-  out.f64(d.dispatch_time_s);
-  out.f64(d.compute_end_s);
-  out.f64(d.upload_start_s);
-  out.f64(d.out.compute_delay_s);
-  out.f64(d.out.upload_duration_s);
-  out.f64(d.out.occupancy_s);
-  out.u64(static_cast<std::uint64_t>(d.out.attempts));
-  out.boolean(d.out.upload_ok);
-  out.boolean(d.out.trained);
-  out.boolean(d.crashed);
-  out.f64(d.crash_fraction);
-  out.f64(d.slowdown);
-  out.u64(static_cast<std::uint64_t>(d.failed_attempts));
-  out.f64(d.out.energy_j);
-  out.vec_f32(d.out.update.weights);
-  out.f64(d.out.update.train_loss);
-  out.u64(static_cast<std::uint64_t>(d.out.update.num_samples));
-  out.vec_f32(d.out.state);
-}
-
-AsyncDispatch load_dispatch(util::ByteReader& in, std::size_t n_users) {
-  AsyncDispatch d;
-  d.id = in.u64();
-  d.user = static_cast<std::size_t>(in.u64());
-  d.version = static_cast<std::size_t>(in.u64());
-  d.frequency_hz = in.f64();
-  d.dispatch_time_s = in.f64();
-  d.compute_end_s = in.f64();
-  d.upload_start_s = in.f64();
-  d.out.compute_delay_s = in.f64();
-  d.out.upload_duration_s = in.f64();
-  d.out.occupancy_s = in.f64();
-  d.out.attempts = static_cast<std::size_t>(in.u64());
-  d.out.upload_ok = in.boolean();
-  d.out.trained = in.boolean();
-  d.crashed = in.boolean();
-  d.crash_fraction = in.f64();
-  d.slowdown = in.f64();
-  d.failed_attempts = static_cast<std::size_t>(in.u64());
-  d.out.energy_j = in.f64();
-  d.out.update.weights = in.vec_f32();
-  d.out.update.train_loss = in.f64();
-  d.out.update.num_samples = static_cast<std::size_t>(in.u64());
-  d.out.state = in.vec_f32();
-  if (d.user >= n_users) {
-    throw CheckpointError("async state names in-flight user " +
-                          std::to_string(d.user) + " of a " +
-                          std::to_string(n_users) + "-user fleet");
-  }
-  if (!std::isfinite(d.dispatch_time_s) || !std::isfinite(d.out.energy_j)) {
-    throw CheckpointError("async state holds a non-finite in-flight record");
-  }
-  return d;
-}
-
-/// A buffered update is stored with only the fields aggregation reads.
-void save_buffered(util::ByteWriter& out, const AsyncDispatch& d) {
-  out.u64(static_cast<std::uint64_t>(d.user));
-  out.u64(d.id);
-  out.u64(static_cast<std::uint64_t>(d.version));
-  out.f64(d.frequency_hz);
-  out.vec_f32(d.out.update.weights);
-  out.f64(d.out.update.train_loss);
-  out.u64(static_cast<std::uint64_t>(d.out.update.num_samples));
-  out.vec_f32(d.out.state);
-  out.f64(d.out.energy_j);
-}
-
-AsyncDispatch load_buffered(util::ByteReader& in, std::size_t n_users) {
-  AsyncDispatch d;
-  d.user = static_cast<std::size_t>(in.u64());
-  d.id = in.u64();
-  d.version = static_cast<std::size_t>(in.u64());
-  d.frequency_hz = in.f64();
-  d.out.update.weights = in.vec_f32();
-  d.out.update.train_loss = in.f64();
-  d.out.update.num_samples = static_cast<std::size_t>(in.u64());
-  d.out.state = in.vec_f32();
-  d.out.energy_j = in.f64();
-  if (d.user >= n_users) {
-    throw CheckpointError("async state buffers an update from user " +
-                          std::to_string(d.user) + " of a " +
-                          std::to_string(n_users) + "-user fleet");
-  }
-  return d;
-}
-
-/// Smallest possible wire sizes, used to cap adversarial counts before
-/// reserving (same policy as fl/checkpoint.cpp's kMinRecordBytes).
-constexpr std::size_t kMinDispatchBytes = 6 * 8 + 11 * 8 + 3 + 2 * 8;
-constexpr std::size_t kMinBufferedBytes = 4 * 8 + 3 * 8 + 2 * 8;
-
-/// The async engine's whole state between two events — what a v3
-/// checkpoint's async_state frame snapshots.
-struct AsyncState {
-  std::size_t model_version = 0;  ///< quorum-met aggregations; staleness base
-  std::size_t step = 0;           ///< all aggregations; the record "round"
-  std::uint64_t next_dispatch_id = 0;
-  std::uint64_t resolutions = 0;  ///< checkpoint-cadence counter
-  std::size_t effective_k = 0;    ///< 0 until the first cohort fixes it
-  double now = 0.0;               ///< global clock = cumulative delay; monotone
-  double uplink_free = 0.0;       ///< rolling TDMA cursor
-  double step_start = 0.0;
-  std::vector<std::uint8_t> busy;
-  EventQueue queue;
-  std::map<std::uint64_t, AsyncDispatch> in_flight;  ///< keyed by dispatch id
-  std::vector<AsyncDispatch> buffer;  ///< accepted uploads awaiting aggregation
-  StepAccum acc;
-
-  void save(util::ByteWriter& out) const {
-    out.u64(static_cast<std::uint64_t>(model_version));
-    out.u64(static_cast<std::uint64_t>(step));
-    out.u64(next_dispatch_id);
-    out.u64(resolutions);
-    out.u64(static_cast<std::uint64_t>(effective_k));
-    out.f64(now);
-    out.f64(uplink_free);
-    out.f64(step_start);
-    out.vec_u8(busy);
-    queue.save_state(out);
-    out.u64(in_flight.size());
-    for (const auto& [id, dispatch] : in_flight) save_dispatch(out, dispatch);
-    out.u64(buffer.size());
-    for (const AsyncDispatch& d : buffer) save_buffered(out, d);
-    out.vec_size(acc.dispatched_users);
-    out.vec_f64(acc.dispatched_freqs);
-    out.vec_size(acc.resolved_users);
-    out.vec_f64(acc.resolved_freqs);
-    out.vec_u8(acc.resolved_completed);
-    out.u64(static_cast<std::uint64_t>(acc.crashed));
-    out.u64(static_cast<std::uint64_t>(acc.upload_failures));
-    out.u64(static_cast<std::uint64_t>(acc.dropped_stale));
-    out.u64(static_cast<std::uint64_t>(acc.retries));
-    out.f64(acc.step_energy);
-    out.f64(acc.step_wasted);
-  }
-
-  /// Parses and validates a whole frame written by save(); throws on the
-  /// first inconsistency.
-  static AsyncState load(std::span<const std::uint8_t> frame, std::size_t n_users) {
-    util::ByteReader in(frame);
-    AsyncState s;
-    s.model_version = static_cast<std::size_t>(in.u64());
-    s.step = static_cast<std::size_t>(in.u64());
-    s.next_dispatch_id = in.u64();
-    s.resolutions = in.u64();
-    s.effective_k = static_cast<std::size_t>(in.u64());
-    s.now = in.f64();
-    s.uplink_free = in.f64();
-    s.step_start = in.f64();
-    if (!std::isfinite(s.now) || !std::isfinite(s.uplink_free) ||
-        !std::isfinite(s.step_start) || s.now < 0.0) {
-      throw CheckpointError("async state holds a non-finite clock");
-    }
-    s.busy = in.vec_u8();
-    if (s.busy.size() != n_users) {
-      throw CheckpointError("async state holds a busy mask for " +
-                            std::to_string(s.busy.size()) + " users, expected " +
-                            std::to_string(n_users));
-    }
-    s.queue.load_state(in);
-    const std::uint64_t n_flight = in.u64();
-    if (n_flight > in.remaining() / kMinDispatchBytes) {
-      throw CheckpointError(
-          "async state declares " + std::to_string(n_flight) +
-          " in-flight clients but only " + std::to_string(in.remaining()) +
-          " byte(s) remain — corrupted or malformed");
-    }
-    for (std::uint64_t i = 0; i < n_flight; ++i) {
-      AsyncDispatch d = load_dispatch(in, n_users);
-      if (d.id >= s.next_dispatch_id) {
-        throw CheckpointError("async state holds an in-flight dispatch id " +
-                              std::to_string(d.id) + " beyond the dispatch counter");
-      }
-      const std::uint64_t id = d.id;
-      if (!s.in_flight.emplace(id, std::move(d)).second) {
-        throw CheckpointError("async state repeats in-flight dispatch id " +
-                              std::to_string(id));
-      }
-    }
-    const std::uint64_t n_buffer = in.u64();
-    if (n_buffer > in.remaining() / kMinBufferedBytes) {
-      throw CheckpointError(
-          "async state declares " + std::to_string(n_buffer) +
-          " buffered updates but only " + std::to_string(in.remaining()) +
-          " byte(s) remain — corrupted or malformed");
-    }
-    s.buffer.reserve(static_cast<std::size_t>(n_buffer));
-    for (std::uint64_t i = 0; i < n_buffer; ++i) {
-      s.buffer.push_back(load_buffered(in, n_users));
-    }
-    StepAccum& acc = s.acc;
-    acc.dispatched_users = in.vec_size();
-    acc.dispatched_freqs = in.vec_f64();
-    acc.resolved_users = in.vec_size();
-    acc.resolved_freqs = in.vec_f64();
-    acc.resolved_completed = in.vec_u8();
-    acc.crashed = static_cast<std::size_t>(in.u64());
-    acc.upload_failures = static_cast<std::size_t>(in.u64());
-    acc.dropped_stale = static_cast<std::size_t>(in.u64());
-    acc.retries = static_cast<std::size_t>(in.u64());
-    acc.step_energy = in.f64();
-    acc.step_wasted = in.f64();
-    in.expect_end("checkpoint async state");
-    if (acc.resolved_users.size() != acc.resolved_freqs.size() ||
-        acc.resolved_users.size() != acc.resolved_completed.size() ||
-        acc.dispatched_users.size() != acc.dispatched_freqs.size()) {
-      throw CheckpointError("async state step accumulators disagree in size");
-    }
-    // Every pending compute/upload/fault event must reference a live
-    // in-flight dispatch; a dangling tag would fault mid-run.
-    for (const Event& event : s.queue.sorted_events()) {
-      if (event.kind == EventKind::kChurn) continue;
-      if (s.in_flight.find(event.tag) == s.in_flight.end()) {
-        throw CheckpointError("async state queues an event for unknown dispatch id " +
-                              std::to_string(event.tag));
-      }
-    }
-    return s;
-  }
-};
-
-}  // namespace
 
 void AsyncOptions::validate() const {
   if (!std::isfinite(staleness_beta) || staleness_beta < 0.0) {
@@ -406,9 +134,7 @@ TrainingHistory AsyncTrainer::run_async_() {
                          static_cast<std::int64_t>(s.resolutions));
     Checkpoint ckpt = stages::snapshot(world, ctx, s.step);
     ckpt.async_enabled = true;
-    util::ByteWriter out;
-    s.save(out);
-    ckpt.async_state = out.take();
+    ckpt.async_state = s.save();
     stages::write_checkpoint(world, ctx, ckpt, s.resolutions, s.resolutions);
   };
 
@@ -501,7 +227,7 @@ TrainingHistory AsyncTrainer::run_async_() {
                           {"time_s", s.now},
                           {"compute_delay_s", d.out.compute_delay_s}});
       }
-      s.in_flight.emplace(d.id, std::move(d));
+      s.in_flight.push_back(std::move(d));  // ids ascend, so order holds
     }
   };
 
@@ -655,7 +381,7 @@ TrainingHistory AsyncTrainer::run_async_() {
 
   // The in-flight dispatch an event names.
   const auto find_flight = [&](std::uint64_t id) {
-    const auto it = s.in_flight.find(id);
+    const auto it = s.find_flight(id);
     if (it == s.in_flight.end()) {
       throw std::logic_error(
           "AsyncTrainer: event references unknown dispatch id " +
@@ -663,10 +389,10 @@ TrainingHistory AsyncTrainer::run_async_() {
     }
     return it;
   };
-  // Pulls one resolved dispatch out of the in-flight map.
+  // Pulls one resolved dispatch out of the in-flight list.
   const auto take_flight = [&](std::uint64_t id) {
     const auto it = find_flight(id);
-    AsyncDispatch d = std::move(it->second);
+    AsyncDispatch d = std::move(*it);
     s.in_flight.erase(it);
     return d;
   };
@@ -723,7 +449,7 @@ TrainingHistory AsyncTrainer::run_async_() {
         // TDMA grant: the single uplink is a rolling cursor — this client
         // transmits as soon as both it and the channel are ready, holding
         // the channel for its full retry-inclusive occupancy.
-        AsyncDispatch& d = find_flight(event.tag)->second;
+        AsyncDispatch& d = *find_flight(event.tag);
         d.compute_end_s = event.time_s;
         d.upload_start_s = std::max(event.time_s, s.uplink_free);
         s.uplink_free = d.upload_start_s + d.out.occupancy_s;

@@ -93,9 +93,6 @@ class AsyncTrainer {
   /// model passed at construction.
   TrainingHistory run();
 
-  /// Fleet view the strategy sees (useful for tests and benches).
-  sched::FleetView fleet_view() const { return {world_.users}; }
-
  private:
   TrainingHistory run_async_();
 

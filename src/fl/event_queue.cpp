@@ -55,73 +55,65 @@ std::vector<Event> EventQueue::sorted_events() const {
   return events;
 }
 
+void fields(auto&& io, util::RecordOf<Event> auto& e) {
+  io(e.time_s);
+  io(e.seq);
+  io(e.kind);
+  io(e.user);
+  io(e.tag);
+  io(e.value);
+}
+
+/// One serialized event is 8+8+1+8+8+8 bytes.
+constexpr std::size_t kEventBytes = 41;
+
+void EventQueue::fields(auto&& io, util::RecordOf<EventQueue> auto& q) {
+  io(q.next_seq_);
+  io(q.heap_, kEventBytes, "EventQueue events");
+}
+
 void EventQueue::save_state(util::ByteWriter& out) const {
-  out.u64(next_seq_);
-  const std::vector<Event> events = sorted_events();
-  out.u64(static_cast<std::uint64_t>(events.size()));
-  for (const Event& event : events) {
-    out.f64(event.time_s);
-    out.u64(event.seq);
-    out.u8(static_cast<std::uint8_t>(event.kind));
-    out.u64(event.user);
-    out.u64(event.tag);
-    out.f64(event.value);
-  }
+  EventQueue canonical;
+  canonical.next_seq_ = next_seq_;
+  canonical.heap_ = sorted_events();
+  fields(util::Save(out), canonical);
 }
 
 void EventQueue::load_state(util::ByteReader& in) {
-  // Parse and validate everything into locals first; commit at the end.
-  const std::uint64_t next_seq = in.u64();
-  const std::uint64_t count = in.u64();
-  // One serialized event is 8+8+1+8+8+8 = 41 bytes; bound an adversarial
-  // count by what the remaining bytes could possibly encode.
-  constexpr std::size_t kEventBytes = 41;
-  if (count > in.remaining() / kEventBytes) {
-    throw util::SerialError(
-        "EventQueue: frame declares " + std::to_string(count) +
-        " events but only " + std::to_string(in.remaining()) +
-        " byte(s) remain — corrupted or malformed");
-  }
-  std::vector<Event> events;
-  events.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Event event;
-    event.time_s = in.f64();
-    event.seq = in.u64();
-    const std::uint8_t kind = in.u8();
-    if (kind >= kEventKindCount) {
+  // Parse and validate everything into a fresh queue; commit at the end.
+  EventQueue fresh;
+  fields(util::Load(in), fresh);
+  const std::vector<Event>& events = fresh.heap_;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Event& event = events[i];
+    if (static_cast<std::uint8_t>(event.kind) >= kEventKindCount) {
       throw util::SerialError("EventQueue: event " + std::to_string(i) +
-                              " has invalid kind " + std::to_string(kind));
+                              " has invalid kind " +
+                              std::to_string(static_cast<unsigned>(event.kind)));
     }
-    event.kind = static_cast<EventKind>(kind);
-    event.user = in.u64();
-    event.tag = in.u64();
-    event.value = in.f64();
     if (!std::isfinite(event.time_s) || event.time_s < 0.0) {
       throw util::SerialError(
           "EventQueue: event " + std::to_string(i) +
           " has a non-finite or negative timestamp — corrupted frame");
     }
-    if (event.seq >= next_seq) {
+    if (event.seq >= fresh.next_seq_) {
       throw util::SerialError(
           "EventQueue: event " + std::to_string(i) + " carries seq " +
           std::to_string(event.seq) + " >= next_seq " +
-          std::to_string(next_seq) + " — corrupted frame");
+          std::to_string(fresh.next_seq_) + " — corrupted frame");
     }
     // Canonical frames are strictly increasing in (time, seq); this also
     // proves every seq is unique.
-    if (!events.empty() && !events.back().before(event)) {
+    if (i > 0 && !events[i - 1].before(event)) {
       throw util::SerialError(
           "EventQueue: events " + std::to_string(i - 1) + " and " +
           std::to_string(i) +
           " are out of canonical (time, seq) order — corrupted frame");
     }
-    events.push_back(event);
   }
 
-  heap_ = std::move(events);
-  std::make_heap(heap_.begin(), heap_.end(), later);
-  next_seq_ = next_seq;
+  std::make_heap(fresh.heap_.begin(), fresh.heap_.end(), later);
+  *this = std::move(fresh);
 }
 
 }  // namespace helcfl::fl

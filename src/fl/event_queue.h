@@ -103,6 +103,9 @@ class EventQueue {
   void load_state(util::ByteReader& in);
 
  private:
+  /// The frame: next_seq, then the pending events in pop order.
+  static void fields(auto&& io, util::RecordOf<EventQueue> auto& q);
+
   std::vector<Event> heap_;  ///< std::*_heap with `later` as the comparator
   std::uint64_t next_seq_ = 0;
 };

@@ -5,11 +5,11 @@
 #include <exception>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 #include "mec/cost_model.h"
 #include "nn/compression.h"
 #include "nn/serialize.h"
+#include "util/file_io.h"
 #include "obs/profiler.h"
 #include "obs/registry.h"
 #include "tensor/ops.h"
@@ -216,26 +216,21 @@ mec::BatteryFleet parse_resume_cursors(World& world, RunContext& ctx,
   try {
     // Run-local cursors first (reconstructed on every run(), so partial
     // mutation cannot outlive a failure)...
-    util::ByteReader injector_in(ckpt.injector_state);
-    ctx.injector.load_state(injector_in);
-    injector_in.expect_end("checkpoint injector state");
-    util::ByteReader fading_in(ckpt.fading_state);
-    ctx.fading.load_state(fading_in);
-    fading_in.expect_end("checkpoint fading state");
+    util::load_state_exact(ctx.injector, ckpt.injector_state,
+                           "checkpoint injector state");
+    util::load_state_exact(ctx.fading, ckpt.fading_state, "checkpoint fading state");
     ctx.batch_rng.set_state(ckpt.batch_rng);
     // ...then the durable battery state parsed into a copy...
     if (world.batteries_enabled()) {
       restored_batteries = world.batteries;
-      util::ByteReader battery_in(ckpt.battery_state);
-      restored_batteries.load_state(battery_in);
-      battery_in.expect_end("checkpoint battery state");
+      util::load_state_exact(restored_batteries, ckpt.battery_state,
+                             "checkpoint battery state");
     }
     // ...and the strategy last: it parses its whole payload before
     // touching any member (scheduler.h contract), so this either fully
     // restores or fully leaves the just-reset() state.
-    util::ByteReader strategy_in(ckpt.strategy_state);
-    world.strategy.load_state(strategy_in);
-    strategy_in.expect_end("checkpoint strategy state");
+    util::load_state_exact(world.strategy, ckpt.strategy_state,
+                           "checkpoint strategy state");
   } catch (const std::exception& error) {
     throw CheckpointError("'" + world.options.resume_from + "': " + error.what());
   }
@@ -274,27 +269,11 @@ Checkpoint snapshot(const World& world, const RunContext& ctx,
   if (ctx.has_state) ckpt.model_state = nn::extract_state(world.model);
   ckpt.batch_rng = ctx.batch_rng.state();
   ckpt.strategy_name = world.strategy.name();
-  {
-    util::ByteWriter writer;
-    world.strategy.save_state(writer);
-    ckpt.strategy_state = writer.take();
-  }
-  {
-    util::ByteWriter writer;
-    ctx.injector.save_state(writer);
-    ckpt.injector_state = writer.take();
-  }
-  {
-    util::ByteWriter writer;
-    ctx.fading.save_state(writer);
-    ckpt.fading_state = writer.take();
-  }
+  ckpt.strategy_state = util::to_bytes(world.strategy);
+  ckpt.injector_state = util::to_bytes(ctx.injector);
+  ckpt.fading_state = util::to_bytes(ctx.fading);
   ckpt.batteries_enabled = world.batteries_enabled();
-  if (ckpt.batteries_enabled) {
-    util::ByteWriter writer;
-    world.batteries.save_state(writer);
-    ckpt.battery_state = writer.take();
-  }
+  if (ckpt.batteries_enabled) ckpt.battery_state = util::to_bytes(world.batteries);
   ckpt.records = ctx.history.rounds();
   return ckpt;
 }
@@ -302,13 +281,8 @@ Checkpoint snapshot(const World& world, const RunContext& ctx,
 void write_checkpoint(const World& world, const RunContext& ctx,
                       const Checkpoint& ckpt, std::size_t completed,
                       std::size_t round) {
-  std::string path = world.options.checkpoint_path;
-  constexpr std::string_view kToken = "{round}";
-  const std::string value = std::to_string(completed);
-  for (std::size_t pos = path.find(kToken); pos != std::string::npos;
-       pos = path.find(kToken, pos + value.size())) {
-    path.replace(pos, kToken.size(), value);
-  }
+  const std::string path =
+      util::expand_path_token(world.options.checkpoint_path, "{round}", completed);
   ckpt.write_file(path);
   if (ctx.traces(obs::TraceLevel::kRound)) {
     ctx.tracer->emit(obs::TraceLevel::kRound, "checkpoint_write",

@@ -41,9 +41,6 @@ class FederatedTrainer {
   /// loaded in the model passed at construction.
   TrainingHistory run() { return stages::run_barrier(world_); }
 
-  /// Fleet view the strategy sees (useful for tests and benches).
-  sched::FleetView fleet_view() const { return {world_.users}; }
-
  private:
   stages::World world_;
 };

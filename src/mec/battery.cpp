@@ -19,10 +19,6 @@ double Battery::state_of_charge() const {
   return remaining_j_ / capacity_j_;
 }
 
-void Battery::restore_remaining_j(double joules) {
-  if (is_mains_powered()) return;
-  remaining_j_ = std::clamp(joules, 0.0, capacity_j_);
-}
 
 BatteryFleet::BatteryFleet(std::size_t n_devices, double capacity_j)
     : batteries_(n_devices, Battery(capacity_j)), alive_(n_devices, 1) {}
@@ -45,34 +41,41 @@ std::size_t BatteryFleet::alive_count() const {
   return count;
 }
 
+namespace {
+
+/// The fleet frame: every battery's fields() walk, counted.
+void fleet_fields(auto&& io, auto& batteries) { io(batteries, 2 * 8, "batteries"); }
+
+}  // namespace
+
 void BatteryFleet::save_state(util::ByteWriter& out) const {
-  out.u64(batteries_.size());
-  for (const auto& battery : batteries_) {
-    out.f64(battery.capacity_j());
-    out.f64(battery.remaining_j());
-  }
+  fleet_fields(util::Save(out), batteries_);
 }
 
 void BatteryFleet::load_state(util::ByteReader& in) {
-  const std::uint64_t n = in.u64();
-  if (n != batteries_.size()) {
-    throw util::SerialError("BatteryFleet: state was saved for " + std::to_string(n) +
+  std::vector<Battery> loaded;
+  fleet_fields(util::Load(in), loaded);
+  if (loaded.size() != batteries_.size()) {
+    throw util::SerialError("BatteryFleet: state was saved for " +
+                            std::to_string(loaded.size()) +
                             " batteries, this fleet has " +
                             std::to_string(batteries_.size()));
   }
-  std::vector<double> remaining(batteries_.size());
-  for (std::size_t i = 0; i < batteries_.size(); ++i) {
-    const double capacity = in.f64();
-    remaining[i] = in.f64();
-    if (capacity != batteries_[i].capacity_j()) {
+  std::vector<std::uint8_t> alive(loaded.size());
+  for (std::size_t i = 0; i < loaded.size(); ++i) {
+    const Battery& b = loaded[i];
+    if (b.capacity_j() != batteries_[i].capacity_j()) {
       throw util::SerialError("BatteryFleet: capacity mismatch at battery " +
                               std::to_string(i));
     }
+    if (!(b.remaining_j() >= 0.0 && b.remaining_j() <= std::max(b.capacity_j(), 0.0))) {
+      throw util::SerialError("BatteryFleet: charge out of range at battery " +
+                              std::to_string(i));
+    }
+    alive[i] = b.depleted() ? 0 : 1;
   }
-  for (std::size_t i = 0; i < batteries_.size(); ++i) {
-    batteries_[i].restore_remaining_j(remaining[i]);
-    alive_[i] = batteries_[i].depleted() ? 0 : 1;
-  }
+  batteries_ = std::move(loaded);
+  alive_ = std::move(alive);
 }
 
 double BatteryFleet::mean_state_of_charge() const {

@@ -9,6 +9,7 @@
 // and more reachable accuracy under a fixed per-device budget.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -24,7 +25,7 @@ class Battery {
   Battery() = default;
   /// `capacity_j` <= 0 means "mains powered": never depletes.
   explicit Battery(double capacity_j)
-      : capacity_j_(capacity_j), remaining_j_(capacity_j) {}
+      : capacity_j_(capacity_j), remaining_j_(std::max(capacity_j, 0.0)) {}
 
   bool is_mains_powered() const { return capacity_j_ <= 0.0; }
 
@@ -41,14 +42,17 @@ class Battery {
   }
 
   double capacity_j() const { return capacity_j_; }
-  double remaining_j() const { return is_mains_powered() ? 0.0 : remaining_j_; }
+  double remaining_j() const { return remaining_j_; }  ///< 0 for mains power
 
   /// Remaining fraction in [0, 1]; 1 for mains power.
   double state_of_charge() const;
 
-  /// Overwrites the remaining charge (checkpoint resume).  Clamped to
-  /// [0, capacity]; no-op for mains power.
-  void restore_remaining_j(double joules);
+  /// The checkpoint layout: capacity (a configuration echo the fleet
+  /// checks), then the remaining charge.
+  friend void fields(auto&& io, util::RecordOf<Battery> auto& b) {
+    io(b.capacity_j_);
+    io(b.remaining_j_);
+  }
 
  private:
   double capacity_j_ = 0.0;

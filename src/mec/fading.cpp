@@ -29,27 +29,23 @@ void FadingProcess::step() {
   }
 }
 
+void FadingProcess::fields(auto&& io, util::RecordOf<FadingProcess> auto& p) {
+  io.echo(p.options_.enabled, "FadingProcess enabled");
+  io(p.rng_);
+  io(p.states_db_);
+}
+
 void FadingProcess::save_state(util::ByteWriter& out) const {
-  out.boolean(options_.enabled);
-  util::write_rng(out, rng_);
-  out.vec_f64(states_db_);
+  fields(util::Save(out), *this);
 }
 
 void FadingProcess::load_state(util::ByteReader& in) {
-  const bool enabled = in.boolean();
-  if (enabled != options_.enabled) {
-    throw util::SerialError(
-        "FadingProcess: state was saved with fading " +
-        std::string(enabled ? "enabled" : "disabled") + ", this process has it " +
-        std::string(options_.enabled ? "enabled" : "disabled"));
-  }
-  util::Rng rng = util::read_rng(in);
-  std::vector<double> states = in.vec_f64();
-  if (states.size() != states_db_.size()) {
+  FadingProcess fresh = *this;
+  fields(util::Load(in), fresh);
+  if (fresh.states_db_.size() != states_db_.size()) {
     throw util::SerialError("FadingProcess: device count mismatch in saved state");
   }
-  rng_ = rng;
-  states_db_ = std::move(states);
+  *this = std::move(fresh);
 }
 
 double FadingProcess::multiplier(std::size_t i) const {

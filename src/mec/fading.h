@@ -53,6 +53,9 @@ class FadingProcess {
   void load_state(util::ByteReader& in);
 
  private:
+  /// The frame: configuration echo, stream cursor, per-device dB states.
+  static void fields(auto&& io, util::RecordOf<FadingProcess> auto& p);
+
   FadingOptions options_;
   util::Rng rng_;
   std::vector<double> states_db_;

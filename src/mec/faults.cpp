@@ -87,34 +87,25 @@ std::size_t FaultInjector::away_count() const {
   return away;
 }
 
+void FaultInjector::fields(auto&& io, util::RecordOf<FaultInjector> auto& f) {
+  io.echo(f.n_devices_, "FaultInjector n_devices");
+  io.echo(f.options_.enabled, "FaultInjector enabled");
+  io(f.round_);
+  io(f.churn_rng_);
+  io(f.available_);
+}
+
 void FaultInjector::save_state(util::ByteWriter& out) const {
-  out.u64(static_cast<std::uint64_t>(n_devices_));
-  out.boolean(options_.enabled);
-  out.u64(static_cast<std::uint64_t>(round_));
-  util::write_rng(out, churn_rng_);
-  out.vec_u8(available_);
+  fields(util::Save(out), *this);
 }
 
 void FaultInjector::load_state(util::ByteReader& in) {
-  const auto n_devices = static_cast<std::size_t>(in.u64());
-  const bool enabled = in.boolean();
-  if (n_devices != n_devices_ || enabled != options_.enabled) {
-    throw util::SerialError(
-        "FaultInjector: state was saved for a differently-configured injector "
-        "(n_devices=" + std::to_string(n_devices) + " enabled=" +
-        std::to_string(enabled) + ", this injector has n_devices=" +
-        std::to_string(n_devices_) + " enabled=" + std::to_string(options_.enabled) +
-        ")");
-  }
-  const auto round = static_cast<std::size_t>(in.u64());
-  util::Rng churn_rng = util::read_rng(in);
-  std::vector<std::uint8_t> available = in.vec_u8();
-  if (available.size() != available_.size()) {
+  FaultInjector fresh = *this;
+  fields(util::Load(in), fresh);
+  if (fresh.available_.size() != available_.size()) {
     throw util::SerialError("FaultInjector: availability mask length mismatch");
   }
-  round_ = round;
-  churn_rng_ = churn_rng;
-  available_ = std::move(available);
+  *this = std::move(fresh);
 }
 
 ClientFaults FaultInjector::draw(std::size_t round, std::size_t user,

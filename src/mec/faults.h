@@ -132,6 +132,10 @@ class FaultInjector {
   void load_state(util::ByteReader& in);
 
  private:
+  /// The frame: configuration echo, then the round counter, churn stream
+  /// and availability mask.
+  static void fields(auto&& io, util::RecordOf<FaultInjector> auto& f);
+
   std::size_t n_devices_ = 0;
   FaultOptions options_;
   util::Rng client_base_;          ///< parent of the per-(round,user) forks

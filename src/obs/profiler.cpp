@@ -150,19 +150,6 @@ std::string PhaseProfiler::format_summary() const {
   return out;
 }
 
-std::string PhaseProfiler::format_round(std::int64_t round) const {
-  std::string out;
-  char line[160];
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const SpanRecord& span : spans_) {
-    if (span.round != round || span.tid != 0) continue;
-    std::snprintf(line, sizeof(line), "  %-24s %8.3fms\n", span.phase.c_str(),
-                  static_cast<double>(span.dur_us) * 1e-3);
-    out += line;
-  }
-  return out;
-}
-
 void PhaseProfiler::write_chrome_trace(const std::string& path) const {
   std::ofstream file(path, std::ios::trunc);
   if (!file.is_open()) {

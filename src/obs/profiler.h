@@ -105,10 +105,6 @@ class PhaseProfiler {
   /// Fixed-width console table of summary() (the --profile report).
   std::string format_summary() const;
 
-  /// Per-round breakdown of one round's phases (coordinator spans only),
-  /// one line per span in recording order.
-  std::string format_round(std::int64_t round) const;
-
   /// Writes all spans as a Chrome trace_event JSON array ("X" complete
   /// events; ts/dur in microseconds, tid = pool worker index + 1, 0 for
   /// the coordinator).  Throws std::runtime_error on I/O failure.

@@ -19,23 +19,21 @@ FedCsSelection::FedCsSelection(double deadline_s, double max_fraction)
   capture_initial_state();
 }
 
+void FedCsSelection::fields(
+    auto&& io, util::RecordOf<std::vector<std::size_t>> auto& streaks) const {
+  io.echo(deadline_s_, "FedCsSelection deadline_s");
+  io.echo(max_fraction_, "FedCsSelection max_fraction");
+  io(streaks);
+}
+
 void FedCsSelection::do_save_state(util::ByteWriter& out) const {
-  out.f64(deadline_s_);
-  out.f64(max_fraction_);
-  out.vec_size(failure_streaks_);
+  fields(util::Save(out), failure_streaks_);
 }
 
 void FedCsSelection::do_load_state(util::ByteReader& in) {
-  const double deadline_s = in.f64();
-  const double max_fraction = in.f64();
-  if (deadline_s != deadline_s_ || max_fraction != max_fraction_) {
-    throw util::SerialError(
-        "FedCsSelection: state was saved with deadline_s=" +
-        std::to_string(deadline_s) + " max_fraction=" + std::to_string(max_fraction) +
-        ", this strategy uses deadline_s=" + std::to_string(deadline_s_) +
-        " max_fraction=" + std::to_string(max_fraction_));
-  }
-  failure_streaks_ = in.vec_size();
+  std::vector<std::size_t> streaks;
+  fields(util::Load(in), streaks);
+  failure_streaks_ = std::move(streaks);
 }
 
 double estimate_round_time(const FleetView& fleet,

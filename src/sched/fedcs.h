@@ -45,6 +45,9 @@ class FedCsSelection : public SelectionStrategy {
   void do_load_state(util::ByteReader& in) override;
 
  private:
+  /// The payload: configuration echo, then the failure streaks.
+  void fields(auto&& io, util::RecordOf<std::vector<std::size_t>> auto& streaks) const;
+
   double deadline_s_;
   double max_fraction_;
   std::vector<std::size_t> failure_streaks_;

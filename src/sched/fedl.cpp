@@ -53,22 +53,20 @@ Decision FedlSelection::decide(const FleetView& fleet, std::size_t round) {
   return decision;
 }
 
+void FedlSelection::fields(auto&& io, util::RecordOf<util::Rng> auto& rng) const {
+  io.echo(fraction_, "FedlSelection fraction");
+  io.echo(kappa_, "FedlSelection kappa");
+  io(rng);
+}
+
 void FedlSelection::do_save_state(util::ByteWriter& out) const {
-  out.f64(fraction_);
-  out.f64(kappa_);
-  util::write_rng(out, rng_);
+  fields(util::Save(out), rng_);
 }
 
 void FedlSelection::do_load_state(util::ByteReader& in) {
-  const double fraction = in.f64();
-  const double kappa = in.f64();
-  if (fraction != fraction_ || kappa != kappa_) {
-    throw util::SerialError(
-        "FedlSelection: state was saved with fraction=" + std::to_string(fraction) +
-        " kappa=" + std::to_string(kappa) + ", this strategy uses fraction=" +
-        std::to_string(fraction_) + " kappa=" + std::to_string(kappa_));
-  }
-  rng_ = util::read_rng(in);
+  util::Rng rng = rng_;
+  fields(util::Load(in), rng);
+  rng_ = rng;
 }
 
 }  // namespace helcfl::sched

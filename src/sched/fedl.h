@@ -35,6 +35,9 @@ class FedlSelection : public SelectionStrategy {
   void do_load_state(util::ByteReader& in) override;
 
  private:
+  /// The payload: configuration echo, then the selection stream.
+  void fields(auto&& io, util::RecordOf<util::Rng> auto& rng) const;
+
   double fraction_;
   double kappa_;
   util::Rng rng_;

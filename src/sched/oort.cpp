@@ -9,7 +9,8 @@
 namespace helcfl::sched {
 
 OortSelection::OortSelection(const OortOptions& options, util::Rng rng)
-    : options_(options), rng_(rng) {
+    : options_(options) {
+  state_.rng = rng;
   if (options.fraction <= 0.0 || options.fraction > 1.0) {
     throw std::invalid_argument("OortSelection: fraction must be in (0, 1]");
   }
@@ -23,28 +24,30 @@ OortSelection::OortSelection(const OortOptions& options, util::Rng rng)
 }
 
 double OortSelection::statistical_utility(std::size_t user) const {
-  if (user >= explored_.size() || !explored_[user]) return max_seen_loss_;
-  return last_loss_[user];
+  if (user >= state_.explored.size() || !state_.explored[user]) {
+    return state_.max_seen_loss;
+  }
+  return state_.last_loss[user];
 }
 
 Decision OortSelection::decide(const FleetView& fleet, std::size_t round) {
   const std::size_t q = fleet.users.size();
-  if (last_loss_.empty()) {
-    last_loss_.assign(q, 0.0);
-    explored_.assign(q, false);
-  } else if (last_loss_.size() != q) {
+  if (state_.last_loss.empty()) {
+    state_.last_loss.assign(q, 0.0);
+    state_.explored.assign(q, 0);
+  } else if (state_.last_loss.size() != q) {
     throw std::invalid_argument("OortSelection: fleet size changed");
   }
-  if (resolved_t_pref_ <= 0.0) {
+  if (state_.resolved_t_pref <= 0.0) {
     if (options_.preferred_duration_s > 0.0) {
-      resolved_t_pref_ = options_.preferred_duration_s;
+      state_.resolved_t_pref = options_.preferred_duration_s;
     } else {
       std::vector<double> delays;
       delays.reserve(q);
       for (const auto& user : fleet.users) delays.push_back(user.total_delay_max_s());
       std::nth_element(delays.begin(), delays.begin() + static_cast<std::ptrdiff_t>(q / 2),
                        delays.end());
-      resolved_t_pref_ = delays[q / 2];
+      state_.resolved_t_pref = delays[q / 2];
     }
   }
 
@@ -64,8 +67,8 @@ Decision OortSelection::decide(const FleetView& fleet, std::size_t round) {
         static_cast<double>(fleet.users[i].device.num_samples) *
         statistical_utility(i);
     const double t = fleet.users[i].total_delay_max_s();
-    const double system =
-        t <= resolved_t_pref_ ? 1.0 : std::pow(resolved_t_pref_ / t, options_.alpha);
+    const double t_pref = state_.resolved_t_pref;
+    const double system = t <= t_pref ? 1.0 : std::pow(t_pref / t, options_.alpha);
     utilities[i] = stat * system * reliability_multiplier(i);
   }
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -78,8 +81,8 @@ Decision OortSelection::decide(const FleetView& fleet, std::size_t round) {
   if (n_explore > 0) {
     std::vector<std::size_t> rest(order.begin() + static_cast<std::ptrdiff_t>(n_exploit),
                                   order.end());
-    for (const std::size_t pick :
-         rng_.sample_without_replacement(rest.size(), std::min(n_explore, rest.size()))) {
+    for (const std::size_t pick : state_.rng.sample_without_replacement(
+             rest.size(), std::min(n_explore, rest.size()))) {
       decision.selected.push_back(rest[pick]);
     }
   }
@@ -116,17 +119,17 @@ void OortSelection::observe(std::size_t /*round*/, const Decision& decision,
   }
   for (std::size_t k = 0; k < decision.selected.size(); ++k) {
     const std::size_t user = decision.selected[k];
-    if (user >= last_loss_.size()) continue;
-    last_loss_[user] = client_losses[k];
-    explored_[user] = true;
-    max_seen_loss_ = std::max(max_seen_loss_, client_losses[k]);
+    if (user >= state_.last_loss.size()) continue;
+    state_.last_loss[user] = client_losses[k];
+    state_.explored[user] = 1;
+    state_.max_seen_loss = std::max(state_.max_seen_loss, client_losses[k]);
   }
 }
 
 double OortSelection::reliability_multiplier(std::size_t user) const {
+  const std::vector<std::size_t>& streaks = state_.failure_streaks;
   const std::size_t misses =
-      user < failure_streaks_.size() ? std::min<std::size_t>(failure_streaks_[user], 60)
-                                     : 0;
+      user < streaks.size() ? std::min<std::size_t>(streaks[user], 60) : 0;
   return misses == 0 ? 1.0 : std::ldexp(1.0, -static_cast<int>(misses));
 }
 
@@ -137,60 +140,40 @@ void OortSelection::report_completion(std::size_t /*round*/, const Decision& dec
   }
   for (std::size_t k = 0; k < decision.selected.size(); ++k) {
     const std::size_t user = decision.selected[k];
-    if (user >= failure_streaks_.size()) failure_streaks_.resize(user + 1, 0);
-    failure_streaks_[user] = completed[k] != 0 ? 0 : failure_streaks_[user] + 1;
+    std::vector<std::size_t>& streaks = state_.failure_streaks;
+    if (user >= streaks.size()) streaks.resize(user + 1, 0);
+    streaks[user] = completed[k] != 0 ? 0 : streaks[user] + 1;
   }
+}
+
+void OortSelection::fields(auto&& io, util::RecordOf<State> auto& state) const {
+  io.echo(options_.fraction, "OortSelection fraction");
+  io.echo(options_.alpha, "OortSelection alpha");
+  io.echo(options_.explore_ratio, "OortSelection explore_ratio");
+  io.echo(options_.preferred_duration_s, "OortSelection preferred_duration_s");
+  io(state.rng);
+  io(state.resolved_t_pref);
+  io(state.max_seen_loss);
+  io(state.last_loss);
+  io(state.explored);
+  io(state.failure_streaks);
 }
 
 void OortSelection::do_save_state(util::ByteWriter& out) const {
-  out.f64(options_.fraction);
-  out.f64(options_.alpha);
-  out.f64(options_.explore_ratio);
-  out.f64(options_.preferred_duration_s);
-  util::write_rng(out, rng_);
-  out.f64(resolved_t_pref_);
-  out.f64(max_seen_loss_);
-  out.vec_f64(last_loss_);
-  std::vector<std::uint8_t> explored(explored_.size());
-  for (std::size_t i = 0; i < explored_.size(); ++i) explored[i] = explored_[i] ? 1 : 0;
-  out.vec_u8(explored);
-  out.vec_size(failure_streaks_);
+  fields(util::Save(out), state_);
 }
 
 void OortSelection::do_load_state(util::ByteReader& in) {
-  const double fraction = in.f64();
-  const double alpha = in.f64();
-  const double explore_ratio = in.f64();
-  const double preferred = in.f64();
-  if (fraction != options_.fraction || alpha != options_.alpha ||
-      explore_ratio != options_.explore_ratio ||
-      preferred != options_.preferred_duration_s) {
-    throw util::SerialError(
-        "OortSelection: state was saved under different options "
-        "(fraction/alpha/explore_ratio/preferred_duration_s mismatch)");
-  }
-  // Parse everything before assigning any member: a malformed payload must
-  // not leave the strategy half-restored.
-  util::Rng rng = util::read_rng(in);
-  const double resolved_t_pref = in.f64();
-  const double max_seen_loss = in.f64();
-  std::vector<double> last_loss = in.vec_f64();
-  const std::vector<std::uint8_t> explored_bytes = in.vec_u8();
-  std::vector<std::size_t> failure_streaks = in.vec_size();
-  if (explored_bytes.size() != last_loss.size()) {
+  State state = state_;
+  fields(util::Load(in), state);
+  if (state.explored.size() != state.last_loss.size()) {
     throw util::SerialError(
         "OortSelection: explored/last_loss length mismatch in saved state");
   }
-  std::vector<bool> explored(explored_bytes.size());
-  for (std::size_t i = 0; i < explored_bytes.size(); ++i) {
-    explored[i] = explored_bytes[i] != 0;
+  for (const std::uint8_t flag : state.explored) {
+    if (flag > 1) throw util::SerialError("OortSelection: explored flag is not 0/1");
   }
-  rng_ = rng;
-  resolved_t_pref_ = resolved_t_pref;
-  max_seen_loss_ = max_seen_loss;
-  last_loss_ = std::move(last_loss);
-  explored_ = std::move(explored);
-  failure_streaks_ = std::move(failure_streaks);
+  state_ = std::move(state);
 }
 
 }  // namespace helcfl::sched

@@ -60,13 +60,21 @@ class OortSelection : public SelectionStrategy {
   void do_load_state(util::ByteReader& in) override;
 
  private:
+  /// Everything decide()/observe() carry across rounds.
+  struct State {
+    util::Rng rng;
+    double resolved_t_pref = 0.0;
+    double max_seen_loss = 1.0;         ///< optimism prior for unexplored users
+    std::vector<double> last_loss;      ///< most recent observed loss per user
+    std::vector<std::uint8_t> explored; ///< 1 = the user has been selected
+    std::vector<std::size_t> failure_streaks;  ///< consecutive missed rounds
+  };
+
+  /// The payload: configuration echo, then `state`.
+  void fields(auto&& io, util::RecordOf<State> auto& state) const;
+
   OortOptions options_;
-  util::Rng rng_;
-  double resolved_t_pref_ = 0.0;
-  std::vector<double> last_loss_;   ///< most recent observed loss per user
-  std::vector<bool> explored_;      ///< has the user ever been selected
-  std::vector<std::size_t> failure_streaks_;  ///< consecutive missed rounds
-  double max_seen_loss_ = 1.0;      ///< optimism prior for unexplored users
+  State state_;
 };
 
 }  // namespace helcfl::sched

@@ -39,19 +39,19 @@ Decision RandomSelection::decide(const FleetView& fleet, std::size_t round) {
   return decision;
 }
 
+void RandomSelection::fields(auto&& io, util::RecordOf<util::Rng> auto& rng) const {
+  io.echo(fraction_, "RandomSelection fraction");
+  io(rng);
+}
+
 void RandomSelection::do_save_state(util::ByteWriter& out) const {
-  out.f64(fraction_);
-  util::write_rng(out, rng_);
+  fields(util::Save(out), rng_);
 }
 
 void RandomSelection::do_load_state(util::ByteReader& in) {
-  const double fraction = in.f64();
-  if (fraction != fraction_) {
-    throw util::SerialError("RandomSelection: state was saved with fraction " +
-                            std::to_string(fraction) + ", this strategy uses " +
-                            std::to_string(fraction_));
-  }
-  rng_ = util::read_rng(in);
+  util::Rng rng = rng_;
+  fields(util::Load(in), rng);
+  rng_ = rng;
 }
 
 }  // namespace helcfl::sched

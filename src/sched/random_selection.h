@@ -20,6 +20,9 @@ class RandomSelection : public SelectionStrategy {
   void do_load_state(util::ByteReader& in) override;
 
  private:
+  /// The payload: configuration echo, then the selection stream.
+  void fields(auto&& io, util::RecordOf<util::Rng> auto& rng) const;
+
   double fraction_;
   util::Rng rng_;
 };

@@ -8,36 +8,34 @@
 
 namespace helcfl::sched {
 
+void SelectionStrategy::fields(
+    auto&& io, util::RecordOf<std::vector<std::uint8_t>> auto& payload) const {
+  io.echo(name(), "SelectionStrategy name");
+  io(payload);
+}
+
 void SelectionStrategy::save_state(util::ByteWriter& out) const {
-  out.str(name());
   util::ByteWriter payload;
   do_save_state(payload);
-  out.vec_u8(payload.data());
+  fields(util::Save(out), payload.data());
 }
 
 void SelectionStrategy::load_state(util::ByteReader& in) {
-  const std::string stored = in.str();
-  if (stored != name()) {
-    throw util::SerialError("SelectionStrategy::load_state: state was saved by '" +
-                            stored + "' but this strategy is '" + name() + "'");
-  }
-  const std::vector<std::uint8_t> payload = in.vec_u8();
+  std::vector<std::uint8_t> payload;
+  fields(util::Load(in), payload);
   util::ByteReader reader(payload);
   do_load_state(reader);
   reader.expect_end("strategy payload (" + name() + ")");
 }
 
 void SelectionStrategy::capture_initial_state() {
-  util::ByteWriter writer;
-  save_state(writer);
-  initial_state_ = writer.take();
+  initial_state_ = util::to_bytes(*this);
 }
 
 void SelectionStrategy::reset() {
   if (initial_state_.empty()) return;
-  util::ByteReader reader(initial_state_);
-  load_state(reader);
-  reader.expect_end("strategy initial snapshot (" + name() + ")");
+  util::load_state_exact(*this, initial_state_,
+                         "strategy initial snapshot (" + name() + ")");
 }
 
 std::size_t selection_count(std::size_t n_users, double fraction) {

@@ -165,6 +165,9 @@ class SelectionStrategy {
   obs::Instruments instruments_{};
 
  private:
+  /// The frame: name() as an echo, then the do_save_state() payload.
+  void fields(auto&& io, util::RecordOf<std::vector<std::uint8_t>> auto& payload) const;
+
   std::vector<std::uint8_t> initial_state_;
 };
 

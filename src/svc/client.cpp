@@ -97,9 +97,7 @@ void ServiceClient::deliver(std::span<const std::uint8_t> bytes) {
           continue;
         }
         // A duplicate ack finds nothing pending — absorbed here.
-        if (pending_reports_.erase({ack.device_id, ack.report_seq}) == 0) {
-          ++stale_messages_;
-        }
+        pending_reports_.erase({ack.device_id, ack.report_seq});
         break;
       }
       case MsgType::kDecisionResponse: {
@@ -110,14 +108,12 @@ void ServiceClient::deliver(std::span<const std::uint8_t> bytes) {
           ++frames_rejected_;
           continue;
         }
+        // A duplicate of an already-completed response, or one for a
+        // request that exhausted its budget, is dropped.
         if (pending_request_.has_value() &&
             response.controller_seq == pending_request_seq_) {
           decision_ = std::move(response);
           pending_request_.reset();
-        } else {
-          // Duplicate of an already-completed response, or one for a
-          // request that exhausted its budget: drop it.
-          ++stale_messages_;
         }
         break;
       }

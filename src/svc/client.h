@@ -76,13 +76,10 @@ class ServiceClient {
     return pending_reports_.empty() && !pending_request_.has_value();
   }
   std::size_t pending_reports() const { return pending_reports_.size(); }
-  bool awaiting_decision() const { return pending_request_.has_value(); }
-  std::uint64_t next_controller_seq() const { return next_controller_seq_; }
 
   std::uint64_t retries() const { return retries_; }        ///< re-transmissions
   std::uint64_t exhausted() const { return exhausted_; }    ///< gave up
   std::uint64_t frames_rejected() const { return frames_rejected_; }
-  std::uint64_t stale_messages() const { return stale_messages_; }
 
  private:
   struct Pending {
@@ -108,7 +105,6 @@ class ServiceClient {
   std::uint64_t retries_ = 0;
   std::uint64_t exhausted_ = 0;
   std::uint64_t frames_rejected_ = 0;
-  std::uint64_t stale_messages_ = 0;
 };
 
 }  // namespace helcfl::svc

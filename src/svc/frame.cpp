@@ -202,92 +202,42 @@ void decode_datagram(std::span<const std::uint8_t> bytes,
 
 // --- messages ------------------------------------------------------------
 
-void write_device_report(util::ByteWriter& out, const DeviceReport& msg) {
-  out.u64(msg.device_id);
-  out.u64(msg.report_seq);
-  out.f64(msg.t_cal_max_s);
-  out.f64(msg.t_com_s);
-}
-
-DeviceReport read_device_report(util::ByteReader& in) {
-  DeviceReport msg;
-  msg.device_id = in.u64();
-  msg.report_seq = in.u64();
-  msg.t_cal_max_s = in.f64();
-  msg.t_com_s = in.f64();
-  return msg;
-}
-
 Frame encode(const DeviceReport& msg) {
-  util::ByteWriter out;
-  write_device_report(out, msg);
-  return Frame{MsgType::kDeviceReport, out.take()};
+  return Frame{MsgType::kDeviceReport, util::to_bytes(msg)};
 }
 
 Frame encode(const ReportAck& msg) {
-  util::ByteWriter out;
-  out.u64(msg.device_id);
-  out.u64(msg.report_seq);
-  return Frame{MsgType::kReportAck, out.take()};
+  return Frame{MsgType::kReportAck, util::to_bytes(msg)};
 }
 
 Frame encode(const DecisionRequest& msg) {
-  util::ByteWriter out;
-  out.u64(msg.controller_seq);
-  out.u64(msg.round);
-  return Frame{MsgType::kDecisionRequest, out.take()};
+  return Frame{MsgType::kDecisionRequest, util::to_bytes(msg)};
 }
 
 Frame encode(const DecisionResponse& msg) {
-  util::ByteWriter out;
-  out.u64(msg.controller_seq);
-  out.u64(msg.round);
-  out.boolean(msg.degraded);
-  out.vec_size(msg.selected);
-  out.vec_f64(msg.frequencies_hz);
-  return Frame{MsgType::kDecisionResponse, out.take()};
+  return Frame{MsgType::kDecisionResponse, util::to_bytes(msg)};
 }
 
 DeviceReport decode_device_report(std::span<const std::uint8_t> payload) {
-  util::ByteReader in(payload);
-  const DeviceReport msg = read_device_report(in);
-  in.expect_end("DeviceReport");
-  return msg;
+  return util::from_bytes<DeviceReport>(payload, "DeviceReport");
 }
 
 ReportAck decode_report_ack(std::span<const std::uint8_t> payload) {
-  util::ByteReader in(payload);
-  ReportAck msg;
-  msg.device_id = in.u64();
-  msg.report_seq = in.u64();
-  in.expect_end("ReportAck");
-  return msg;
+  return util::from_bytes<ReportAck>(payload, "ReportAck");
 }
 
 DecisionRequest decode_decision_request(std::span<const std::uint8_t> payload) {
-  util::ByteReader in(payload);
-  DecisionRequest msg;
-  msg.controller_seq = in.u64();
-  msg.round = in.u64();
-  in.expect_end("DecisionRequest");
-  return msg;
+  return util::from_bytes<DecisionRequest>(payload, "DecisionRequest");
 }
 
 DecisionResponse decode_decision_response(std::span<const std::uint8_t> payload) {
-  util::ByteReader in(payload);
-  DecisionResponse msg;
-  msg.controller_seq = in.u64();
-  msg.round = in.u64();
-  msg.degraded = in.boolean();
-  msg.selected = in.vec_size();
-  msg.frequencies_hz = in.vec_f64();
+  DecisionResponse msg = util::from_bytes<DecisionResponse>(payload, "DecisionResponse");
   if (msg.selected.size() != msg.frequencies_hz.size()) {
     throw util::SerialError(
         "DecisionResponse: selected/frequencies length mismatch (" +
         std::to_string(msg.selected.size()) + " vs " +
         std::to_string(msg.frequencies_hz.size()) + ")");
   }
-  in.expect_end("DecisionResponse");
   return msg;
 }
 

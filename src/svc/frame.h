@@ -177,10 +177,33 @@ struct DecisionResponse {
   std::vector<double> frequencies_hz;
 };
 
-/// A DeviceReport's fields, unframed: the report payload, and the layout
-/// the service snapshot stores its queued reports in.
-void write_device_report(util::ByteWriter& out, const DeviceReport& msg);
-DeviceReport read_device_report(util::ByteReader& in);
+// The payload layouts (util::Save/util::Load walks).  The service snapshot
+// stores its queued reports and staged request in these layouts too.
+
+void fields(auto&& io, util::RecordOf<DeviceReport> auto& msg) {
+  io(msg.device_id);
+  io(msg.report_seq);
+  io(msg.t_cal_max_s);
+  io(msg.t_com_s);
+}
+
+void fields(auto&& io, util::RecordOf<ReportAck> auto& msg) {
+  io(msg.device_id);
+  io(msg.report_seq);
+}
+
+void fields(auto&& io, util::RecordOf<DecisionRequest> auto& msg) {
+  io(msg.controller_seq);
+  io(msg.round);
+}
+
+void fields(auto&& io, util::RecordOf<DecisionResponse> auto& msg) {
+  io(msg.controller_seq);
+  io(msg.round);
+  io(msg.degraded);
+  io(msg.selected);
+  io(msg.frequencies_hz);
+}
 
 Frame encode(const DeviceReport& msg);
 Frame encode(const ReportAck& msg);

@@ -157,9 +157,9 @@ class SchedulerService {
 
   // --- introspection -----------------------------------------------------
   const ServiceStats& stats() const { return stats_; }
-  std::size_t n_devices() const { return users_.size(); }
-  std::size_t queue_depth() const { return report_queue_.size(); }
-  bool device_alive(std::size_t device) const { return alive_[device] != 0; }
+  std::size_t n_devices() const { return session_.users.size(); }
+  std::size_t queue_depth() const { return session_.report_queue.size(); }
+  bool device_alive(std::size_t device) const { return session_.alive[device] != 0; }
   std::uint64_t decisions_issued() const { return stats_.decisions; }
   const ServiceOptions& options() const { return options_; }
 
@@ -181,26 +181,37 @@ class SchedulerService {
   obs::Instruments instruments_;
   core::HelcflScheduler scheduler_;
 
-  // Fleet state: static device params from construction, delays updated by
-  // reports.  alive_ is the lease-driven mask the FleetView borrows.
-  std::vector<sched::UserInfo> users_;
-  std::vector<std::uint8_t> alive_;
-  std::vector<std::uint64_t> lease_expiry_tick_;
-  std::vector<std::uint64_t> last_report_seq_;  ///< 0 = none applied yet
+  /// Everything a snapshot persists besides the strategy frame.
+  struct Session {
+    // Fleet state: static device params from construction, delays updated
+    // by reports.  alive is the lease-driven mask the FleetView borrows.
+    std::vector<sched::UserInfo> users;
+    std::vector<std::uint8_t> alive;
+    std::vector<std::uint64_t> lease_expiry_tick;
+    std::vector<std::uint64_t> last_report_seq;  ///< 0 = none applied yet
 
-  // Bounded ingress queue (decoded, not-yet-applied reports).
-  std::deque<DeviceReport> report_queue_;
+    // Bounded ingress queue (decoded, not-yet-applied reports).
+    std::deque<DeviceReport> report_queue;
 
-  // Controller session: exactly-once decision processing.
-  std::uint64_t last_controller_seq_ = 0;
-  std::vector<std::uint8_t> cached_response_;  ///< encoded frame for last seq
-  std::optional<DecisionRequest> pending_request_;
+    // Controller session: exactly-once decision processing.
+    std::uint64_t last_controller_seq = 0;
+    std::vector<std::uint8_t> cached_response;  ///< encoded frame for last seq
+    std::optional<DecisionRequest> pending_request;
 
-  // Degradation latch: set by shedding, cleared by a decision that found
-  // the queue empty at answer time.
-  bool degraded_ = false;
+    // Degradation latch: set by shedding, cleared by a decision that found
+    // the queue empty at answer time.
+    bool degraded = false;
 
-  std::uint64_t now_tick_ = 0;  ///< latest tick seen (monotone)
+    std::uint64_t now_tick = 0;  ///< latest tick seen (monotone)
+  };
+
+  /// The snapshot payload: configuration echo, the session's dynamic
+  /// fields, and the strategy frame (staged as bytes so restore can
+  /// validate everything before the strategy loads it).
+  void fields(auto&& io, util::RecordOf<Session> auto& s,
+              util::RecordOf<std::vector<std::uint8_t>> auto& strategy) const;
+
+  Session session_;
   std::vector<std::vector<std::uint8_t>> outbox_;
   ServiceStats stats_;
 };

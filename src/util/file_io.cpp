@@ -42,4 +42,14 @@ std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
   return bytes;
 }
 
+std::string expand_path_token(std::string path, std::string_view token,
+                              std::uint64_t value) {
+  const std::string text = std::to_string(value);
+  for (std::size_t at = path.find(token); at != std::string::npos;
+       at = path.find(token, at + text.size())) {
+    path.replace(at, token.size(), text);
+  }
+  return path;
+}
+
 }  // namespace helcfl::util

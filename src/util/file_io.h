@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace helcfl::util {
@@ -24,5 +25,10 @@ void write_file_atomic(const std::string& path,
 /// Reads all of `path`.  Throws std::runtime_error naming the path if the
 /// file cannot be opened or read.
 std::vector<std::uint8_t> read_file_bytes(const std::string& path);
+
+/// `path` with every occurrence of `token` (e.g. "{round}") replaced by
+/// `value` — how cadenced snapshot paths name each file.
+std::string expand_path_token(std::string path, std::string_view token,
+                              std::uint64_t value);
 
 }  // namespace helcfl::util

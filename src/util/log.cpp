@@ -41,7 +41,6 @@ void log(LogLevel level, std::string_view message) {
   std::fwrite(line.data(), 1, line.size(), stderr);
 }
 
-void log_debug(std::string_view message) { log(LogLevel::kDebug, message); }
 void log_info(std::string_view message) { log(LogLevel::kInfo, message); }
 void log_warn(std::string_view message) { log(LogLevel::kWarn, message); }
 void log_error(std::string_view message) { log(LogLevel::kError, message); }

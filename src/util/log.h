@@ -22,7 +22,6 @@ LogLevel log_level();
 /// Emits `message` to stderr with a level tag if `level` passes the filter.
 void log(LogLevel level, std::string_view message);
 
-void log_debug(std::string_view message);
 void log_info(std::string_view message);
 void log_warn(std::string_view message);
 void log_error(std::string_view message);

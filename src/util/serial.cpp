@@ -4,8 +4,6 @@
 #include <cstring>
 #include <type_traits>
 
-#include "util/rng.h"
-
 namespace helcfl::util {
 
 namespace {
@@ -45,30 +43,22 @@ void ByteWriter::raw(std::span<const std::uint8_t> bytes) {
   buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
 }
 
-void ByteWriter::vec_f32(std::span<const float> v) {
+template <typename T>
+void ByteWriter::write_all(std::span<const T> v, void (ByteWriter::*put)(T)) {
   u64(v.size());
-  for (const float x : v) f32(x);
+  for (const T x : v) (this->*put)(x);
 }
 
-void ByteWriter::vec_f64(std::span<const double> v) {
-  u64(v.size());
-  for (const double x : v) f64(x);
-}
-
-void ByteWriter::vec_u64(std::span<const std::uint64_t> v) {
-  u64(v.size());
-  for (const std::uint64_t x : v) u64(x);
-}
+void ByteWriter::vec_f32(std::span<const float> v) { write_all(v, &ByteWriter::f32); }
+void ByteWriter::vec_f64(std::span<const double> v) { write_all(v, &ByteWriter::f64); }
+void ByteWriter::vec_u64(std::span<const std::uint64_t> v) { write_all(v, &ByteWriter::u64); }
 
 void ByteWriter::vec_u8(std::span<const std::uint8_t> v) {
   u64(v.size());
   raw(v);
 }
 
-void ByteWriter::vec_size(std::span<const std::size_t> v) {
-  u64(v.size());
-  for (const std::size_t x : v) u64(static_cast<std::uint64_t>(x));
-}
+void ByteWriter::vec_size(std::span<const std::size_t> v) { vec_u64(v); }
 
 std::uint8_t ByteReader::u8() {
   if (remaining() < 1) fail_overrun(1, cursor_, data_.size());
@@ -133,26 +123,16 @@ std::size_t ByteReader::read_count(std::size_t elem_size) {
   return static_cast<std::size_t>(n);
 }
 
-std::vector<float> ByteReader::vec_f32() {
-  const std::size_t n = read_count(4);
-  std::vector<float> v(n);
-  for (auto& x : v) x = f32();
+template <typename T>
+std::vector<T> ByteReader::read_all(T (ByteReader::*get)()) {
+  std::vector<T> v(read_count(sizeof(T)));
+  for (auto& x : v) x = (this->*get)();
   return v;
 }
 
-std::vector<double> ByteReader::vec_f64() {
-  const std::size_t n = read_count(8);
-  std::vector<double> v(n);
-  for (auto& x : v) x = f64();
-  return v;
-}
-
-std::vector<std::uint64_t> ByteReader::vec_u64() {
-  const std::size_t n = read_count(8);
-  std::vector<std::uint64_t> v(n);
-  for (auto& x : v) x = u64();
-  return v;
-}
+std::vector<float> ByteReader::vec_f32() { return read_all(&ByteReader::f32); }
+std::vector<double> ByteReader::vec_f64() { return read_all(&ByteReader::f64); }
+std::vector<std::uint64_t> ByteReader::vec_u64() { return read_all(&ByteReader::u64); }
 
 std::vector<std::uint8_t> ByteReader::vec_u8() {
   const std::size_t n = read_count(1);
@@ -160,12 +140,7 @@ std::vector<std::uint8_t> ByteReader::vec_u8() {
   return std::vector<std::uint8_t>(view.begin(), view.end());
 }
 
-std::vector<std::size_t> ByteReader::vec_size() {
-  const std::size_t n = read_count(8);
-  std::vector<std::size_t> v(n);
-  for (auto& x : v) x = static_cast<std::size_t>(u64());
-  return v;
-}
+std::vector<std::size_t> ByteReader::vec_size() { return vec_u64(); }
 
 void ByteReader::expect_end(std::string_view what) const {
   if (!done()) {
@@ -235,22 +210,11 @@ std::span<const std::uint8_t> open_sealed(std::span<const std::uint8_t> image,
   return payload;
 }
 
-void write_rng(ByteWriter& out, const Rng& rng) {
-  const Rng::State state = rng.state();
-  for (const std::uint64_t word : state.words) out.u64(word);
-  out.u64(state.seed);
-  out.f64(state.cached_normal);
-  out.boolean(state.has_cached_normal);
-}
+void write_rng(ByteWriter& out, const Rng& rng) { Save{out}(rng); }
 
 Rng read_rng(ByteReader& in) {
-  Rng::State state;
-  for (auto& word : state.words) word = in.u64();
-  state.seed = in.u64();
-  state.cached_normal = in.f64();
-  state.has_cached_normal = in.boolean();
-  Rng rng(state.seed);
-  rng.set_state(state);
+  Rng rng;
+  Load{in}(rng);
   return rng;
 }
 
