@@ -4,8 +4,9 @@
 // a small JSON file (one object per benchmark: name, ns/op, items/sec,
 // iterations, plus any user counters such as p99 latencies) so CI and
 // before/after comparisons can diff numbers without scraping console
-// tables.  Override the output path with --bench-json=<path>.  The file
-// opens with the host block of bench_host.h.
+// tables.  The file is written only when --bench-json=<path> names it, so
+// a filtered run never replaces a checked-in baseline.  It opens with the
+// host block of bench_host.h.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -73,6 +74,7 @@ class JsonTeeReporter : public benchmark::BenchmarkReporter {
 
   void Finalize() override {
     console_.Finalize();
+    if (path_.empty()) return;
     std::ofstream out(path_);
     if (!out) {
       std::cerr << "bench_json: cannot open " << path_ << "\n";
@@ -120,11 +122,11 @@ class JsonTeeReporter : public benchmark::BenchmarkReporter {
   std::vector<Row> rows_;
 };
 
-/// Drop-in replacement for benchmark_main: console output plus a JSON file.
-/// Recognizes and strips `--bench-json=<path>` and `--git-sha=<sha>`.
-inline int run_benchmarks_with_json(int argc, char** argv,
-                                    const char* default_path) {
-  std::string path = default_path;
+/// Drop-in replacement for benchmark_main: console output plus, given
+/// `--bench-json=<path>`, a JSON file.  Recognizes and strips that flag and
+/// `--git-sha=<sha>`.
+inline int run_benchmarks_with_json(int argc, char** argv) {
+  std::string path;
   std::string git_sha = "unknown";
   std::vector<char*> args(argv, argv + argc);
   for (auto it = args.begin(); it != args.end();) {
@@ -153,8 +155,7 @@ inline int run_benchmarks_with_json(int argc, char** argv,
 
 }  // namespace helcfl::bench
 
-#define HELCFL_BENCH_JSON_MAIN(default_path)                             \
-  int main(int argc, char** argv) {                                      \
-    return helcfl::bench::run_benchmarks_with_json(argc, argv,           \
-                                                   default_path);        \
+#define HELCFL_BENCH_JSON_MAIN()                                  \
+  int main(int argc, char** argv) {                               \
+    return helcfl::bench::run_benchmarks_with_json(argc, argv);   \
   }

@@ -10,6 +10,7 @@
 #include "nn/models.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
+#include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -165,6 +166,73 @@ BENCHMARK_CAPTURE(BM_Conv2DTrainStep, small_cnn_conv2_b40, ConvShape{8, 16, 4, 4
 BENCHMARK_CAPTURE(BM_Conv2DTrainStep, small_cnn_conv1_b40_params_only,
                   ConvShape{3, 8, 8, 40, true});
 
+// One full-matrix B pack through the active kernel (vtable pack_b): the
+// data movement the engine does before every product on that operand.
+struct PackShape {
+  std::size_t k, n;
+  bool trans_b;
+  // An im2col view when extent > 0: small_cnn's padded chunk of `cnt`
+  // samples, `in_ch` channels, extent x extent maps, 3x3 kernel, pad 1.
+  std::size_t in_ch = 0, extent = 0, cnt = 0;
+};
+
+void BM_PackB(benchmark::State& state, PackShape shape) {
+  const tensor::detail::KernelVTable& vt = tensor::detail::active_kernel_vtable();
+  const std::size_t hp = shape.extent + 2;
+  const std::size_t plane = shape.in_ch * hp * hp;
+  std::vector<float> src(shape.extent > 0 ? shape.cnt * plane : shape.k * shape.n);
+  util::Rng rng(11);
+  for (auto& v : src) v = static_cast<float>(rng.normal());
+  const tensor::detail::Im2colView view{src.data(), shape.in_ch, 3, 1, hp, hp,
+                                        shape.extent, shape.extent, plane};
+  tensor::detail::GemmArgs args{.k = shape.k, .n = shape.n, .b = src.data(),
+                                .trans_b = shape.trans_b};
+  if (shape.extent > 0) {
+    args.b_view = &view;
+    // The weight gradient restarts k-blocks per sample, as Conv2D does.
+    if (shape.trans_b) args.k_segment = shape.extent * shape.extent;
+  }
+  std::vector<float> dst(tensor::detail::packed_b_size(vt, shape.k, shape.n));
+  for (auto _ : state) {
+    vt.pack_b(args, dst.data());
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(shape.k * shape.n));
+}
+// Dense(192 -> 64)'s W^T, repacked after every SGD step.
+BENCHMARK_CAPTURE(BM_PackB, dense_wt_64x192, PackShape{192, 64, true});
+// small_cnn conv1 (3 -> 8, 8x8 map, 4 samples a chunk) and conv2 (8 -> 16,
+// 4x4 map, 16 samples a chunk): the forward view [C*9, 256] and the
+// weight-gradient view, its transpose.
+BENCHMARK_CAPTURE(BM_PackB, conv1_forward_view, PackShape{27, 256, false, 3, 8, 4});
+BENCHMARK_CAPTURE(BM_PackB, conv1_wgrad_view, PackShape{256, 27, true, 3, 8, 4});
+BENCHMARK_CAPTURE(BM_PackB, conv2_forward_view, PackShape{72, 256, false, 8, 4, 16});
+BENCHMARK_CAPTURE(BM_PackB, conv2_wgrad_view, PackShape{256, 72, true, 8, 4, 16});
+
+void BM_SgdStep(benchmark::State& state) {
+  // One local step's update of the async-mlp model's parameters, with the
+  // paper config's client momentum.
+  util::Rng rng(12);
+  auto model = nn::make_mlp(nn::ImageSpec{3, 8, 8}, 64, 10, rng);
+  for (const nn::ParamRef& p : model->params()) {
+    for (float& g : p.grad) g = static_cast<float>(rng.normal(0.0, 0.01));
+  }
+  nn::Sgd sgd({.learning_rate = 0.02F, .momentum = 0.5F});
+  const std::vector<nn::ParamRef> params = model->params();
+  const std::size_t n_params = nn::parameter_count(*model);
+  for (auto _ : state) {
+    sgd.step(params);
+    benchmark::DoNotOptimize(params[0].value.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["params"] = static_cast<double>(n_params);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n_params));
+}
+BENCHMARK(BM_SgdStep);
+
 void BM_SoftmaxCrossEntropy(benchmark::State& state) {
   util::Rng rng(7);
   Tensor logits(Shape{static_cast<std::size_t>(state.range(0)), 10});
@@ -260,4 +328,4 @@ BENCHMARK(BM_ExtractLoadParameters);
 
 }  // namespace
 
-HELCFL_BENCH_JSON_MAIN("BENCH_micro_kernels.json")
+HELCFL_BENCH_JSON_MAIN()

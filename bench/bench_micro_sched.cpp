@@ -124,4 +124,4 @@ BENCHMARK(BM_FedAvg)->Arg(13002)->Arg(1250000);  // our MLP / SqueezeNet-scale
 
 }  // namespace
 
-HELCFL_BENCH_JSON_MAIN("BENCH_micro_sched.json")
+HELCFL_BENCH_JSON_MAIN()

@@ -112,6 +112,7 @@ BENCHMARK(BM_ReferenceSelect)
 
 }  // namespace
 
-// Scale rows land in the scheduler micro-bench JSON so one file carries
-// all FLCC-side throughput numbers.
-HELCFL_BENCH_JSON_MAIN("BENCH_micro_sched.json")
+// Scale rows are recorded into the scheduler micro-bench JSON
+// (--bench-json=BENCH_micro_sched.json) so one file carries all FLCC-side
+// throughput numbers.
+HELCFL_BENCH_JSON_MAIN()

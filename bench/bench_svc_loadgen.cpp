@@ -302,6 +302,6 @@ int main(int argc, char** argv) {
     }
   }
   if (!filter.empty()) args.insert(args.begin() + 1, filter.data());
-  return helcfl::bench::run_benchmarks_with_json(
-      static_cast<int>(args.size()), args.data(), "BENCH_micro_svc.json");
+  return helcfl::bench::run_benchmarks_with_json(static_cast<int>(args.size()),
+                                                 args.data());
 }

@@ -19,19 +19,25 @@ void Sgd::step(const std::vector<ParamRef>& params) {
     }
   }
 
+  // Options live in locals and the buffers behind restrict pointers, so
+  // the loops vectorize; each element's arithmetic is the scalar one.
+  const float lr = options_.learning_rate;
+  const float mu = options_.momentum;
+  const float wd = options_.weight_decay;
   for (std::size_t i = 0; i < params.size(); ++i) {
-    auto value = params[i].value;
-    auto grad = params[i].grad;
-    assert(value.size() == grad.size());
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      float g = grad[j] + options_.weight_decay * value[j];
-      if (use_momentum) {
-        auto& v = velocity_[i];
-        assert(v.size() == value.size());
-        v[j] = options_.momentum * v[j] + g;
-        g = v[j];
+    const std::size_t n = params[i].value.size();
+    assert(params[i].grad.size() == n);
+    float* __restrict__ value = params[i].value.data();
+    const float* __restrict__ grad = params[i].grad.data();
+    if (use_momentum) {
+      assert(velocity_[i].size() == n);
+      float* __restrict__ v = velocity_[i].data();
+      for (std::size_t j = 0; j < n; ++j) {
+        v[j] = mu * v[j] + (grad[j] + wd * value[j]);
+        value[j] -= lr * v[j];
       }
-      value[j] -= options_.learning_rate * g;
+    } else {
+      for (std::size_t j = 0; j < n; ++j) value[j] -= lr * (grad[j] + wd * value[j]);
     }
   }
   // The step rewrote parameter storage behind the owning layers' backs;
@@ -69,20 +75,25 @@ void Adam::step(const std::vector<ParamRef>& params) {
   const double bias1 = 1.0 - std::pow(options_.beta1, static_cast<double>(step_count_));
   const double bias2 = 1.0 - std::pow(options_.beta2, static_cast<double>(step_count_));
 
+  const float lr = options_.learning_rate;
+  const float b1 = options_.beta1;
+  const float b2 = options_.beta2;
+  const float eps = options_.epsilon;
+  const float wd = options_.weight_decay;
   for (std::size_t i = 0; i < params.size(); ++i) {
-    auto value = params[i].value;
-    auto grad = params[i].grad;
-    auto& m = first_moment_[i];
-    auto& v = second_moment_[i];
-    assert(value.size() == grad.size() && value.size() == m.size());
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      const float g = grad[j] + options_.weight_decay * value[j];
-      m[j] = options_.beta1 * m[j] + (1.0F - options_.beta1) * g;
-      v[j] = options_.beta2 * v[j] + (1.0F - options_.beta2) * g * g;
+    const std::size_t n = params[i].value.size();
+    assert(params[i].grad.size() == n && first_moment_[i].size() == n);
+    float* __restrict__ value = params[i].value.data();
+    const float* __restrict__ grad = params[i].grad.data();
+    float* __restrict__ m = first_moment_[i].data();
+    float* __restrict__ v = second_moment_[i].data();
+    for (std::size_t j = 0; j < n; ++j) {
+      const float g = grad[j] + wd * value[j];
+      m[j] = b1 * m[j] + (1.0F - b1) * g;
+      v[j] = b2 * v[j] + (1.0F - b2) * g * g;
       const double m_hat = static_cast<double>(m[j]) / bias1;
       const double v_hat = static_cast<double>(v[j]) / bias2;
-      value[j] -= static_cast<float>(options_.learning_rate * m_hat /
-                                     (std::sqrt(v_hat) + options_.epsilon));
+      value[j] -= static_cast<float>(lr * m_hat / (std::sqrt(v_hat) + eps));
     }
   }
   for (const auto& p : params) {

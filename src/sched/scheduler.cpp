@@ -24,7 +24,14 @@ void SelectionStrategy::load_state(util::ByteReader& in) {
   std::vector<std::uint8_t> payload;
   fields(util::Load(in), payload);
   util::ByteReader reader(payload);
+  util::ByteWriter before;
+  do_save_state(before);
   do_load_state(reader);
+  if (reader.done()) return;
+  // Trailing payload bytes: do_load_state() committed what it parsed, so
+  // put the pre-load state back before rejecting the frame.
+  util::ByteReader undo(before.data());
+  do_load_state(undo);
   reader.expect_end("strategy payload (" + name() + ")");
 }
 

@@ -125,8 +125,10 @@ class SelectionStrategy {
   /// Restores state written by save_state() on an identically-configured
   /// strategy.  Throws util::SerialError if the stored name does not match
   /// name(), if the configuration echo mismatches, or if the payload is
-  /// malformed; implementations parse the full payload before mutating any
-  /// member, so a throwing load leaves the strategy unchanged.
+  /// malformed or longer than do_load_state() consumes; implementations
+  /// parse the full payload before mutating any member, and a payload with
+  /// trailing bytes is undone from a pre-load snapshot, so a throwing load
+  /// leaves the strategy unchanged.
   void load_state(util::ByteReader& in);
 
   /// The construction-time snapshot reset() restores (empty if the

@@ -27,7 +27,7 @@ std::atomic<std::uint64_t> g_scratch_reallocs{0};
 const KernelVTable* resolve() {
   const char* pin_env = std::getenv("HELCFL_KERNEL_ISA");
   const std::string_view pin = pin_env == nullptr ? "" : pin_env;
-  int cap = 2;  // 0 = generic, 1 = avx2_fma, 2 = avx512
+  std::size_t cap = 2;  // 0 = generic, 1 = avx2_fma, 2 = avx512
   if (pin == "generic") {
     cap = 0;
   } else if (pin == "avx2_fma" || pin == "avx2") {
@@ -40,19 +40,13 @@ const KernelVTable* resolve() {
                  "(expected generic|avx2_fma|avx512)\n",
                  pin_env);
   }
-#if defined(HELCFL_HAVE_AVX512_KERNELS)
-  if (cap >= 2 && __builtin_cpu_supports("avx512f")) {
-    return &gemm_avx512_vtable();
+  const std::vector<const KernelVTable*>& kernels = supported_kernel_vtables();
+  for (std::size_t i = kernels.size(); i-- > 0;) {
+    const std::string_view isa = kernels[i]->isa;
+    const std::size_t rank = isa == "avx512" ? 2 : isa == "avx2_fma" ? 1 : 0;
+    if (rank <= cap) return kernels[i];
   }
-#endif
-#if defined(HELCFL_HAVE_AVX2_KERNELS)
-  if (cap >= 1 && __builtin_cpu_supports("avx2") &&
-      __builtin_cpu_supports("fma")) {
-    return &gemm_avx2_vtable();
-  }
-#endif
-  (void)cap;
-  return &gemm_generic_vtable();
+  return kernels.front();
 }
 
 const KernelVTable& resolved() {
@@ -104,6 +98,22 @@ KernelTeam& team() {
 }
 
 }  // namespace
+
+const std::vector<const KernelVTable*>& supported_kernel_vtables() {
+  static const std::vector<const KernelVTable*> kernels = [] {
+    std::vector<const KernelVTable*> out{&gemm_generic_vtable()};
+#if defined(HELCFL_HAVE_AVX2_KERNELS)
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+      out.push_back(&gemm_avx2_vtable());
+    }
+#endif
+#if defined(HELCFL_HAVE_AVX512_KERNELS)
+    if (__builtin_cpu_supports("avx512f")) out.push_back(&gemm_avx512_vtable());
+#endif
+    return out;
+  }();
+  return kernels;
+}
 
 const KernelVTable& active_kernel_vtable() { return resolved(); }
 

@@ -136,6 +136,12 @@ void gemm_avx512_pack_b(const GemmArgs& args, float* dst);
 const KernelVTable& gemm_avx512_vtable();
 #endif
 
+/// Every kernel this build compiled that the CPU can run, narrowest first
+/// (generic, then avx2_fma, then avx512): the set active_kernel_vtable()
+/// picks from before HELCFL_KERNEL_ISA caps it.  Tests walk it to check each
+/// kernel's packing against a reference.
+const std::vector<const KernelVTable*>& supported_kernel_vtables();
+
 /// The kernel this process dispatches to.  Resolved once (thread-safe) from
 /// CPUID; `HELCFL_KERNEL_ISA` in the environment *caps* the dispatch below
 /// the CPUID ceiling (generic < avx2_fma < avx512), so pinning an ISA the

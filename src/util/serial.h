@@ -316,12 +316,18 @@ R from_bytes(std::span<const std::uint8_t> bytes, std::string_view what) {
 }
 
 /// component.load_state() over exactly `frame`; `what` names the frame in
-/// the trailing-bytes error.
+/// the trailing-bytes error.  load_state() commits what it parsed before
+/// the end can be checked, so a frame with trailing bytes is undone from a
+/// pre-load snapshot: a throw always leaves `component` unchanged.
 template <typename T>
 void load_state_exact(T& component, std::span<const std::uint8_t> frame,
                       std::string_view what) {
+  const std::vector<std::uint8_t> before = to_bytes(component);
   ByteReader in(frame);
   component.load_state(in);
+  if (in.done()) return;
+  ByteReader undo(before);
+  component.load_state(undo);
   in.expect_end(what);
 }
 

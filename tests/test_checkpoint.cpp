@@ -333,7 +333,9 @@ TEST_P(StrategyStateRoundTrip, CrossStrategyLoadIsRejected) {
   const std::unique_ptr<sched::SelectionStrategy> source =
       testing::make_resume_strategy(other);
   advance_strategy(*source, 3);
-  util::ByteReader reader(strategy_bytes(*source));
+  // The reader borrows its bytes, so they must outlive it.
+  const std::vector<std::uint8_t> frame = strategy_bytes(*source);
+  util::ByteReader reader(frame);
   EXPECT_THROW(target->load_state(reader), util::SerialError);
   EXPECT_EQ(strategy_bytes(*target), before);
 }

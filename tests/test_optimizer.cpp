@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 namespace helcfl::nn {
@@ -118,6 +122,115 @@ TEST(Sgd, MomentumConvergesFasterOnIllConditionedQuadratic) {
     return steps;
   };
   EXPECT_LT(run(0.9F), run(0.0F));
+}
+
+// --- bitwise agreement with the element-by-element update ---------------
+//
+// The optimizers' loops are written to vectorize; every element must still
+// get exactly the scalar arithmetic below, special values included.
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+
+/// Parameter tensors of awkward lengths (vector tails of every size) with
+/// gradients mixing ordinary values, +-0, +-inf, NaN and subnormals.
+struct ParamSet {
+  std::vector<std::vector<float>> value, grad;
+
+  ParamSet() {
+    const float specials[] = {0.0F, -0.0F, kInf, -kInf, kNaN, 1e-40F, -1e-40F, 3.5F};
+    for (const std::size_t n : {1, 3, 7, 8, 17, 64, 13002}) {
+      std::vector<float> v(n), g(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        v[j] = j % 13 == 5 ? -0.0F : std::sin(static_cast<float>(j + n)) * 2.0F;
+        g[j] = j % 11 == 0 ? specials[(j / 11 + n) % 8]
+                           : std::cos(static_cast<float>(3 * j + n)) * 0.5F;
+      }
+      value.push_back(std::move(v));
+      grad.push_back(std::move(g));
+    }
+  }
+
+  std::vector<ParamRef> refs() {
+    std::vector<ParamRef> out;
+    for (std::size_t i = 0; i < value.size(); ++i) out.push_back({value[i], grad[i]});
+    return out;
+  }
+};
+
+void expect_bitwise_equal(const ParamSet& got, const ParamSet& want, const std::string& what) {
+  for (std::size_t i = 0; i < want.value.size(); ++i) {
+    ASSERT_EQ(std::memcmp(got.value[i].data(), want.value[i].data(),
+                          want.value[i].size() * sizeof(float)),
+              0)
+        << what << ", tensor " << i;
+  }
+}
+
+/// The update of Sgd::step, one element at a time.
+void reference_sgd(ParamSet& p, std::vector<std::vector<float>>& velocity,
+                   const Sgd::Options& o) {
+  for (std::size_t i = 0; i < p.value.size(); ++i) {
+    for (std::size_t j = 0; j < p.value[i].size(); ++j) {
+      float g = p.grad[i][j] + o.weight_decay * p.value[i][j];
+      if (o.momentum != 0.0F) {
+        velocity[i][j] = o.momentum * velocity[i][j] + g;
+        g = velocity[i][j];
+      }
+      p.value[i][j] -= o.learning_rate * g;
+    }
+  }
+}
+
+TEST(Sgd, StepIsBitwiseTheScalarUpdate) {
+  for (const float momentum : {0.0F, 0.5F}) {
+    for (const float decay : {0.0F, 1e-4F}) {
+      const Sgd::Options options{.learning_rate = 0.05F, .momentum = momentum,
+                                 .weight_decay = decay};
+      ParamSet got, want;
+      std::vector<std::vector<float>> velocity;
+      for (const auto& v : want.value) velocity.emplace_back(v.size(), 0.0F);
+      Sgd sgd(options);
+      for (int step = 0; step < 4; ++step) {
+        sgd.step(got.refs());
+        reference_sgd(want, velocity, options);
+        expect_bitwise_equal(got, want, "momentum " + std::to_string(momentum) + ", decay " +
+                                            std::to_string(decay) + ", step " +
+                                            std::to_string(step));
+      }
+    }
+  }
+}
+
+TEST(Adam, StepIsBitwiseTheScalarUpdate) {
+  for (const float decay : {0.0F, 1e-4F}) {
+    const Adam::Options o{.learning_rate = 1e-2F, .weight_decay = decay};
+    ParamSet got, want;
+    std::vector<std::vector<float>> m, v;
+    for (const auto& w : want.value) {
+      m.emplace_back(w.size(), 0.0F);
+      v.emplace_back(w.size(), 0.0F);
+    }
+    Adam adam(o);
+    for (int step = 1; step <= 4; ++step) {
+      adam.step(got.refs());
+      const double bias1 = 1.0 - std::pow(o.beta1, static_cast<double>(step));
+      const double bias2 = 1.0 - std::pow(o.beta2, static_cast<double>(step));
+      for (std::size_t i = 0; i < want.value.size(); ++i) {
+        for (std::size_t j = 0; j < want.value[i].size(); ++j) {
+          const float g = want.grad[i][j] + o.weight_decay * want.value[i][j];
+          m[i][j] = o.beta1 * m[i][j] + (1.0F - o.beta1) * g;
+          v[i][j] = o.beta2 * v[i][j] + (1.0F - o.beta2) * g * g;
+          const double m_hat = static_cast<double>(m[i][j]) / bias1;
+          const double v_hat = static_cast<double>(v[i][j]) / bias2;
+          want.value[i][j] -= static_cast<float>(o.learning_rate * m_hat /
+                                                 (std::sqrt(v_hat) + o.epsilon));
+        }
+      }
+      expect_bitwise_equal(got, want,
+                           "decay " + std::to_string(decay) + ", step " + std::to_string(step));
+    }
+  }
 }
 
 }  // namespace
