@@ -4,11 +4,13 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_json.h"
+#include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/loss.h"
 #include "nn/models.h"
 #include "nn/optimizer.h"
+#include "nn/pool.h"
 #include "nn/serialize.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
@@ -56,6 +58,32 @@ BENCHMARK(BM_Gemm)
     ->Args({512, 2})
     ->Args({512, 4})
     ->UseRealTime();
+
+// Conv2D's input-gradient product, grad_col = W^T * panel, at small_cnn
+// conv2's shape (ckk = 72, out_ch = 16, one 256-column chunk): one 16-step
+// k-block per tile, so storing the tiles is half the work.
+struct GemmShape {
+  std::size_t m, k, n;
+};
+
+void BM_Gemm(benchmark::State& state, GemmShape shape) {
+  util::Rng rng(13);
+  std::vector<float> a(shape.k * shape.m);
+  std::vector<float> b(shape.k * shape.n);
+  std::vector<float> c(shape.m * shape.n);
+  for (auto& v : a) v = static_cast<float>(rng.normal());
+  for (auto& v : b) v = static_cast<float>(rng.normal());
+  for (auto _ : state) {
+    tensor::gemm_at_b(shape.m, shape.k, shape.n, a, b, c);
+    benchmark::DoNotOptimize(c.data());
+  }
+  const auto flops = static_cast<std::int64_t>(state.iterations()) *
+                     static_cast<std::int64_t>(2 * shape.m * shape.n * shape.k);
+  state.SetItemsProcessed(flops);
+  state.counters["flops"] = benchmark::Counter(static_cast<double>(flops),
+                                               benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_Gemm, conv2_igrad_72x16x256, GemmShape{72, 16, 256});
 
 void BM_GemmABt(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -165,6 +193,35 @@ BENCHMARK_CAPTURE(BM_Conv2DTrainStep, small_cnn_conv2_b40, ConvShape{8, 16, 4, 4
 // read, so Sequential::accumulate_grads skips it.
 BENCHMARK_CAPTURE(BM_Conv2DTrainStep, small_cnn_conv1_b40_params_only,
                   ConvShape{3, 8, 8, 40, true});
+
+// small_cnn's pointwise layers after conv1 at the trainer's batch of 40:
+// one training forward and one backward over [40, 8, 8, 8].
+template <typename L>
+void BM_PointwiseStep(benchmark::State& state, L& layer) {
+  util::Rng rng(14);
+  Tensor x(Shape{40, 8, 8, 8});
+  x.fill_normal(rng, 0.0F, 1.0F);
+  Tensor dy(layer.forward(x, false).shape());
+  dy.fill_normal(rng, 0.0F, 1.0F);
+  for (auto _ : state) {
+    Tensor y = layer.forward(x, true);
+    Tensor dx = layer.backward(dy);
+    benchmark::DoNotOptimize(y.data().data());
+    benchmark::DoNotOptimize(dx.data().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.size()));
+}
+void BM_ReLUStep(benchmark::State& state) {
+  nn::ReLU relu;
+  BM_PointwiseStep(state, relu);
+}
+void BM_MaxPool2DStep(benchmark::State& state) {
+  nn::MaxPool2D pool(2, 2);
+  BM_PointwiseStep(state, pool);
+}
+BENCHMARK(BM_ReLUStep)->Name("BM_ReLUStep/small_cnn_b40");
+BENCHMARK(BM_MaxPool2DStep)->Name("BM_MaxPool2DStep/small_cnn_b40");
 
 // One full-matrix B pack through the active kernel (vtable pack_b): the
 // data movement the engine does before every product on that operand.

@@ -17,6 +17,7 @@ class ReLU : public Layer {
   std::string name() const override { return "ReLU"; }
 
  private:
+  tensor::Shape shape_;             // training forward's input shape
   std::vector<std::uint8_t> mask_;  // 1 where input > 0
 };
 

@@ -1,6 +1,5 @@
 #include "nn/batchnorm.h"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -114,9 +113,12 @@ Tensor BatchNorm::forward(const Tensor& input, bool training) {
 }
 
 Tensor BatchNorm::backward(const Tensor& grad_output) {
-  assert(!x_hat_.empty() && "backward() requires a training forward()");
+  if (x_hat_.empty()) {
+    throw std::logic_error("BatchNorm::backward: requires a training forward()");
+  }
   const Shape& shape = x_hat_.shape();
-  assert(grad_output.shape() == shape);
+  tensor::require_same_shape(grad_output.shape(), shape,
+                             "BatchNorm::backward: grad_output vs forward input");
   const auto group = static_cast<float>(group_size_);
 
   // Per-feature reductions: sum(dy) and sum(dy * x_hat).

@@ -68,6 +68,19 @@ namespace {
 // cache-resident and scratch stays bounded for any batch.
 constexpr std::size_t kChunkCols = 256;
 
+/// Adds a W-float column of a stride-1 gradient row block into the image:
+/// in[y * w_out + t] goes to out[y * wp + t] for each of the h_out rows.
+/// Each element gets one addition, so the order of taps reaching it is
+/// kept.  Pieces stay 4 floats wide: a wider piece partly overlaps the next
+/// tap's (one float over), and a load across such a pending store stalls.
+template <std::size_t W>
+inline void fold_column(const float* __restrict__ in, std::size_t w_out, std::size_t h_out,
+                        float* __restrict__ out, std::size_t wp) {
+  for (std::size_t y = 0; y < h_out; ++y) {
+    for (std::size_t t = 0; t < W; ++t) out[y * wp + t] += in[y * w_out + t];
+  }
+}
+
 }  // namespace
 
 Conv2D::Geometry Conv2D::prepare(const Shape& s) {
@@ -113,11 +126,23 @@ void Conv2D::col2im(const float* __restrict__ src, const Geometry& g, std::size_
     for (std::size_t ky = 0; ky < kernel_; ++ky) {
       for (std::size_t kx = 0; kx < kernel_; ++kx, ++r) {
         const float* row = src + r * ld;
-        for (std::size_t y = 0; y < g.h_out; ++y) {
-          const float* in = row + y * g.w_out;
-          float* out = plane + (y * stride_ + ky) * g.wp + kx;
-          for (std::size_t x = 0; x < g.w_out; ++x) out[x * stride_] += in[x];
+        float* origin = plane + ky * g.wp + kx;
+        if (stride_ > 1) {
+          for (std::size_t y = 0; y < g.h_out; ++y) {
+            const float* in = row + y * g.w_out;
+            float* out = origin + y * stride_ * g.wp;
+            for (std::size_t x = 0; x < g.w_out; ++x) out[x * stride_] += in[x];
+          }
+          continue;
         }
+        // Stride 1: fixed-width 4-float columns down all h_out rows (a
+        // runtime-length loop over a 4-float row stays scalar), then
+        // single-float tail columns.
+        std::size_t x = 0;
+        for (; x + 4 <= g.w_out; x += 4) {
+          fold_column<4>(row + x, g.w_out, g.h_out, origin + x, g.wp);
+        }
+        for (; x < g.w_out; ++x) fold_column<1>(row + x, g.w_out, g.h_out, origin + x, g.wp);
       }
     }
   }

@@ -1,6 +1,5 @@
 #include "nn/dropout.h"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace helcfl::nn {
@@ -42,7 +41,8 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
 
 Tensor Dropout::backward(const Tensor& grad_output) {
   if (mask_.empty()) return grad_output;  // forward ran in inference mode
-  assert(grad_output.shape() == mask_.shape());
+  tensor::require_same_shape(grad_output.shape(), mask_.shape(),
+                             "Dropout::backward: grad_output vs forward input");
   Tensor grad_input = grad_output;
   for (std::size_t i = 0; i < grad_input.size(); ++i) grad_input[i] *= mask_[i];
   return grad_input;

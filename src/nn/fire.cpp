@@ -1,6 +1,6 @@
 #include "nn/fire.h"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -21,7 +21,8 @@ void relu_inplace(Tensor& t) {
 
 /// Gates `grad` by the positivity of `activation` (post-ReLU output).
 Tensor relu_backward(const Tensor& grad, const Tensor& activation) {
-  assert(grad.shape() == activation.shape());
+  tensor::require_same_shape(grad.shape(), activation.shape(),
+                             "Fire::backward: gradient vs activation");
   Tensor out = grad;
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = activation[i] <= 0.0F ? 0.0F : out[i];
@@ -87,11 +88,14 @@ Tensor Fire::forward(const Tensor& input, bool training) {
 }
 
 Tensor Fire::backward(const Tensor& grad_output) {
-  const std::size_t batch = grad_output.shape()[0];
-  const std::size_t h = grad_output.shape()[2];
-  const std::size_t w = grad_output.shape()[3];
+  const Shape& e1 = expand1_out_.shape();
+  if (e1.rank() != 4) throw std::logic_error("Fire::backward: requires a training forward()");
+  const std::size_t batch = e1[0];
+  const std::size_t h = e1[2];
+  const std::size_t w = e1[3];
   const std::size_t area = h * w;
-  assert(grad_output.shape()[1] == out_channels());
+  tensor::require_same_shape(grad_output.shape(), {batch, out_channels(), h, w},
+                             "Fire::backward: grad_output vs forward output");
 
   // Split the concatenated gradient back into the two expand branches.
   Tensor g1(Shape{batch, expand1_channels_, h, w});

@@ -381,6 +381,34 @@ TEST(Conv2D, ImplicitGemmMatchesExplicitPanelOracleBitwise) {
   }
 }
 
+TEST(Conv2D, Col2imRowPiecesMatchExplicitPanelOracleBitwise) {
+  // Stride-1 rows fold into the input gradient in 8-, 4- and 1-float
+  // pieces: every row width from 1 to 17 takes each mix of them, with and
+  // without the padded staging buffer.
+  std::uint64_t seed = 500;
+  for (const std::size_t pad : {0, 1}) {
+    for (std::size_t w_out = 1; w_out <= 17; ++w_out) {
+      const ConvConfig cfg{2, 3, 3, 1, pad, 4, w_out + 2 - 2 * pad, 3};
+      SCOPED_TRACE("pad=" + std::to_string(pad) + " w_out=" + std::to_string(w_out));
+      util::Rng rng(seed++);
+      Conv2D conv(cfg.in_ch, cfg.out_ch, cfg.k, cfg.stride, cfg.pad, rng);
+      ASSERT_EQ(conv.output_extent(cfg.w), w_out);
+      const std::vector<float> params = extract_parameters(conv);
+      const std::size_t wsize = cfg.out_ch * cfg.in_ch * cfg.k * cfg.k;
+      const Tensor x =
+          testing::random_input(Shape{cfg.batch, cfg.in_ch, cfg.h, cfg.w}, seed++);
+      const Tensor dy = testing::random_input(
+          Shape{cfg.batch, cfg.out_ch, conv.output_extent(cfg.h), w_out}, seed++);
+      const ExplicitConvResult want = explicit_conv(
+          {cfg.in_ch, cfg.out_ch, cfg.k, cfg.stride, cfg.pad},
+          std::span<const float>(params.data(), wsize),
+          std::span<const float>(params.data() + wsize, cfg.out_ch), x, dy);
+      (void)conv.forward(x, true);
+      EXPECT_EQ(bits(conv.backward(dy).data()), bits(want.grad_input.data()));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // backward() argument checks hold in every build type.
 

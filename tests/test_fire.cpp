@@ -38,6 +38,15 @@ TEST(Fire, ParamsCoverAllThreeConvolutions) {
   EXPECT_EQ(fire.params().size(), 6u);
 }
 
+TEST(Fire, BackwardRejectsMismatchedGradShapeAndMissingForward) {
+  util::Rng rng(6);
+  Fire fire(4, 2, 3, 3, rng);
+  EXPECT_THROW(fire.backward(Tensor(Shape{2, 6, 4, 4})), std::logic_error);
+  (void)fire.forward(testing::random_input(Shape{2, 4, 4, 4}, 7), true);
+  EXPECT_THROW(fire.backward(Tensor(Shape{4, 6, 4, 4})), std::invalid_argument);
+  EXPECT_THROW(fire.backward(Tensor(Shape{2, 8, 4, 4})), std::invalid_argument);
+}
+
 TEST(Fire, OutputsAreNonNegative) {
   util::Rng rng(4);
   Fire fire(4, 2, 3, 3, rng);

@@ -410,6 +410,53 @@ TEST(OpsKernel, Im2colViewGemmEqualsExplicitPanelGemm) {
   }
 }
 
+TEST(OpsKernel, FullTileStoresEqualOneColumnCallsBitwise) {
+  // n = 3 * nr + 5 gives three full tiles, whose stores move whole vectors,
+  // and a partial one; each one-column call takes the runtime-width store
+  // of a partial tile.  k = 300 spans two k-blocks, so the first block's
+  // overwrite-or-bias store and the later accumulate both run.  Every
+  // element's reduction is the same either way, so the bits must be too.
+  enum class Store { kOverwrite, kAccumulate, kBiasPerRow, kBiasPerCol };
+  util::Rng rng(0x570);
+  for (const detail::KernelVTable* vt : detail::supported_kernel_vtables()) {
+    const std::size_t m = 2 * vt->mr + 3, k = 300, n = 3 * vt->nr + 5;
+    const std::vector<float> a = random_vec(m * k, rng);
+    const std::vector<float> b = random_vec(k * n, rng);
+    const std::vector<float> c0 = random_vec(m * n, rng);
+    const std::vector<float> bias_m = random_vec(m, rng);
+    const std::vector<float> bias_n = random_vec(n, rng);
+    for (const Store store : {Store::kOverwrite, Store::kAccumulate, Store::kBiasPerRow,
+                              Store::kBiasPerCol}) {
+      SCOPED_TRACE(std::string(vt->isa) + " store mode " +
+                   std::to_string(static_cast<int>(store)));
+      detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
+                            .accumulate = store == Store::kAccumulate};
+      if (store == Store::kBiasPerRow) args.bias = bias_m.data();
+      if (store == Store::kBiasPerCol) {
+        args.bias = bias_n.data();
+        args.bias_per_col = true;
+      }
+      std::vector<float> got = c0;
+      args.c = got.data();
+      vt->gemm(args);
+      std::vector<float> want = c0;
+      for (std::size_t j = 0; j < n; ++j) {
+        std::vector<float> b_col(k), c_col(m);
+        for (std::size_t p = 0; p < k; ++p) b_col[p] = b[p * n + j];
+        for (std::size_t i = 0; i < m; ++i) c_col[i] = c0[i * n + j];
+        detail::GemmArgs col = args;
+        col.n = 1;
+        col.b = b_col.data();
+        col.c = c_col.data();
+        if (store == Store::kBiasPerCol) col.bias = bias_n.data() + j;
+        vt->gemm(col);
+        for (std::size_t i = 0; i < m; ++i) want[i * n + j] = c_col[i];
+      }
+      EXPECT_EQ(bits_of(got), bits_of(want));
+    }
+  }
+}
+
 TEST(Ops, TensorAdd) {
   const Tensor a(Shape{2}, {1, 2});
   const Tensor b(Shape{2}, {10, 20});

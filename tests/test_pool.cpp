@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "gradcheck.h"
+#include "oracles/reference_pool.h"
+#include "util/rng.h"
 
 namespace helcfl::nn {
 namespace {
@@ -114,6 +120,82 @@ TEST(MaxPool2D, GradientCheck) {
     x[i] = static_cast<float>((i * 7919) % 97) / 10.0F;
   }
   testing::check_gradients(pool, x);
+}
+
+// ---------------------------------------------------------------------------
+// The 2x2/stride-2 vector path and the general loop against the one-window-
+// at-a-time oracle (tests/oracles/reference_pool), bit for bit.
+
+std::vector<std::uint32_t> bits(const Tensor& t) {
+  std::vector<std::uint32_t> out(t.size());
+  for (std::size_t i = 0; i < t.size(); ++i) out[i] = std::bit_cast<std::uint32_t>(t[i]);
+  return out;
+}
+
+/// Four planes a sample, each with its own hazards: specials (+-0, NaN,
+/// -inf, +inf, repeats), only -inf and NaN (every window without a finite
+/// maximum), two-valued ties, and plain normals.
+Tensor hazard_input(std::size_t batch, std::size_t h, std::size_t w, std::uint64_t seed) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {0.0F, -0.0F, nan, -inf, inf, 1.0F, 1.0F, -1.0F, 0.5F};
+  util::Rng rng(seed);
+  Tensor x(Shape{batch, 4, h, w});
+  const std::size_t area = h * w;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    switch (i / area % 4) {
+      case 0: x[i] = specials[rng.uniform_int(0, 8)]; break;
+      case 1: x[i] = rng.bernoulli(0.5) ? -inf : nan; break;
+      case 2: x[i] = rng.bernoulli(0.5) ? 2.0F : -0.0F; break;
+      default: x[i] = static_cast<float>(rng.normal()); break;
+    }
+  }
+  return x;
+}
+
+void expect_pool_matches_reference(std::size_t kernel, std::size_t stride) {
+  std::uint64_t seed = 1000 * kernel + stride;
+  for (std::size_t h = kernel; h <= kernel + 3; ++h) {
+    for (std::size_t w = kernel; w <= 19; ++w) {
+      SCOPED_TRACE("k=" + std::to_string(kernel) + " s=" + std::to_string(stride) +
+                   " in=" + std::to_string(h) + "x" + std::to_string(w));
+      const Tensor x = hazard_input(2, h, w, seed++);
+      MaxPool2D pool(kernel, stride);
+      const Tensor y = pool.forward(x, true);
+      Tensor dy = testing::random_input(y.shape(), seed++);
+      const ReferencePoolResult want = reference_max_pool(x, kernel, stride, dy);
+      ASSERT_EQ(y.shape(), want.output.shape());
+      EXPECT_EQ(bits(y), bits(want.output)) << "training forward";
+      EXPECT_EQ(bits(pool.backward(dy)), bits(want.grad_input)) << "routed gradient";
+      EXPECT_EQ(bits(pool.forward(x, false)), bits(want.output)) << "inference forward";
+    }
+  }
+}
+
+TEST(MaxPool2D, TwoByTwoStrideTwoMatchesReferenceBitwise) {
+  expect_pool_matches_reference(2, 2);
+}
+
+TEST(MaxPool2D, OtherWindowsMatchReferenceBitwise) {
+  expect_pool_matches_reference(3, 2);
+  expect_pool_matches_reference(2, 1);
+}
+
+// backward() checks its argument in every build type.
+
+TEST(MaxPool2D, BackwardRejectsMismatchedGradShape) {
+  MaxPool2D pool(2, 2);
+  (void)pool.forward(Tensor(Shape{2, 3, 8, 8}), true);
+  EXPECT_THROW(pool.backward(Tensor(Shape{4, 3, 4, 4})), std::invalid_argument);
+  EXPECT_THROW(pool.backward(Tensor(Shape{2, 3, 4, 5})), std::invalid_argument);
+  EXPECT_THROW(MaxPool2D(2, 2).backward(Tensor(Shape{2, 3, 4, 4})), std::logic_error);
+}
+
+TEST(GlobalAvgPool2D, BackwardRejectsMismatchedGradShape) {
+  GlobalAvgPool2D pool;
+  (void)pool.forward(Tensor(Shape{2, 3, 4, 4}), true);
+  EXPECT_THROW(pool.backward(Tensor(Shape{4, 3})), std::invalid_argument);
+  EXPECT_THROW(GlobalAvgPool2D().backward(Tensor(Shape{2, 3})), std::logic_error);
 }
 
 TEST(GlobalAvgPool2D, OutputShape) {

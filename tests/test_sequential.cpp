@@ -117,6 +117,13 @@ TEST(Dropout, DropsApproximatelyPFraction) {
   EXPECT_NEAR(static_cast<double>(zeros) / static_cast<double>(y.size()), 0.3, 0.02);
 }
 
+TEST(Dropout, BackwardRejectsMismatchedGradShape) {
+  util::Rng rng(14);
+  Dropout dropout(0.5F, rng);
+  (void)dropout.forward(Tensor(Shape{4, 8}), true);
+  EXPECT_THROW(dropout.backward(Tensor(Shape{8, 8})), std::invalid_argument);
+}
+
 TEST(Dropout, SurvivorsAreRescaled) {
   util::Rng rng(13);
   Dropout dropout(0.5F, rng);
