@@ -59,9 +59,13 @@ BENCHMARK(BM_Gemm)
     ->Args({512, 4})
     ->UseRealTime();
 
-// Conv2D's input-gradient product, grad_col = W^T * panel, at small_cnn
-// conv2's shape (ckk = 72, out_ch = 16, one 256-column chunk): one 16-step
-// k-block per tile, so storing the tiles is half the work.
+// Products with A transposed (gemm_at_b) at training-step shapes:
+//  * conv2_igrad: Conv2D's input gradient, grad_col = W^T * panel, at
+//    small_cnn conv2's shape (ckk = 72, out_ch = 16, one 256-column chunk):
+//    one 16-step k-block per tile, so storing the tiles is half the work.
+//  * dense1_wgrad: the MLP's first Dense weight gradient, dW = dY^T * X, at
+//    async-mlp's batch of 20 (out 64, in 192): A and B are both read in
+//    place, and m = 64 leaves a partial row tile on every kernel.
 struct GemmShape {
   std::size_t m, k, n;
 };
@@ -84,6 +88,7 @@ void BM_Gemm(benchmark::State& state, GemmShape shape) {
                                                benchmark::Counter::kIsRate);
 }
 BENCHMARK_CAPTURE(BM_Gemm, conv2_igrad_72x16x256, GemmShape{72, 16, 256});
+BENCHMARK_CAPTURE(BM_Gemm, dense1_wgrad_64x20x192, GemmShape{64, 20, 192});
 
 void BM_GemmABt(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -114,7 +119,8 @@ void BM_DenseForward(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_DenseForward)->Arg(1)->Arg(32)->Arg(128);
+// 20 is async-mlp's batch.
+BENCHMARK(BM_DenseForward)->Arg(1)->Arg(20)->Arg(32)->Arg(128);
 
 void BM_DenseTrainStep(benchmark::State& state) {
   util::Rng rng(4);

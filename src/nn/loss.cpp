@@ -1,8 +1,8 @@
 #include "nn/loss.h"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace helcfl::nn {
 
@@ -34,7 +34,11 @@ LossResult softmax_cross_entropy(const Tensor& logits,
   float* grad_rows = result.grad_logits.data().data();
   for (std::size_t b = 0; b < batch; ++b) {
     const auto label = static_cast<std::size_t>(labels[b]);
-    assert(labels[b] >= 0 && label < classes);
+    if (labels[b] < 0 || label >= classes) {
+      throw std::invalid_argument("softmax_cross_entropy: label " +
+                                  std::to_string(labels[b]) + " outside [0, " +
+                                  std::to_string(classes) + ")");
+    }
     const float* logit = logit_rows + b * classes;
     float* prob = prob_rows + b * classes;
     float* grad = grad_rows + b * classes;
@@ -68,7 +72,11 @@ LossResult softmax_cross_entropy(const Tensor& logits,
 }
 
 std::size_t count_correct(const Tensor& logits, std::span<const std::int32_t> labels) {
-  assert(logits.shape().rank() == 2 && logits.shape()[0] == labels.size());
+  if (logits.shape().rank() != 2 || logits.shape()[0] != labels.size()) {
+    throw std::invalid_argument("count_correct: logits " + logits.shape().to_string() +
+                                " do not match " + std::to_string(labels.size()) +
+                                " labels");
+  }
   const std::size_t batch = logits.shape()[0];
   const std::size_t classes = logits.shape()[1];
   std::size_t correct = 0;

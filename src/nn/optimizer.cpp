@@ -1,21 +1,45 @@
 #include "nn/optimizer.h"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace helcfl::nn {
 
+namespace {
+
+/// Throws unless every gradient matches its parameter and, when `state` has
+/// been sized, every state buffer too — before any parameter moves, so a
+/// rejected step leaves the weights and the optimizer state as they were.
+void check_step(const char* who, const std::vector<ParamRef>& params,
+                const std::vector<std::vector<float>>& state) {
+  if (!state.empty() && state.size() != params.size()) {
+    throw std::invalid_argument(std::string(who) + ": parameter list changed size");
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const std::size_t n = params[i].value.size();
+    if (params[i].grad.size() != n) {
+      throw std::invalid_argument(std::string(who) + ": parameter " + std::to_string(i) +
+                                  " has " + std::to_string(n) + " values but " +
+                                  std::to_string(params[i].grad.size()) + " gradients");
+    }
+    if (!state.empty() && state[i].size() != n) {
+      throw std::invalid_argument(std::string(who) + ": parameter " + std::to_string(i) +
+                                  " changed size from " + std::to_string(state[i].size()) +
+                                  " to " + std::to_string(n));
+    }
+  }
+}
+
+}  // namespace
+
 void Sgd::step(const std::vector<ParamRef>& params) {
   const bool use_momentum = options_.momentum != 0.0F;
-  if (use_momentum) {
-    if (velocity_.empty()) {
-      velocity_.resize(params.size());
-      for (std::size_t i = 0; i < params.size(); ++i) {
-        velocity_[i].assign(params[i].value.size(), 0.0F);
-      }
-    } else if (velocity_.size() != params.size()) {
-      throw std::invalid_argument("Sgd::step: parameter list changed size");
+  check_step("Sgd::step", params, velocity_);  // empty without momentum
+  if (use_momentum && velocity_.empty()) {
+    velocity_.resize(params.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      velocity_[i].assign(params[i].value.size(), 0.0F);
     }
   }
 
@@ -26,11 +50,9 @@ void Sgd::step(const std::vector<ParamRef>& params) {
   const float wd = options_.weight_decay;
   for (std::size_t i = 0; i < params.size(); ++i) {
     const std::size_t n = params[i].value.size();
-    assert(params[i].grad.size() == n);
     float* __restrict__ value = params[i].value.data();
     const float* __restrict__ grad = params[i].grad.data();
     if (use_momentum) {
-      assert(velocity_[i].size() == n);
       float* __restrict__ v = velocity_[i].data();
       for (std::size_t j = 0; j < n; ++j) {
         v[j] = mu * v[j] + (grad[j] + wd * value[j]);
@@ -60,6 +82,8 @@ Adam::Adam(Options options) : options_(options) {
 }
 
 void Adam::step(const std::vector<ParamRef>& params) {
+  // The two moments are always sized together, so checking one covers both.
+  check_step("Adam::step", params, first_moment_);
   if (first_moment_.empty()) {
     first_moment_.resize(params.size());
     second_moment_.resize(params.size());
@@ -67,8 +91,6 @@ void Adam::step(const std::vector<ParamRef>& params) {
       first_moment_[i].assign(params[i].value.size(), 0.0F);
       second_moment_[i].assign(params[i].value.size(), 0.0F);
     }
-  } else if (first_moment_.size() != params.size()) {
-    throw std::invalid_argument("Adam::step: parameter list changed size");
   }
 
   ++step_count_;
@@ -82,7 +104,6 @@ void Adam::step(const std::vector<ParamRef>& params) {
   const float wd = options_.weight_decay;
   for (std::size_t i = 0; i < params.size(); ++i) {
     const std::size_t n = params[i].value.size();
-    assert(params[i].grad.size() == n && first_moment_[i].size() == n);
     float* __restrict__ value = params[i].value.data();
     const float* __restrict__ grad = params[i].grad.data();
     float* __restrict__ m = first_moment_[i].data();

@@ -183,13 +183,33 @@ Tensor GlobalAvgPool2D::forward(const Tensor& input, bool training) {
   const std::size_t channels = s[1];
   const std::size_t area = s[2] * s[3];
   Tensor output(Shape{batch, channels});
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t c = 0; c < channels; ++c) {
-      double sum = 0.0;
-      const std::size_t base = (n * channels + c) * area;
-      for (std::size_t i = 0; i < area; ++i) sum += input[base + i];
-      output.at(n, c) = static_cast<float>(sum / static_cast<double>(area));
+  // Each (sample, channel) plane is contiguous.  Four planes are summed at
+  // a time as independent chains, so their adds overlap instead of each
+  // waiting on the last; every plane's sum keeps its ascending order.
+  const std::size_t planes = batch * channels;
+  const double count = static_cast<double>(area);
+  const float* __restrict__ in = input.data().data();
+  float* __restrict__ out = output.data().data();
+  std::size_t p = 0;
+  for (; p + 4 <= planes; p += 4) {
+    const float* __restrict__ x = in + p * area;
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (std::size_t i = 0; i < area; ++i) {
+      s0 += x[i];
+      s1 += x[area + i];
+      s2 += x[2 * area + i];
+      s3 += x[3 * area + i];
     }
+    out[p] = static_cast<float>(s0 / count);
+    out[p + 1] = static_cast<float>(s1 / count);
+    out[p + 2] = static_cast<float>(s2 / count);
+    out[p + 3] = static_cast<float>(s3 / count);
+  }
+  for (; p < planes; ++p) {
+    const float* __restrict__ x = in + p * area;
+    double sum = 0.0;
+    for (std::size_t i = 0; i < area; ++i) sum += x[i];
+    out[p] = static_cast<float>(sum / count);
   }
   return output;
 }

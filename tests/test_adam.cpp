@@ -107,6 +107,48 @@ TEST(Adam, RejectsChangedParamList) {
   EXPECT_THROW(adam.step(two), std::invalid_argument);
 }
 
+// A rejected step must throw before any parameter moves and leave both
+// moments and the step count as they were: the step after it must match
+// an optimizer that never saw it, bit for bit.
+TEST(Adam, RejectsGradientSizeMismatchBeforeMovingAnyWeight) {
+  std::vector<float> w1 = {1.0F, 2.0F}, g1 = {0.5F, -0.5F};
+  std::vector<float> w2 = {3.0F}, g2;  // no gradient for w2
+  const std::vector<ParamRef> bad = {{std::span<float>(w1), std::span<float>(g1)},
+                                     {std::span<float>(w2), std::span<float>(g2)}};
+  Adam adam({.learning_rate = 0.1F});
+  EXPECT_THROW(adam.step(bad), std::invalid_argument);
+  EXPECT_EQ(w1, (std::vector<float>{1.0F, 2.0F}));
+  EXPECT_EQ(w2, (std::vector<float>{3.0F}));
+  std::vector<float> fresh = w1;
+  Adam reference({.learning_rate = 0.1F});
+  adam.step(make_refs(w1, g1));
+  reference.step(make_refs(fresh, g1));
+  EXPECT_EQ(w1, fresh);
+}
+
+TEST(Adam, RejectsResizedParameterBeforeMovingAnyWeight) {
+  std::vector<float> w1 = {1.0F}, g1 = {0.25F};
+  std::vector<float> w2 = {2.0F, 3.0F}, g2 = {0.5F, -1.0F};
+  std::vector<ParamRef> refs = {{std::span<float>(w1), std::span<float>(g1)},
+                                {std::span<float>(w2), std::span<float>(g2)}};
+  std::vector<float> r1 = w1, r2 = w2;
+  std::vector<ParamRef> reference_refs = {{std::span<float>(r1), std::span<float>(g1)},
+                                          {std::span<float>(r2), std::span<float>(g2)}};
+  Adam adam({.learning_rate = 0.1F}), reference({.learning_rate = 0.1F});
+  adam.step(refs);
+  reference.step(reference_refs);
+  // Same count, but the second parameter grew past its moments.
+  std::vector<float> w3 = {2.0F, 3.0F, 4.0F}, g3 = {0.5F, -1.0F, 1.0F};
+  const std::vector<ParamRef> resized = {refs[0], {std::span<float>(w3), std::span<float>(g3)}};
+  EXPECT_THROW(adam.step(resized), std::invalid_argument);
+  EXPECT_EQ(w1, r1);
+  EXPECT_EQ(w3, (std::vector<float>{2.0F, 3.0F, 4.0F}));
+  adam.step(refs);
+  reference.step(reference_refs);
+  EXPECT_EQ(w1, r1);
+  EXPECT_EQ(w2, r2);
+}
+
 TEST(Adam, TrainsMlpBelowInitialLoss) {
   util::Rng rng(1);
   const ImageSpec spec{1, 4, 4};

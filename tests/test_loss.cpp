@@ -104,6 +104,22 @@ TEST(SoftmaxCrossEntropy, RejectsRank1Logits) {
   EXPECT_THROW(softmax_cross_entropy(logits, labels), std::invalid_argument);
 }
 
+TEST(SoftmaxCrossEntropy, RejectsLabelOutsideClasses) {
+  // The gradient row is indexed by the label, so a label past the class
+  // range must throw in every build, not write past the row.
+  Tensor logits(Shape{2, 3});
+  for (const std::int32_t bad : {3, -1}) {
+    const std::vector<std::int32_t> labels = {0, bad};
+    EXPECT_THROW(softmax_cross_entropy(logits, labels), std::invalid_argument) << bad;
+  }
+}
+
+TEST(CountCorrect, RejectsShapeMismatch) {
+  const std::vector<std::int32_t> labels = {0, 1};
+  EXPECT_THROW(count_correct(Tensor(Shape{3, 3}), labels), std::invalid_argument);
+  EXPECT_THROW(count_correct(Tensor(Shape{2}), labels), std::invalid_argument);
+}
+
 TEST(CountCorrect, MatchesLossResult) {
   Tensor logits(Shape{4, 3}, {1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 2, 3});
   const std::vector<std::int32_t> labels = {0, 1, 2, 0};

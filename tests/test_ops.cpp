@@ -457,6 +457,86 @@ TEST(OpsKernel, FullTileStoresEqualOneColumnCallsBitwise) {
   }
 }
 
+TEST(OpsKernel, InPlaceLiveTilesEqualPrepackedPanelsBitwise) {
+  // The driver reads op(A) and a plain B where they lie and computes only an
+  // edge tile's live rows and vectors.  The same product over panels from
+  // vt.pack_a / vt.pack_b (zero-padded, read through the packed strides)
+  // must give the same bits, for every m up to two row tiles and a row
+  // tail, every n up to two panels and every vector tail (a last panel of
+  // whole vectors is read in place, one with a partial vector is packed),
+  // k across the 256 k-block with and without k_segment, trans_a and every
+  // store mode.  A and B are sized exactly, so a read past their last row
+  // or column is a sanitizer error; C sits between poisoned guards.
+  enum class Store { kOverwrite, kAccumulate, kBiasPerRow, kBiasPerCol };
+  constexpr std::size_t kGuard = 37;
+  const float poison = std::bit_cast<float>(std::uint32_t{0x7FA5A5A5});  // a NaN
+  util::Rng rng(0x1B7);
+  const std::vector<float> pool = random_vec(2 * 300 * 67, rng);
+  const auto take = [&pool](std::size_t count, std::size_t from) {
+    return std::vector<float>(pool.begin() + static_cast<std::ptrdiff_t>(from),
+                              pool.begin() + static_cast<std::ptrdiff_t>(from + count));
+  };
+  for (const detail::KernelVTable* vt : detail::supported_kernel_vtables()) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{17}, std::size_t{300}}) {
+      for (const std::size_t k_segment : {std::size_t{0}, std::size_t{16}}) {
+        for (const bool trans_a : {false, true}) {
+          for (std::size_t m = 1; m <= 2 * vt->mr + 1; ++m) {
+            const std::vector<float> a = take(m * k, 3 * m);
+            std::vector<float> packed_a(detail::packed_a_size(*vt, m, k));
+            vt->pack_a({.m = m, .k = k, .a = a.data(), .trans_a = trans_a,
+                        .k_segment = k_segment},
+                       packed_a.data());
+            for (std::size_t n = 1; n <= 2 * vt->nr + 3; ++n) {
+              const std::vector<float> b = take(k * n, 5 * n + 1);
+              std::vector<float> packed_b(detail::packed_b_size(*vt, k, n));
+              vt->pack_b({.k = k, .n = n, .b = b.data(), .k_segment = k_segment},
+                         packed_b.data());
+              const std::vector<float> c0 = take(m * n, 7 * m + n);
+              const std::vector<float> bias_m = take(m, n), bias_n = take(n, m);
+              for (const Store store : {Store::kOverwrite, Store::kAccumulate,
+                                        Store::kBiasPerRow, Store::kBiasPerCol}) {
+                detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(),
+                                      .b = b.data(), .trans_a = trans_a,
+                                      .accumulate = store == Store::kAccumulate,
+                                      .k_segment = k_segment};
+                if (store == Store::kBiasPerRow) args.bias = bias_m.data();
+                if (store == Store::kBiasPerCol) {
+                  args.bias = bias_n.data();
+                  args.bias_per_col = true;
+                }
+                std::vector<float> got(kGuard + m * n + kGuard, poison);
+                std::copy(c0.begin(), c0.end(), got.begin() + kGuard);
+                std::vector<float> want = got;
+                args.c = got.data() + kGuard;
+                vt->gemm(args);
+                detail::GemmArgs packed = args;
+                packed.packed_a = packed_a.data();
+                packed.packed_b = packed_b.data();
+                packed.c = want.data() + kGuard;
+                vt->gemm(packed);
+                const auto where = [&] {
+                  return std::string(vt->isa) + " m=" + std::to_string(m) +
+                         " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                         " k_segment=" + std::to_string(k_segment) +
+                         " trans_a=" + std::to_string(trans_a) +
+                         " store=" + std::to_string(static_cast<int>(store));
+                };
+                for (std::size_t i = 0; i < kGuard; ++i) {
+                  ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                            std::bit_cast<std::uint32_t>(poison)) << where();
+                  ASSERT_EQ(std::bit_cast<std::uint32_t>(got[kGuard + m * n + i]),
+                            std::bit_cast<std::uint32_t>(poison)) << where();
+                }
+                ASSERT_EQ(bits_of(got), bits_of(want)) << where();
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Ops, TensorAdd) {
   const Tensor a(Shape{2}, {1, 2});
   const Tensor b(Shape{2}, {10, 20});

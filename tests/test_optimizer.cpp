@@ -90,6 +90,42 @@ TEST(Sgd, MomentumRejectsChangedParamList) {
   EXPECT_THROW(sgd.step(two), std::invalid_argument);
 }
 
+// A rejected step must throw before any parameter moves: the first
+// parameter below is valid and must keep its bits, and the optimizer's
+// state must be as if the step was never tried.
+TEST(Sgd, RejectsGradientSizeMismatchBeforeMovingAnyWeight) {
+  std::vector<float> w1 = {1.0F, 2.0F}, g1 = {0.5F, 0.5F};
+  std::vector<float> w2 = {3.0F, 4.0F, 5.0F}, g2 = {1.0F, 1.0F};  // one short
+  const std::vector<ParamRef> refs = {{std::span<float>(w1), std::span<float>(g1)},
+                                      {std::span<float>(w2), std::span<float>(g2)}};
+  Sgd sgd({.learning_rate = 0.1F, .momentum = 0.5F});
+  EXPECT_THROW(sgd.step(refs), std::invalid_argument);
+  EXPECT_EQ(w1, (std::vector<float>{1.0F, 2.0F}));
+  EXPECT_EQ(w2, (std::vector<float>{3.0F, 4.0F, 5.0F}));
+  // No velocity was created: a valid list of another layout still steps.
+  std::vector<float> w = {0.0F}, g = {1.0F};
+  sgd.step(make_refs(w, g));
+  EXPECT_FLOAT_EQ(w[0], -0.1F);
+}
+
+TEST(Sgd, MomentumRejectsResizedParameterBeforeMovingAnyWeight) {
+  std::vector<float> w1 = {0.0F}, g1 = {1.0F};
+  std::vector<float> w2 = {0.0F, 0.0F}, g2 = {1.0F, 1.0F};
+  std::vector<ParamRef> refs = {{std::span<float>(w1), std::span<float>(g1)},
+                                {std::span<float>(w2), std::span<float>(g2)}};
+  Sgd sgd({.learning_rate = 1.0F, .momentum = 0.5F});
+  sgd.step(refs);  // v = 1 everywhere, w = -1
+  // Same count, but the second parameter grew: its velocity has 2 slots.
+  std::vector<float> w3 = {0.0F, 0.0F, 0.0F}, g3 = {1.0F, 1.0F, 1.0F};
+  const std::vector<ParamRef> resized = {refs[0], {std::span<float>(w3), std::span<float>(g3)}};
+  EXPECT_THROW(sgd.step(resized), std::invalid_argument);
+  EXPECT_EQ(w1[0], -1.0F);
+  EXPECT_EQ(w3, (std::vector<float>{0.0F, 0.0F, 0.0F}));
+  sgd.step(refs);  // v = 1.5, w = -2.5: the velocity did not move either
+  EXPECT_EQ(w1[0], -2.5F);
+  EXPECT_EQ(w2, (std::vector<float>{-2.5F, -2.5F}));
+}
+
 TEST(Sgd, SetLearningRate) {
   Sgd sgd({.learning_rate = 0.1F});
   sgd.set_learning_rate(0.01F);

@@ -233,6 +233,40 @@ TEST(GlobalAvgPool2D, RejectsRank2Input) {
   EXPECT_THROW(pool.forward(Tensor(Shape{2, 4}), false), std::invalid_argument);
 }
 
+TEST(GlobalAvgPool2D, EveryShapeMatchesTheScalarSumBitwise) {
+  // Planes are summed four at a time; each must still be the one-plane
+  // double sum in ascending order, divided by the area.  Plane q draws its
+  // specials from the first 6 + 2 * (q % 4) hazards, so some planes stay
+  // finite (+-0, subnormals), some add +inf, some +-inf, some NaN.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float special[] = {0.0F, -0.0F, tiny, -tiny, 1.0e-40F, -1.0e-40F,
+                           inf,  inf,   inf,  -inf,  nan,      -nan};
+  util::Rng rng(0x6A9);
+  for (std::size_t area = 1; area <= 67; ++area) {
+    for (std::size_t channels = 1; channels <= 19; ++channels) {
+      const std::size_t batch = 2;
+      std::vector<float> xv(batch * channels * area);
+      for (std::size_t i = 0; i < xv.size(); ++i) {
+        const std::size_t q = i / area, kinds = 6 + 2 * (q % 4);
+        const std::size_t kind = (i * 7 + q) % (kinds + 5);
+        xv[i] = kind < kinds ? special[kind] : static_cast<float>(rng.normal());
+      }
+      const Tensor y = GlobalAvgPool2D().forward(Tensor(Shape{batch, channels, 1, area}, xv),
+                                                 false);
+      std::vector<float> want(batch * channels);
+      for (std::size_t q = 0; q < want.size(); ++q) {
+        double sum = 0.0;
+        for (std::size_t i = 0; i < area; ++i) sum += xv[q * area + i];
+        want[q] = static_cast<float>(sum / static_cast<double>(area));
+      }
+      ASSERT_EQ(bits(y), bits(Tensor(Shape{batch, channels}, want)))
+          << "area=" << area << " channels=" << channels;
+    }
+  }
+}
+
 TEST(GlobalAvgPool2D, GradientCheck) {
   GlobalAvgPool2D pool;
   testing::check_gradients(pool, testing::random_input(Shape{2, 3, 3, 3}, 5));
