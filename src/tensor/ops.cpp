@@ -40,9 +40,10 @@ double squared_norm(std::span<const float> a) { return dot(a, a); }
 // Every GEMM variant below fills one detail::GemmArgs descriptor and hands
 // it to detail::run_gemm, which shards output rows across the kernel pool
 // when profitable and jumps through the kernel resolved at startup
-// (generic, AVX2+FMA, or AVX-512); the packing routines absorb the
-// transposes, so all variants share one micro-kernel and one accumulation
-// order (see ops.h header comment).
+// (generic, AVX2+FMA, or AVX-512); a transposed A is a stride of the
+// micro-kernel's read and a transposed B a gather order of the B pack, so
+// all variants share one micro-kernel and one accumulation order (see
+// ops.h header comment).
 
 void gemm(std::size_t m, std::size_t k, std::size_t n, std::span<const float> a,
           std::span<const float> b, std::span<float> c) {
