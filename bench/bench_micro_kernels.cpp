@@ -341,38 +341,6 @@ BENCHMARK(BM_ModelTrainStep)
     ->Arg(static_cast<int>(nn::ModelKind::kSmallCnn))
     ->Arg(static_cast<int>(nn::ModelKind::kMiniSqueezeNet));
 
-void BM_RoundForward(benchmark::State& state) {
-  // The FedAvg inner loop in miniature: every selected client forwards the
-  // same global model.  With prepacking (arg = 1) the Dense weight panels
-  // are packed once and reused by all clients; arg = 0 simulates the naive
-  // pack-per-client alternative by dirtying the panels before each client,
-  // so the delta between the two rows is the per-round packing amortization.
-  const bool prepack = state.range(0) != 0;
-  const bool saved_prepack = tensor::weight_prepack_enabled();
-  tensor::set_weight_prepack(true);
-  util::Rng rng(10);
-  nn::Sequential model;
-  model.emplace<nn::Dense>(256, 256, rng);
-  model.emplace<nn::Dense>(256, 256, rng);
-  model.emplace<nn::Dense>(256, 10, rng);
-  constexpr std::size_t kClients = 32;
-  constexpr std::size_t kBatch = 4;
-  Tensor x(Shape{kBatch, 256});
-  x.fill_normal(rng, 0.0F, 1.0F);
-  for (auto _ : state) {
-    for (std::size_t client = 0; client < kClients; ++client) {
-      if (!prepack) model.mark_weights_dirty();
-      Tensor y = model.forward(x, false);
-      benchmark::DoNotOptimize(y.data().data());
-    }
-  }
-  state.SetLabel(prepack ? "prepack" : "repack_per_client");
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kClients * kBatch));
-  tensor::set_weight_prepack(saved_prepack);
-}
-BENCHMARK(BM_RoundForward)->Arg(0)->Arg(1);
-
 void BM_ExtractLoadParameters(benchmark::State& state) {
   util::Rng rng(9);
   const nn::ImageSpec spec{3, 8, 8};

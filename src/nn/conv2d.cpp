@@ -166,13 +166,6 @@ Tensor Conv2D::forward(const Tensor& input, bool training) {
   Tensor output(Shape{g.batch, out_channels_, g.h_out, g.w_out});
   const float* in = input.data().data();
   float* out = output.data().data();
-  // The weight acts as the [out_ch, ckk] left operand of every chunk's
-  // GEMM; pack its panels once per weight mutation instead of per call.
-  // Packed and unpacked paths produce identical bits (ops.h).
-  const bool prepack = tensor::weight_prepack_enabled();
-  if (prepack && !packed_.is_a(out_channels_, g.ckk)) {
-    packed_.pack_a(out_channels_, g.ckk, weight_.data());
-  }
   // Per chunk of cnt samples: panel[out_ch, cnt*hw] = W * cols[ckk, cnt*hw]
   // + bias (fused), packing cols straight from the padded chunk; then
   // scatter the panel's per-sample column blocks into NCHW.
@@ -182,9 +175,7 @@ Tensor Conv2D::forward(const Tensor& input, bool training) {
     const tensor::detail::Im2colView view = padded_view(in + n0 * g.in_plane, cnt, g);
     tensor::detail::run_gemm({.m = out_channels_, .k = g.ckk, .n = cols,
                               .a = weight_.data().data(), .c = panel_.data(),
-                              .bias = bias_.data().data(),
-                              .packed_a = prepack ? packed_.panels() : nullptr,
-                              .b_view = &view});
+                              .bias = bias_.data().data(), .b_view = &view});
     for (std::size_t i = 0; i < cnt; ++i) {
       for (std::size_t oc = 0; oc < out_channels_; ++oc) {
         std::copy_n(panel_.data() + oc * cols + i * g.hw, g.hw,
@@ -251,8 +242,7 @@ Tensor Conv2D::backprop(const Tensor& grad_output, bool input_grad) {
 }
 
 std::vector<ParamRef> Conv2D::params() {
-  return {{weight_.data(), grad_weight_.data(), this},
-          {bias_.data(), grad_bias_.data(), this}};
+  return {{weight_.data(), grad_weight_.data()}, {bias_.data(), grad_bias_.data()}};
 }
 
 std::string Conv2D::name() const {

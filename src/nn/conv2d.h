@@ -6,7 +6,6 @@
 
 #include "nn/layer.h"
 #include "tensor/gemm_kernel.h"
-#include "tensor/ops.h"
 
 namespace helcfl::util {
 class Rng;
@@ -52,7 +51,6 @@ class Conv2D : public Layer {
   }
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
-  void mark_weights_dirty() override { packed_.invalidate(); }
   std::string name() const override;
 
   std::size_t in_channels() const { return in_channels_; }
@@ -105,10 +103,6 @@ class Conv2D : public Layer {
                                  // [out_ch, cnt*h_out*w_out]
   std::vector<float> pad_;       // zero-bordered chunk [cnt, in, hp, wp], or
                                  // one sample's padded input gradient
-  // Weight panels [out_ch, in*k*k] in the kernel's layout, repacked lazily
-  // after every weight mutation (Layer::mark_weights_dirty) and reused
-  // across samples, batches, and clients.
-  tensor::PackedWeights packed_;
 };
 
 }  // namespace helcfl::nn

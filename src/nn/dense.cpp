@@ -43,19 +43,8 @@ Tensor Dense::forward(const Tensor& input, bool training) {
   Tensor output(Shape{batch, out_features_});
   // output[b, o] = sum_i input[b, i] * weight[o, i] + bias[o]; the bias is
   // applied in the GEMM's store pass (no second sweep over the output).
-  // Packed and unpacked paths produce identical bits (ops.h).
-  if (tensor::weight_prepack_enabled()) {
-    if (!packed_.is_b_trans(in_features_, out_features_)) {
-      packed_.pack_b_trans(in_features_, out_features_, weight_.data());
-    }
-    tensor::gemm_a_bt_bias_cols(batch, in_features_, out_features_,
-                                input.data(), packed_, bias_.data(),
-                                output.data());
-  } else {
-    tensor::gemm_a_bt_bias_cols(batch, in_features_, out_features_,
-                                input.data(), weight_.data(), bias_.data(),
-                                output.data());
-  }
+  tensor::gemm_a_bt_bias_cols(batch, in_features_, out_features_, input.data(),
+                              weight_.data(), bias_.data(), output.data());
   if (training) cached_input_ = input;
   return output;
 }
@@ -91,8 +80,7 @@ Tensor Dense::backward(const Tensor& grad_output) {
 }
 
 std::vector<ParamRef> Dense::params() {
-  return {{weight_.data(), grad_weight_.data(), this},
-          {bias_.data(), grad_bias_.data(), this}};
+  return {{weight_.data(), grad_weight_.data()}, {bias_.data(), grad_bias_.data()}};
 }
 
 std::string Dense::name() const {

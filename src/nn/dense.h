@@ -4,7 +4,6 @@
 #include <cstddef>
 
 #include "nn/layer.h"
-#include "tensor/ops.h"
 
 namespace helcfl::util {
 class Rng;
@@ -25,7 +24,6 @@ class Dense : public Layer {
   void accumulate_grads(const tensor::Tensor& grad_output) override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
-  void mark_weights_dirty() override { packed_.invalidate(); }
   std::string name() const override;
 
   std::size_t in_features() const { return in_features_; }
@@ -39,10 +37,6 @@ class Dense : public Layer {
   tensor::Tensor grad_weight_;  // [out, in]
   tensor::Tensor grad_bias_;    // [out]
   tensor::Tensor cached_input_;  // [batch, in], training forward only
-  // Weight panels in the kernel's layout, repacked lazily after every
-  // weight mutation (see Layer::mark_weights_dirty) and reused across
-  // forwards — the FedAvg global model forwards N clients per pack.
-  tensor::PackedWeights packed_;
 };
 
 }  // namespace helcfl::nn

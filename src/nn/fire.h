@@ -26,11 +26,6 @@ class Fire : public Layer {
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
-  void mark_weights_dirty() override {
-    squeeze_.mark_weights_dirty();
-    expand1_.mark_weights_dirty();
-    expand3_.mark_weights_dirty();
-  }
   std::string name() const override;
 
   std::size_t out_channels() const { return expand1_channels_ + expand3_channels_; }

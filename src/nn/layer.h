@@ -22,20 +22,12 @@
 
 namespace helcfl::nn {
 
-class Layer;
-
 /// Non-owning view of one parameter tensor and its gradient accumulator.
 /// Both spans alias storage owned by the layer and remain valid while the
-/// layer is alive and not moved.  `owner`, when set, points at the layer
-/// whose cached derived state (prepacked weight panels) must be
-/// invalidated after writing `value` — the optimizers call
-/// owner->mark_weights_dirty() after every step, so a step-then-forward
-/// sequence never reads stale panels even without an intervening
-/// zero_grad.  Layers with no derived state may leave it null.
+/// layer is alive and not moved.
 struct ParamRef {
   std::span<float> value;
   std::span<float> grad;
-  Layer* owner = nullptr;
 };
 
 /// Base class for all layers.
@@ -79,23 +71,11 @@ class Layer {
   /// independent of the worker a client lands on.  Empty by default.
   virtual std::vector<std::span<float>> state_buffers() { return {}; }
 
-  /// Invalidates any cached derived form of this layer's parameters — the
-  /// prepacked GEMM weight panels of Dense/Conv2D (tensor::PackedWeights).
-  /// Contract: every code path that writes parameter storage must reach
-  /// this before the next forward().  The standard mutation paths do so
-  /// automatically: nn::load_parameters() calls it, the optimizers call it
-  /// through ParamRef::owner after every step, and zero_grad() calls it as
-  /// a belt-and-braces sweep at the top of each training iteration.  Code
-  /// that pokes params() spans directly — e.g. a finite-difference
-  /// gradcheck — must call it explicitly.  Containers broadcast to their
-  /// children; leaf layers without derived state keep the no-op default.
+  /// No-op, kept only because perfbench's TimedLayer overrides it.
   virtual void mark_weights_dirty() {}
 
-  /// Clears all gradient accumulators (and, per the contract above,
-  /// invalidates cached weight panels — by this point in the training
-  /// protocol the optimizer may have stepped the parameters).
+  /// Clears all gradient accumulators.
   void zero_grad() {
-    mark_weights_dirty();
     for (auto& p : params()) {
       for (auto& g : p.grad) g = 0.0F;
     }

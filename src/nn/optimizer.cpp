@@ -62,11 +62,6 @@ void Sgd::step(const std::vector<ParamRef>& params) {
       for (std::size_t j = 0; j < n; ++j) value[j] -= lr * (grad[j] + wd * value[j]);
     }
   }
-  // The step rewrote parameter storage behind the owning layers' backs;
-  // invalidate their prepacked weight panels (nn/layer.h contract).
-  for (const auto& p : params) {
-    if (p.owner != nullptr) p.owner->mark_weights_dirty();
-  }
 }
 
 void Sgd::reset_state() { velocity_.clear(); }
@@ -116,9 +111,6 @@ void Adam::step(const std::vector<ParamRef>& params) {
       const double v_hat = static_cast<double>(v[j]) / bias2;
       value[j] -= static_cast<float>(lr * m_hat / (std::sqrt(v_hat) + eps));
     }
-  }
-  for (const auto& p : params) {
-    if (p.owner != nullptr) p.owner->mark_weights_dirty();
   }
 }
 

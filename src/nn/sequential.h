@@ -36,9 +36,6 @@ class Sequential : public Layer {
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::vector<std::span<float>> state_buffers() override;
-  void mark_weights_dirty() override {
-    for (auto& layer : layers_) layer->mark_weights_dirty();
-  }
   std::string name() const override;
 
   std::size_t layer_count() const { return layers_.size(); }

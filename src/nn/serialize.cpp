@@ -31,8 +31,6 @@ void load_parameters(Layer& model, std::span<const float> flat) {
     for (std::size_t i = 0; i < p.value.size(); ++i) p.value[i] = flat[offset + i];
     offset += p.value.size();
   }
-  // New weights invalidate any prepacked panels (nn/layer.h contract).
-  model.mark_weights_dirty();
 }
 
 std::vector<float> extract_gradients(Layer& model) {

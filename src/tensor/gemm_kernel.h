@@ -7,22 +7,15 @@
 // AVX2+FMA and AVX-512 TUs built with per-file -m flags — and the fastest
 // kernel the running CPU supports is resolved exactly once per process, so
 // every call in a run (and every worker thread) executes the same
-// instruction sequence.  On top of the per-ISA drivers sit two orthogonal
-// accelerations that both preserve the bitwise-determinism contract:
-//
-//   * run_gemm() partitions C's **rows** across a dedicated kernel thread
-//     pool (set_kernel_threads / HELCFL_KERNEL_THREADS).  Every output
-//     element still accumulates its full k extent in the documented
-//     ascending-k order on exactly one thread, so the bits are identical
-//     for any thread count — including 1 — on a given kernel.
-//   * Callers may supply prepacked operand panels (packed_a / packed_b,
-//     produced by the vtable pack functions) so a weight matrix reused
-//     across many products — the FedAvg global model forwarded by every
-//     selected client — is packed once instead of per call.  Packing is a
-//     pure data rearrangement; the product bits do not change.
+// instruction sequence.  run_gemm() partitions C's **rows** across a
+// dedicated kernel thread pool (set_kernel_threads /
+// HELCFL_KERNEL_THREADS); every output element still accumulates its full k
+// extent in the documented ascending-k order on exactly one thread, so the
+// bits are identical for any thread count — including 1 — on a given
+// kernel.
 //
 // docs/KERNELS.md documents the tiling scheme, the accumulation policy,
-// the threading partition, the packed-panel layout, and the determinism
+// the threading partition, the B-panel layout, and the determinism
 // contract.
 #pragma once
 
@@ -61,17 +54,8 @@ struct GemmArgs {
   bool trans_a = false;
   bool trans_b = false;
   bool accumulate = false;  ///< C += product instead of C = product
-  /// Prepacked operand panels in the active kernel's layout (produced by
-  /// KernelVTable::pack_a / pack_b for the *full* matrix).  When set, the
-  /// corresponding raw pointer and trans flag are ignored.  Panel layouts
-  /// are kernel-specific — a pack made under one ISA must never be fed to
-  /// another kernel (tensor::PackedWeights enforces this).
-  const float* packed_a = nullptr;
-  const float* packed_b = nullptr;
   /// Row range [row_begin, row_end) of C to compute; row_end == 0 means m.
-  /// Used by run_gemm() to shard rows across threads.  With packed_a the
-  /// range must start on a multiple of the kernel's mc block (run_gemm
-  /// guarantees this by partitioning at mc granularity).
+  /// Used by run_gemm() to shard rows across threads.
   std::size_t row_begin = 0;
   std::size_t row_end = 0;
   /// When set, B is this view's panel (op(B) its transpose when trans_b)
@@ -79,22 +63,23 @@ struct GemmArgs {
   const Im2colView* b_view = nullptr;
   /// When nonzero, k-blocks restart at every multiple of k_segment (still
   /// at most kc long), so one accumulate call over k = cnt*k_segment folds
-  /// C exactly as cnt per-segment calls would.  Prepacked panels must come
-  /// from a pack with the same k_segment.
+  /// C exactly as cnt per-segment calls would.
   std::size_t k_segment = 0;
 };
 
 using GemmFn = void (*)(const GemmArgs&);
-/// Packs the full op(A) (resp. op(B)) of `args` into `dst`, whose capacity
-/// must be packed_a_size(vt, m, k) (resp. packed_b_size(vt, k, n)) floats.
+/// Packs the full op(B) of `args` into `dst`, whose capacity must be
+/// packed_b_size(vt, k, n) floats.
 using PackFn = void (*)(const GemmArgs&, float*);
 
 /// Everything the engine knows about one compiled kernel.  `mr/nr` are the
-/// micro-tile dimensions (they fix the packed-panel layout), `mc/kc` the
+/// micro-tile dimensions (nr fixes the B-panel layout), `mc/kc` the
 /// cache-block sizes (mc is the row-partition granularity for threading).
+/// The driver packs B panels itself; `pack_b` runs the same per-block pack
+/// (pack_b_block) over the full matrix, the one entry through which
+/// test_pack_b's bitwise oracle and BM_PackB reach that layout.
 struct KernelVTable {
   GemmFn gemm = nullptr;
-  PackFn pack_a = nullptr;
   PackFn pack_b = nullptr;
   std::size_t mr = 0;
   std::size_t nr = 0;
@@ -103,12 +88,8 @@ struct KernelVTable {
   std::string_view isa;
 };
 
-/// Floats needed to hold a full prepacked op(A) of shape [m, k] (zero-padded
-/// kMr-row panels) or op(B) of shape [k, n] (zero-padded kNr-column panels).
-inline std::size_t packed_a_size(const KernelVTable& vt, std::size_t m,
-                                 std::size_t k) {
-  return ((m + vt.mr - 1) / vt.mr) * vt.mr * k;
-}
+/// Floats needed to hold a full packed op(B) of shape [k, n] (zero-padded
+/// kNr-column panels).
 inline std::size_t packed_b_size(const KernelVTable& vt, std::size_t k,
                                  std::size_t n) {
   return ((n + vt.nr - 1) / vt.nr) * vt.nr * k;
@@ -116,14 +97,12 @@ inline std::size_t packed_b_size(const KernelVTable& vt, std::size_t k,
 
 /// Portable driver: 4x8 micro-tiles, whatever SIMD the base -march allows.
 void gemm_generic(const GemmArgs& args);
-void gemm_generic_pack_a(const GemmArgs& args, float* dst);
 void gemm_generic_pack_b(const GemmArgs& args, float* dst);
 const KernelVTable& gemm_generic_vtable();
 
 #if defined(HELCFL_HAVE_AVX2_KERNELS)
 /// Same driver compiled with -mavx2 -mfma and 6x16 micro-tiles.
 void gemm_avx2(const GemmArgs& args);
-void gemm_avx2_pack_a(const GemmArgs& args, float* dst);
 void gemm_avx2_pack_b(const GemmArgs& args, float* dst);
 const KernelVTable& gemm_avx2_vtable();
 #endif
@@ -131,7 +110,6 @@ const KernelVTable& gemm_avx2_vtable();
 #if defined(HELCFL_HAVE_AVX512_KERNELS)
 /// Same driver compiled with -mavx512f and 12x32 micro-tiles.
 void gemm_avx512(const GemmArgs& args);
-void gemm_avx512_pack_a(const GemmArgs& args, float* dst);
 void gemm_avx512_pack_b(const GemmArgs& args, float* dst);
 const KernelVTable& gemm_avx512_vtable();
 #endif

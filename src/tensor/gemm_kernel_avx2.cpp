@@ -4,7 +4,6 @@
 // 16-register file.  Selected at runtime by detail::active_kernel_vtable()
 // only when CPUID reports both AVX2 and FMA.
 #define HELCFL_KERNEL_FN gemm_avx2
-#define HELCFL_KERNEL_PACK_A_FN gemm_avx2_pack_a
 #define HELCFL_KERNEL_PACK_B_FN gemm_avx2_pack_b
 #define HELCFL_KERNEL_VTABLE_FN gemm_avx2_vtable
 #define HELCFL_KERNEL_ISA_NAME "avx2_fma"

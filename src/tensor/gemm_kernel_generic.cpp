@@ -3,7 +3,6 @@
 // 4x8 micro-tiles keep the accumulator within the 16 XMM registers of
 // baseline x86-64; other targets simply unroll scalar code.
 #define HELCFL_KERNEL_FN gemm_generic
-#define HELCFL_KERNEL_PACK_A_FN gemm_generic_pack_a
 #define HELCFL_KERNEL_PACK_B_FN gemm_generic_pack_b
 #define HELCFL_KERNEL_VTABLE_FN gemm_generic_vtable
 #define HELCFL_KERNEL_ISA_NAME "generic"

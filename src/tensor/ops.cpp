@@ -1,21 +1,52 @@
 #include "tensor/ops.h"
 
-#include <atomic>
-#include <cassert>
-#include <cstdlib>
+#include <initializer_list>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/gemm_kernel.h"
 
 namespace helcfl::tensor {
 
+namespace {
+
+/// One span argument: its name, its length and the length its call needs.
+struct Operand {
+  const char* name;
+  std::size_t size;
+  std::size_t need;
+};
+
+/// Throws std::invalid_argument naming `who` and the first operand whose
+/// length is wrong, before the caller reads or writes anything.
+void check_sizes(const char* who, std::initializer_list<Operand> operands) {
+  for (const Operand& o : operands) {
+    if (o.size != o.need) {
+      throw std::invalid_argument(std::string(who) + ": " + o.name + " has " +
+                                  std::to_string(o.size) + " floats, expected " +
+                                  std::to_string(o.need));
+    }
+  }
+}
+
+/// check_sizes for C[m,n] = op(A)[m,k] op(B)[k,n]: a transpose changes
+/// how a span is read, never how long it is.
+void check_gemm(const char* who, std::size_t m, std::size_t k, std::size_t n,
+                std::span<const float> a, std::span<const float> b,
+                std::span<const float> c) {
+  check_sizes(who,
+              {{"a", a.size(), m * k}, {"b", b.size(), k * n}, {"c", c.size(), m * n}});
+}
+
+}  // namespace
+
 void add_inplace(std::span<float> y, std::span<const float> x) {
-  assert(y.size() == x.size());
+  check_sizes("tensor::add_inplace", {{"x", x.size(), y.size()}});
   for (std::size_t i = 0; i < y.size(); ++i) y[i] += x[i];
 }
 
 void sub_inplace(std::span<float> y, std::span<const float> x) {
-  assert(y.size() == x.size());
+  check_sizes("tensor::sub_inplace", {{"x", x.size(), y.size()}});
   for (std::size_t i = 0; i < y.size(); ++i) y[i] -= x[i];
 }
 
@@ -24,12 +55,12 @@ void scale_inplace(std::span<float> y, float s) {
 }
 
 void axpy(float a, std::span<const float> x, std::span<float> y) {
-  assert(y.size() == x.size());
+  check_sizes("tensor::axpy", {{"x", x.size(), y.size()}});
   for (std::size_t i = 0; i < y.size(); ++i) y[i] += a * x[i];
 }
 
 double dot(std::span<const float> a, std::span<const float> b) {
-  assert(a.size() == b.size());
+  check_sizes("tensor::dot", {{"b", b.size(), a.size()}});
   double sum = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) sum += static_cast<double>(a[i]) * b[i];
   return sum;
@@ -47,7 +78,7 @@ double squared_norm(std::span<const float> a) { return dot(a, a); }
 
 void gemm(std::size_t m, std::size_t k, std::size_t n, std::span<const float> a,
           std::span<const float> b, std::span<float> c) {
-  assert(a.size() == m * k && b.size() == k * n && c.size() == m * n);
+  check_gemm("tensor::gemm", m, k, n, a, b, c);
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data()};
   detail::run_gemm(args);
@@ -56,7 +87,7 @@ void gemm(std::size_t m, std::size_t k, std::size_t n, std::span<const float> a,
 void gemm_accumulate(std::size_t m, std::size_t k, std::size_t n,
                      std::span<const float> a, std::span<const float> b,
                      std::span<float> c) {
-  assert(a.size() == m * k && b.size() == k * n && c.size() == m * n);
+  check_gemm("tensor::gemm_accumulate", m, k, n, a, b, c);
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data(), .accumulate = true};
   detail::run_gemm(args);
@@ -65,8 +96,8 @@ void gemm_accumulate(std::size_t m, std::size_t k, std::size_t n,
 void gemm_bias_rows(std::size_t m, std::size_t k, std::size_t n,
                     std::span<const float> a, std::span<const float> b,
                     std::span<const float> bias, std::span<float> c) {
-  assert(a.size() == m * k && b.size() == k * n && c.size() == m * n &&
-         bias.size() == m);
+  check_gemm("tensor::gemm_bias_rows", m, k, n, a, b, c);
+  check_sizes("tensor::gemm_bias_rows", {{"bias", bias.size(), m}});
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data(), .bias = bias.data()};
   detail::run_gemm(args);
@@ -74,7 +105,7 @@ void gemm_bias_rows(std::size_t m, std::size_t k, std::size_t n,
 
 void gemm_at_b(std::size_t m, std::size_t k, std::size_t n, std::span<const float> a,
                std::span<const float> b, std::span<float> c) {
-  assert(a.size() == k * m && b.size() == k * n && c.size() == m * n);
+  check_gemm("tensor::gemm_at_b", m, k, n, a, b, c);
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data(), .trans_a = true};
   detail::run_gemm(args);
@@ -83,7 +114,7 @@ void gemm_at_b(std::size_t m, std::size_t k, std::size_t n, std::span<const floa
 void gemm_at_b_accumulate(std::size_t m, std::size_t k, std::size_t n,
                           std::span<const float> a, std::span<const float> b,
                           std::span<float> c) {
-  assert(a.size() == k * m && b.size() == k * n && c.size() == m * n);
+  check_gemm("tensor::gemm_at_b_accumulate", m, k, n, a, b, c);
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data(), .trans_a = true, .accumulate = true};
   detail::run_gemm(args);
@@ -91,7 +122,7 @@ void gemm_at_b_accumulate(std::size_t m, std::size_t k, std::size_t n,
 
 void gemm_a_bt(std::size_t m, std::size_t k, std::size_t n, std::span<const float> a,
                std::span<const float> b, std::span<float> c) {
-  assert(a.size() == m * k && b.size() == n * k && c.size() == m * n);
+  check_gemm("tensor::gemm_a_bt", m, k, n, a, b, c);
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data(), .trans_b = true};
   detail::run_gemm(args);
@@ -100,7 +131,7 @@ void gemm_a_bt(std::size_t m, std::size_t k, std::size_t n, std::span<const floa
 void gemm_a_bt_accumulate(std::size_t m, std::size_t k, std::size_t n,
                           std::span<const float> a, std::span<const float> b,
                           std::span<float> c) {
-  assert(a.size() == m * k && b.size() == n * k && c.size() == m * n);
+  check_gemm("tensor::gemm_a_bt_accumulate", m, k, n, a, b, c);
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data(), .trans_b = true, .accumulate = true};
   detail::run_gemm(args);
@@ -109,76 +140,12 @@ void gemm_a_bt_accumulate(std::size_t m, std::size_t k, std::size_t n,
 void gemm_a_bt_bias_cols(std::size_t m, std::size_t k, std::size_t n,
                          std::span<const float> a, std::span<const float> b,
                          std::span<const float> bias, std::span<float> c) {
-  assert(a.size() == m * k && b.size() == n * k && c.size() == m * n &&
-         bias.size() == n);
+  check_gemm("tensor::gemm_a_bt_bias_cols", m, k, n, a, b, c);
+  check_sizes("tensor::gemm_a_bt_bias_cols", {{"bias", bias.size(), n}});
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data(), .bias = bias.data(),
                         .bias_per_col = true, .trans_b = true};
   detail::run_gemm(args);
-}
-
-void PackedWeights::pack_a(std::size_t m, std::size_t k,
-                           std::span<const float> w) {
-  assert(w.size() == m * k);
-  const detail::KernelVTable& vt = detail::active_kernel_vtable();
-  detail::ensure_scratch(buf_, detail::packed_a_size(vt, m, k));
-  detail::GemmArgs args{.m = m, .k = k, .a = w.data()};
-  vt.pack_a(args, buf_.data());
-  m_ = m;
-  k_ = k;
-  n_ = 0;
-  side_ = 'a';
-  valid_ = true;
-}
-
-void PackedWeights::pack_b_trans(std::size_t k, std::size_t n,
-                                 std::span<const float> w) {
-  assert(w.size() == n * k);
-  const detail::KernelVTable& vt = detail::active_kernel_vtable();
-  detail::ensure_scratch(buf_, detail::packed_b_size(vt, k, n));
-  detail::GemmArgs args{.k = k, .n = n, .b = w.data(), .trans_b = true};
-  vt.pack_b(args, buf_.data());
-  m_ = 0;
-  k_ = k;
-  n_ = n;
-  side_ = 'b';
-  valid_ = true;
-}
-
-void gemm_bias_rows(std::size_t m, std::size_t k, std::size_t n,
-                    const PackedWeights& a, std::span<const float> b,
-                    std::span<const float> bias, std::span<float> c) {
-  assert(a.is_a(m, k) && b.size() == k * n && c.size() == m * n &&
-         bias.size() == m);
-  detail::GemmArgs args{.m = m, .k = k, .n = n, .b = b.data(), .c = c.data(),
-                        .bias = bias.data(), .packed_a = a.panels()};
-  detail::run_gemm(args);
-}
-
-void gemm_a_bt_bias_cols(std::size_t m, std::size_t k, std::size_t n,
-                         std::span<const float> a, const PackedWeights& b,
-                         std::span<const float> bias, std::span<float> c) {
-  assert(b.is_b_trans(k, n) && a.size() == m * k && c.size() == m * n &&
-         bias.size() == n);
-  detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .c = c.data(),
-                        .bias = bias.data(), .bias_per_col = true,
-                        .packed_b = b.panels()};
-  detail::run_gemm(args);
-}
-
-namespace {
-std::atomic<bool> g_weight_prepack{[] {
-  const char* env = std::getenv("HELCFL_PREPACK");
-  return !(env != nullptr && env[0] == '0');
-}()};
-}  // namespace
-
-void set_weight_prepack(bool enabled) {
-  g_weight_prepack.store(enabled, std::memory_order_relaxed);
-}
-
-bool weight_prepack_enabled() {
-  return g_weight_prepack.load(std::memory_order_relaxed);
 }
 
 void set_kernel_threads(std::size_t n) { detail::set_kernel_threads(n); }

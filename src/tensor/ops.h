@@ -2,6 +2,8 @@
 //
 // Layers in src/nn call these instead of hand-rolling loops so the hot
 // paths live in one place (and are covered by the micro-benchmarks).
+// Every span entry point checks its sizes in every build and throws
+// std::invalid_argument before writing anything.
 //
 // All GEMM variants run on the register-blocked, cache-tiled driver in
 // tensor/gemm_kernel.inl (docs/KERNELS.md).  Accumulation policy: every
@@ -19,7 +21,6 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -84,74 +85,6 @@ void gemm_a_bt_accumulate(std::size_t m, std::size_t k, std::size_t n,
 void gemm_a_bt_bias_cols(std::size_t m, std::size_t k, std::size_t n,
                          std::span<const float> a, std::span<const float> b,
                          std::span<const float> bias, std::span<float> c);
-
-/// A weight matrix pre-arranged into the active kernel's panel layout, for
-/// operands reused across many products: the FedAvg global model is
-/// forwarded by every selected client every round, so Dense/Conv2D pack
-/// their weight panels once per mutation instead of once per GEMM call.
-/// Packing is a pure data rearrangement — packed and unpacked products are
-/// bitwise identical.
-///
-/// Lifecycle: starts invalid; a layer packs lazily on first forward and
-/// calls invalidate() whenever its weights change (Layer::
-/// mark_weights_dirty, hooked into zero_grad and load_parameters — see
-/// nn/layer.h for the invalidation contract).  The buffer only ever grows
-/// (scratch_realloc_count audits growth), so steady-state repacks are
-/// allocation-free.  Each instance is single-owner state like any other
-/// layer scratch: never share one across threads.
-class PackedWeights {
- public:
-  /// Packs W[m,k] as the left operand of gemm_bias_rows/gemm-style
-  /// products (Conv2D forward: W * im2col view).
-  void pack_a(std::size_t m, std::size_t k, std::span<const float> w);
-
-  /// Packs W[n,k] as the transposed right operand of
-  /// gemm_a_bt_bias_cols-style products (Dense forward: x * W^T).
-  void pack_b_trans(std::size_t k, std::size_t n, std::span<const float> w);
-
-  /// True when the panels match the last-packed weights; false after
-  /// invalidate() or before any pack.
-  bool valid() const { return valid_; }
-
-  /// Marks the panels stale (weights changed); next forward repacks.
-  void invalidate() { valid_ = false; }
-
-  // Used by the packed GEMM entry points below.
-  const float* panels() const { return buf_.data(); }
-  bool is_a(std::size_t m, std::size_t k) const {
-    return valid_ && side_ == 'a' && m_ == m && k_ == k;
-  }
-  bool is_b_trans(std::size_t k, std::size_t n) const {
-    return valid_ && side_ == 'b' && k_ == k && n_ == n;
-  }
-
- private:
-  std::vector<float> buf_;
-  std::size_t m_ = 0;
-  std::size_t k_ = 0;
-  std::size_t n_ = 0;
-  char side_ = 0;  // 'a' or 'b'
-  bool valid_ = false;
-};
-
-/// gemm_bias_rows with a prepacked A (weights.is_a(m, k) must hold).
-void gemm_bias_rows(std::size_t m, std::size_t k, std::size_t n,
-                    const PackedWeights& a, std::span<const float> b,
-                    std::span<const float> bias, std::span<float> c);
-
-/// gemm_a_bt_bias_cols with a prepacked B^T (weights.is_b_trans(k, n) must
-/// hold).
-void gemm_a_bt_bias_cols(std::size_t m, std::size_t k, std::size_t n,
-                         std::span<const float> a, const PackedWeights& b,
-                         std::span<const float> bias, std::span<float> c);
-
-/// Process-wide switch for the layer-level weight-prepacking path (Dense /
-/// Conv2D forwards).  Defaults to on; HELCFL_PREPACK=0 in the environment
-/// starts it off.  Exists for A/B benchmarking and packed-vs-unpacked
-/// differential tests — flip it only from a single thread between
-/// computations.
-void set_weight_prepack(bool enabled);
-bool weight_prepack_enabled();
 
 /// Sets the GEMM worker count: 1 (default) keeps every product on the
 /// calling thread, 0 resolves to hardware_concurrency, n >= 2 shards large

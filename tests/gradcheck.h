@@ -61,11 +61,8 @@ inline void check_gradients(nn::Layer& layer, tensor::Tensor x, double eps = 1e-
         << "input gradient mismatch at flat index " << i;
   }
 
-  // Finite-difference parameter gradients.  Each perturbation writes the
-  // parameter span directly, bypassing the standard mutation paths, so the
-  // layer's prepacked weight panels must be invalidated by hand before
-  // every forward (nn/layer.h invalidation contract) — this doubles as
-  // coverage that the prepacked forward tracks fresh weights.
+  // Finite-difference parameter gradients: each perturbation writes the
+  // parameter span directly, and the next forward must read it.
   auto params = layer.params();
   for (std::size_t p = 0; p < params.size(); ++p) {
     auto value = params[p].value;
@@ -73,13 +70,10 @@ inline void check_gradients(nn::Layer& layer, tensor::Tensor x, double eps = 1e-
     for (std::size_t i = 0; i < value.size(); ++i) {
       const float saved = value[i];
       value[i] = saved + static_cast<float>(eps);
-      layer.mark_weights_dirty();
       const double plus = weighted_sum(layer.forward(x, fd_training), w);
       value[i] = saved - static_cast<float>(eps);
-      layer.mark_weights_dirty();
       const double minus = weighted_sum(layer.forward(x, fd_training), w);
       value[i] = saved;
-      layer.mark_weights_dirty();
       const double numeric = (plus - minus) / (2.0 * eps);
       const double denom = std::max(1.0, std::abs(static_cast<double>(grad[i])));
       EXPECT_NEAR(grad[i] / denom, numeric / denom, tolerance)

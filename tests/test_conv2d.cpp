@@ -307,16 +307,12 @@ TEST(Conv2D, ChunkedBatchMatchesOneSampleBatchesBitwise) {
 // Implicit GEMM against the explicit-panel oracle (tests/oracles/
 // explicit_conv): forward output, grad_W, grad_b and grad_input must match
 // bit for bit, for backward() and for the parameter-only accumulate_grads(),
-// with weight prepacking on and off and with 1 and 4 kernel threads.
+// with 1 and 4 kernel threads.
 
-/// Restores the process-wide kernel knobs a test changes.
+/// Restores the kernel thread count a test changes.
 struct KernelKnobs {
   const std::size_t threads = tensor::kernel_threads();
-  const bool prepack = tensor::weight_prepack_enabled();
-  ~KernelKnobs() {
-    tensor::set_kernel_threads(threads);
-    tensor::set_weight_prepack(prepack);
-  }
+  ~KernelKnobs() { tensor::set_kernel_threads(threads); }
 };
 
 TEST(Conv2D, ImplicitGemmMatchesExplicitPanelOracleBitwise) {
@@ -355,27 +351,23 @@ TEST(Conv2D, ImplicitGemmMatchesExplicitPanelOracleBitwise) {
         std::span<const float>(params.data(), wsize),
         std::span<const float>(params.data() + wsize, cfg.out_ch), x, dy);
     for (const std::size_t threads : {1, 4}) {
-      for (const bool prepack : {true, false}) {
-        SCOPED_TRACE("kernel_threads=" + std::to_string(threads) +
-                     " prepack=" + std::to_string(prepack));
-        tensor::set_kernel_threads(threads);
-        tensor::set_weight_prepack(prepack);
-        for (const bool params_only : {false, true}) {
-          conv.zero_grad();
-          const Tensor y = conv.forward(x, true);
-          EXPECT_EQ(bits(y.data()), bits(want.output.data())) << "forward output";
-          if (params_only) {
-            conv.accumulate_grads(dy);
-          } else {
-            const Tensor dx = conv.backward(dy);
-            EXPECT_EQ(bits(dx.data()), bits(want.grad_input.data())) << "grad_input";
-          }
-          const std::vector<ParamRef> got = conv.params();
-          EXPECT_EQ(bits(got[0].grad), bits(want.grad_weight))
-              << "grad_weight, params_only=" << params_only;
-          EXPECT_EQ(bits(got[1].grad), bits(want.grad_bias))
-              << "grad_bias, params_only=" << params_only;
+      SCOPED_TRACE("kernel_threads=" + std::to_string(threads));
+      tensor::set_kernel_threads(threads);
+      for (const bool params_only : {false, true}) {
+        conv.zero_grad();
+        const Tensor y = conv.forward(x, true);
+        EXPECT_EQ(bits(y.data()), bits(want.output.data())) << "forward output";
+        if (params_only) {
+          conv.accumulate_grads(dy);
+        } else {
+          const Tensor dx = conv.backward(dy);
+          EXPECT_EQ(bits(dx.data()), bits(want.grad_input.data())) << "grad_input";
         }
+        const std::vector<ParamRef> got = conv.params();
+        EXPECT_EQ(bits(got[0].grad), bits(want.grad_weight))
+            << "grad_weight, params_only=" << params_only;
+        EXPECT_EQ(bits(got[1].grad), bits(want.grad_bias))
+            << "grad_bias, params_only=" << params_only;
       }
     }
   }

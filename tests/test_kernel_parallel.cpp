@@ -1,22 +1,22 @@
-// Determinism harness for the thread-parallel GEMM driver and the prepacked
-// weight-panel cache (docs/KERNELS.md).  The contracts under test:
+// Determinism harness for the thread-parallel GEMM driver (docs/KERNELS.md).
+// The contracts under test:
 //
 //  1. Every GEMM variant is bitwise identical for any kernel-thread count,
 //     because row sharding never changes an element's ascending-k
 //     accumulation order.
-//  2. Packing is a pure data rearrangement: packed and unpacked products
-//     are bitwise identical, at any thread count.
-//  3. The layer-level invalidation contract (nn/layer.h) keeps prepacked
-//     forwards tracking fresh weights through every mutation path —
-//     optimizer steps, load_parameters, and zero_grad.
-//  4. End to end: a federated training run produces bitwise-identical
-//     weights and metrics CSV bytes whatever the kernel-thread count, with
-//     threading and prepacking both enabled.
+//  2. Dense and Conv2D forwards read their current weights: after an
+//     optimizer step and after load_parameters they still equal the free
+//     GEMM (Dense) and the explicit_conv oracle (Conv2D) bit for bit.
+//  3. End to end: a federated training run produces bitwise-identical
+//     weights and metrics CSV bytes whatever the kernel-thread count.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +31,7 @@
 #include "nn/models.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
+#include "oracles/explicit_conv.h"
 #include "sched/random_selection.h"
 #include "sim/report.h"
 #include "tensor/ops.h"
@@ -39,16 +40,18 @@
 namespace helcfl {
 namespace {
 
-/// Restores the process-wide kernel configuration on scope exit so tests
-/// cannot leak thread/prepack settings into each other.
+/// Restores the process-wide kernel thread count on scope exit so tests
+/// cannot leak it into each other.
 struct KernelConfigGuard {
   std::size_t threads = tensor::kernel_threads();
-  bool prepack = tensor::weight_prepack_enabled();
-  ~KernelConfigGuard() {
-    tensor::set_kernel_threads(threads);
-    tensor::set_weight_prepack(prepack);
-  }
+  ~KernelConfigGuard() { tensor::set_kernel_threads(threads); }
 };
+
+std::vector<std::uint32_t> bits(std::span<const float> v) {
+  std::vector<std::uint32_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+  return out;
+}
 
 std::vector<float> random_vec(std::size_t n, util::Rng& rng) {
   std::vector<float> v(n);
@@ -136,147 +139,78 @@ TEST(KernelParallel, AllVariantsAreBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(KernelParallel, PackedProductsMatchUnpackedBitwise) {
-  KernelConfigGuard guard;
-  const Problem p = make_problem(130, 270, 85, 0xB1);
-  std::vector<float> unpacked(p.m * p.n);
-  std::vector<float> packed(p.m * p.n);
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    tensor::set_kernel_threads(threads);
-
-    // Conv2D-style: prepacked left operand.
-    tensor::gemm_bias_rows(p.m, p.k, p.n, p.a, p.b, p.bias_m, unpacked);
-    tensor::PackedWeights wa;
-    wa.pack_a(p.m, p.k, p.a);
-    ASSERT_TRUE(wa.is_a(p.m, p.k));
-    tensor::gemm_bias_rows(p.m, p.k, p.n, wa, p.b, p.bias_m, packed);
-    EXPECT_EQ(packed, unpacked) << "packed A, threads=" << threads;
-
-    // Dense-style: prepacked transposed right operand.
-    tensor::gemm_a_bt_bias_cols(p.m, p.k, p.n, p.a, p.bt, p.bias_n, unpacked);
-    tensor::PackedWeights wb;
-    wb.pack_b_trans(p.k, p.n, p.bt);
-    ASSERT_TRUE(wb.is_b_trans(p.k, p.n));
-    tensor::gemm_a_bt_bias_cols(p.m, p.k, p.n, p.a, wb, p.bias_n, packed);
-    EXPECT_EQ(packed, unpacked) << "packed B^T, threads=" << threads;
-  }
-}
-
-TEST(KernelParallel, PackedWeightsInvalidateAndRepackTracksNewValues) {
-  KernelConfigGuard guard;
-  tensor::set_kernel_threads(1);
-  Problem p = make_problem(64, 48, 40, 0xB2);
-
-  tensor::PackedWeights w;
-  w.pack_a(p.m, p.k, p.a);
-  EXPECT_TRUE(w.valid());
-  w.invalidate();
-  EXPECT_FALSE(w.valid());
-  EXPECT_FALSE(w.is_a(p.m, p.k));
-
-  // Repack with mutated weights: the product must follow the new values.
-  for (float& x : p.a) x *= 2.0F;
-  w.pack_a(p.m, p.k, p.a);
-  std::vector<float> unpacked(p.m * p.n);
-  std::vector<float> packed(p.m * p.n);
-  tensor::gemm_bias_rows(p.m, p.k, p.n, p.a, p.b, p.bias_m, unpacked);
-  tensor::gemm_bias_rows(p.m, p.k, p.n, w, p.b, p.bias_m, packed);
-  EXPECT_EQ(packed, unpacked);
-
-  // A pack for a different shape/side must not satisfy the old query.
-  w.pack_b_trans(p.k, p.n, p.bt);
-  EXPECT_FALSE(w.is_a(p.m, p.k));
-  EXPECT_TRUE(w.is_b_trans(p.k, p.n));
-}
-
-TEST(KernelParallel, DenseForwardMatchesUnpackedAndFollowsMutations) {
+TEST(KernelParallel, DenseForwardEqualsFreeGemmAfterStepAndLoad) {
   KernelConfigGuard guard;
   tensor::set_kernel_threads(1);
   util::Rng rng(0xC1);
-  nn::Dense packed_layer(23, 17, rng);
+  nn::Dense layer(23, 17, rng);
   const tensor::Tensor x = testing::random_input({5, 23}, 0xC2);
+  // y = x W^T + b through the public GEMM, on the layer's current weights.
+  const auto free_gemm = [&] {
+    const std::vector<nn::ParamRef> p = layer.params();
+    std::vector<float> y(5 * 17);
+    tensor::gemm_a_bt_bias_cols(5, 23, 17, x.data(), p[0].value, p[1].value, y);
+    return y;
+  };
+  EXPECT_EQ(bits(layer.forward(x, false).data()), bits(free_gemm())) << "initial";
 
-  tensor::set_weight_prepack(false);
-  const tensor::Tensor y_ref = packed_layer.forward(x, /*training=*/false);
-  tensor::set_weight_prepack(true);
-  const tensor::Tensor y_packed = packed_layer.forward(x, /*training=*/false);
-  ASSERT_EQ(y_ref.size(), y_packed.size());
-  for (std::size_t i = 0; i < y_ref.size(); ++i) {
-    EXPECT_EQ(y_ref[i], y_packed[i]) << "flat index " << i;
-  }
-
-  // An optimizer step must invalidate the panels via the ParamRef owner
-  // back-pointer: the next packed forward sees the stepped weights.
   const tensor::Tensor dy = testing::random_input({5, 17}, 0xC3);
-  packed_layer.zero_grad();
-  packed_layer.forward(x, /*training=*/true);
-  packed_layer.backward(dy);
+  layer.zero_grad();
+  const tensor::Tensor before = layer.forward(x, /*training=*/true);
+  layer.backward(dy);
   nn::Sgd sgd({.learning_rate = 0.1F});
-  sgd.step(packed_layer.params());
+  sgd.step(layer.params());
+  const tensor::Tensor stepped = layer.forward(x, false);
+  EXPECT_NE(bits(stepped.data()), bits(before.data())) << "the step moved no output";
+  EXPECT_EQ(bits(stepped.data()), bits(free_gemm())) << "after an Sgd step";
 
-  tensor::set_weight_prepack(false);
-  const tensor::Tensor y2_ref = packed_layer.forward(x, false);
-  tensor::set_weight_prepack(true);
-  const tensor::Tensor y2_packed = packed_layer.forward(x, false);
-  for (std::size_t i = 0; i < y2_ref.size(); ++i) {
-    EXPECT_EQ(y2_ref[i], y2_packed[i]) << "post-step flat index " << i;
-  }
+  std::vector<float> params = nn::extract_parameters(layer);
+  for (float& v : params) v += 0.125F;
+  nn::load_parameters(layer, params);
+  EXPECT_EQ(bits(layer.forward(x, false).data()), bits(free_gemm()))
+      << "after load_parameters";
 }
 
-TEST(KernelParallel, Conv2dForwardMatchesUnpackedAndFollowsLoadParameters) {
+TEST(KernelParallel, Conv2dForwardEqualsOracleAfterStepAndLoad) {
   KernelConfigGuard guard;
   tensor::set_kernel_threads(1);
   util::Rng rng(0xC4);
-  nn::Conv2D conv(3, 8, 3, 1, 1, rng);
-  const tensor::Tensor x = testing::random_input({2, 3, 9, 9}, 0xC5);
-
-  tensor::set_weight_prepack(false);
-  const tensor::Tensor y_ref = conv.forward(x, false);
-  tensor::set_weight_prepack(true);
-  const tensor::Tensor y_packed = conv.forward(x, false);
-  ASSERT_EQ(y_ref.size(), y_packed.size());
-  for (std::size_t i = 0; i < y_ref.size(); ++i) {
-    EXPECT_EQ(y_ref[i], y_packed[i]) << "flat index " << i;
-  }
-
-  // load_parameters must invalidate through Sequential::mark_weights_dirty.
   nn::Sequential model;
   model.emplace<nn::Conv2D>(3, 8, 3, 1, 1, rng);
-  const tensor::Tensor before = model.forward(x, false);  // packs panels
+  const tensor::Tensor x = testing::random_input({2, 3, 9, 9}, 0xC5);
+  const tensor::Tensor dy = testing::random_input({2, 8, 9, 9}, 0xC6);
+  // The explicit-panel forward on the model's current weights.
+  const auto oracle = [&] {
+    const std::vector<nn::ParamRef> p = model.params();
+    return nn::explicit_conv({3, 8, 3, 1, 1}, p[0].value, p[1].value, x, dy).output;
+  };
+  EXPECT_EQ(bits(model.forward(x, false).data()), bits(oracle().data())) << "initial";
+
+  model.zero_grad();
+  const tensor::Tensor before = model.forward(x, /*training=*/true);
+  model.backward(dy);
+  nn::Sgd sgd({.learning_rate = 0.1F});
+  sgd.step(model.params());
+  const tensor::Tensor stepped = model.forward(x, false);
+  EXPECT_NE(bits(stepped.data()), bits(before.data())) << "the step moved no output";
+  EXPECT_EQ(bits(stepped.data()), bits(oracle().data())) << "after an Sgd step";
+
   std::vector<float> params = nn::extract_parameters(model);
   for (float& v : params) v += 0.125F;
   nn::load_parameters(model, params);
-  tensor::set_weight_prepack(false);
-  const tensor::Tensor after_ref = model.forward(x, false);
-  tensor::set_weight_prepack(true);
-  const tensor::Tensor after_packed = model.forward(x, false);
-  for (std::size_t i = 0; i < after_ref.size(); ++i) {
-    EXPECT_EQ(after_ref[i], after_packed[i]) << "post-load flat index " << i;
-  }
+  EXPECT_EQ(bits(model.forward(x, false).data()), bits(oracle().data()))
+      << "after load_parameters";
 }
 
-TEST(KernelParallel, GradcheckPassesThroughPrepackedForward) {
-  KernelConfigGuard guard;
-  tensor::set_kernel_threads(1);
-  tensor::set_weight_prepack(true);
-  util::Rng rng(0xC6);
-  nn::Dense dense(6, 4, rng);
-  testing::check_gradients(dense, testing::random_input({3, 6}, 0xC7));
-  nn::Conv2D conv(2, 3, 3, 1, 0, rng);
-  testing::check_gradients(conv, testing::random_input({1, 2, 5, 5}, 0xC8));
-}
-
-TEST(KernelParallel, CnnTrainStepIsBitwiseInvariantAcrossThreadsAndPacking) {
+TEST(KernelParallel, CnnTrainStepIsBitwiseInvariantAcrossThreads) {
   KernelConfigGuard guard;
   const data::TrainTestSplit split = testing::tiny_split(64, 16, 90);
   std::vector<std::size_t> indices(32);
   for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
   const data::Batch batch = split.train.gather(indices);
 
-  const auto run_step = [&](std::size_t threads, bool prepack) {
+  const auto run_step = [&](std::size_t threads) {
     tensor::set_kernel_threads(threads);
-    tensor::set_weight_prepack(prepack);
     util::Rng model_rng(91);
     auto model = nn::make_small_cnn(split.train.spec(), 10, model_rng);
     const std::vector<float> init = nn::extract_parameters(*model);
@@ -288,10 +222,7 @@ TEST(KernelParallel, CnnTrainStepIsBitwiseInvariantAcrossThreadsAndPacking) {
     return fl::local_update(*model, init, batch, options, rng).weights;
   };
 
-  const std::vector<float> reference = run_step(1, false);
-  EXPECT_EQ(run_step(1, true), reference) << "threads=1 prepack=on";
-  EXPECT_EQ(run_step(4, false), reference) << "threads=4 prepack=off";
-  EXPECT_EQ(run_step(4, true), reference) << "threads=4 prepack=on";
+  EXPECT_EQ(run_step(4), run_step(1)) << "threads=4 vs threads=1";
 }
 
 TEST(KernelParallel, ScratchStopsGrowingInSteadyStateUnderFourThreads) {
@@ -317,7 +248,6 @@ TEST(KernelParallel, ScratchStopsGrowingInSteadyStateUnderFourThreads) {
 TEST(KernelParallel, EvalTrainEvalCycleStopsGrowingScratch) {
   KernelConfigGuard guard;
   tensor::set_kernel_threads(1);
-  tensor::set_weight_prepack(true);
   const nn::ImageSpec spec{3, 8, 8};
   for (const nn::ModelKind kind :
        {nn::ModelKind::kSmallCnn, nn::ModelKind::kMiniSqueezeNet}) {
@@ -351,10 +281,9 @@ TEST(KernelParallel, EvalTrainEvalCycleStopsGrowingScratch) {
 }
 
 /// End-to-end: a full federated run is bitwise invariant to the kernel
-/// thread count with prepacking enabled, down to the metrics CSV bytes.
+/// thread count, down to the metrics CSV bytes.
 TEST(KernelParallel, TrainerRunIsBitwiseInvariantAcrossKernelThreads) {
   KernelConfigGuard guard;
-  tensor::set_weight_prepack(true);
 
   const data::TrainTestSplit split = testing::tiny_split(200, 60, 93);
   util::Rng prng(94);

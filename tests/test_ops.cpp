@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -457,11 +458,13 @@ TEST(OpsKernel, FullTileStoresEqualOneColumnCallsBitwise) {
   }
 }
 
-TEST(OpsKernel, InPlaceLiveTilesEqualPrepackedPanelsBitwise) {
+TEST(OpsKernel, InPlaceLiveTilesEqualPackedRowProductsBitwise) {
   // The driver reads op(A) and a plain B where they lie and computes only an
-  // edge tile's live rows and vectors.  The same product over panels from
-  // vt.pack_a / vt.pack_b (zero-padded, read through the packed strides)
-  // must give the same bits, for every m up to two row tiles and a row
+  // edge tile's live rows and vectors.  The reference computes C one row at
+  // a time: an m = 1 product on an exact-size copy of op(A)'s row and of
+  // C's row, with B passed as trans_b over an explicit transpose, so the
+  // driver packs every B panel (zero-padded) and each call runs one live
+  // row.  The bits must agree for every m up to two row tiles and a row
   // tail, every n up to two panels and every vector tail (a last panel of
   // whole vectors is read in place, one with a partial vector is packed),
   // k across the 256 k-block with and without k_segment, trans_a and every
@@ -482,15 +485,12 @@ TEST(OpsKernel, InPlaceLiveTilesEqualPrepackedPanelsBitwise) {
         for (const bool trans_a : {false, true}) {
           for (std::size_t m = 1; m <= 2 * vt->mr + 1; ++m) {
             const std::vector<float> a = take(m * k, 3 * m);
-            std::vector<float> packed_a(detail::packed_a_size(*vt, m, k));
-            vt->pack_a({.m = m, .k = k, .a = a.data(), .trans_a = trans_a,
-                        .k_segment = k_segment},
-                       packed_a.data());
             for (std::size_t n = 1; n <= 2 * vt->nr + 3; ++n) {
               const std::vector<float> b = take(k * n, 5 * n + 1);
-              std::vector<float> packed_b(detail::packed_b_size(*vt, k, n));
-              vt->pack_b({.k = k, .n = n, .b = b.data(), .k_segment = k_segment},
-                         packed_b.data());
+              std::vector<float> bt(n * k);
+              for (std::size_t p = 0; p < k; ++p) {
+                for (std::size_t j = 0; j < n; ++j) bt[j * k + p] = b[p * n + j];
+              }
               const std::vector<float> c0 = take(m * n, 7 * m + n);
               const std::vector<float> bias_m = take(m, n), bias_n = take(n, m);
               for (const Store store : {Store::kOverwrite, Store::kAccumulate,
@@ -509,11 +509,25 @@ TEST(OpsKernel, InPlaceLiveTilesEqualPrepackedPanelsBitwise) {
                 std::vector<float> want = got;
                 args.c = got.data() + kGuard;
                 vt->gemm(args);
-                detail::GemmArgs packed = args;
-                packed.packed_a = packed_a.data();
-                packed.packed_b = packed_b.data();
-                packed.c = want.data() + kGuard;
-                vt->gemm(packed);
+                for (std::size_t i = 0; i < m; ++i) {
+                  std::vector<float> a_row(k), c_row(n);
+                  for (std::size_t p = 0; p < k; ++p) {
+                    a_row[p] = trans_a ? a[p * m + i] : a[i * k + p];
+                  }
+                  std::copy_n(c0.begin() + static_cast<std::ptrdiff_t>(i * n), n,
+                              c_row.begin());
+                  detail::GemmArgs row = args;
+                  row.m = 1;
+                  row.a = a_row.data();
+                  row.b = bt.data();
+                  row.c = c_row.data();
+                  row.trans_a = false;
+                  row.trans_b = true;
+                  if (store == Store::kBiasPerRow) row.bias = bias_m.data() + i;
+                  vt->gemm(row);
+                  std::copy(c_row.begin(), c_row.end(),
+                            want.begin() + static_cast<std::ptrdiff_t>(kGuard + i * n));
+                }
                 const auto where = [&] {
                   return std::string(vt->isa) + " m=" + std::to_string(m) +
                          " n=" + std::to_string(n) + " k=" + std::to_string(k) +
@@ -535,6 +549,100 @@ TEST(OpsKernel, InPlaceLiveTilesEqualPrepackedPanelsBitwise) {
       }
     }
   }
+}
+
+// Every span entry point checks its sizes in every build (NDEBUG included)
+// and throws before writing anything.  Each case passes one span a float
+// short; without the check it would read or write one float past it.
+namespace sizes {
+constexpr std::size_t kM = 2, kK = 3, kN = 4;
+const std::vector<float> kA(kM * kK, 1.0F), kB(kK * kN, 1.0F);
+const std::vector<float> kBiasM(kM, 1.0F), kBiasN(kN, 1.0F);
+
+std::vector<float> one_short(const std::vector<float>& v) {
+  return std::vector<float>(v.begin(), v.end() - 1);
+}
+
+/// Runs `call` on C = [kM, kN] filled with 5 and requires a throw with C
+/// untouched.
+template <typename Call>
+void expect_rejected(Call call, std::size_t c_size = kM * kN) {
+  std::vector<float> c(c_size, 5.0F);
+  EXPECT_THROW(call(std::span<float>(c)), std::invalid_argument);
+  EXPECT_EQ(c, std::vector<float>(c_size, 5.0F)) << "wrote before rejecting";
+}
+}  // namespace sizes
+
+TEST(OpsSizes, GemmRejectsShortC) {
+  using namespace sizes;
+  expect_rejected([](std::span<float> c) { gemm(kM, kK, kN, kA, kB, c); }, kM * kN - 1);
+}
+
+TEST(OpsSizes, GemmAccumulateRejectsShortA) {
+  using namespace sizes;
+  const std::vector<float> a = one_short(kA);
+  expect_rejected([&](std::span<float> c) { gemm_accumulate(kM, kK, kN, a, kB, c); });
+}
+
+TEST(OpsSizes, GemmBiasRowsRejectsShortBias) {
+  using namespace sizes;
+  const std::vector<float> bias = one_short(kBiasM);
+  expect_rejected([&](std::span<float> c) { gemm_bias_rows(kM, kK, kN, kA, kB, bias, c); });
+}
+
+TEST(OpsSizes, GemmAtBRejectsShortB) {
+  using namespace sizes;
+  const std::vector<float> b = one_short(kB);
+  expect_rejected([&](std::span<float> c) { gemm_at_b(kM, kK, kN, kA, b, c); });
+}
+
+TEST(OpsSizes, GemmAtBAccumulateRejectsShortC) {
+  using namespace sizes;
+  expect_rejected([](std::span<float> c) { gemm_at_b_accumulate(kM, kK, kN, kA, kB, c); },
+                  kM * kN - 1);
+}
+
+TEST(OpsSizes, GemmABtRejectsShortB) {
+  using namespace sizes;
+  const std::vector<float> b = one_short(kB);
+  expect_rejected([&](std::span<float> c) { gemm_a_bt(kM, kK, kN, kA, b, c); });
+}
+
+TEST(OpsSizes, GemmABtAccumulateRejectsShortA) {
+  using namespace sizes;
+  const std::vector<float> a = one_short(kA);
+  expect_rejected([&](std::span<float> c) { gemm_a_bt_accumulate(kM, kK, kN, a, kB, c); });
+}
+
+TEST(OpsSizes, GemmABtBiasColsRejectsShortBias) {
+  using namespace sizes;
+  const std::vector<float> bias = one_short(kBiasN);
+  expect_rejected(
+      [&](std::span<float> c) { gemm_a_bt_bias_cols(kM, kK, kN, kA, kB, bias, c); });
+}
+
+TEST(OpsSizes, AddInplaceRejectsShortX) {
+  using namespace sizes;
+  const std::vector<float> x = one_short(kBiasN);
+  expect_rejected([&](std::span<float> y) { add_inplace(y, x); }, kN);
+}
+
+TEST(OpsSizes, SubInplaceRejectsShortX) {
+  using namespace sizes;
+  const std::vector<float> x = one_short(kBiasN);
+  expect_rejected([&](std::span<float> y) { sub_inplace(y, x); }, kN);
+}
+
+TEST(OpsSizes, AxpyRejectsShortX) {
+  using namespace sizes;
+  const std::vector<float> x = one_short(kBiasN);
+  expect_rejected([&](std::span<float> y) { axpy(2.0F, x, y); }, kN);
+}
+
+TEST(OpsSizes, DotRejectsShortB) {
+  using namespace sizes;
+  const std::vector<float> b = one_short(kBiasN);
+  expect_rejected([&](std::span<float> a) { (void)dot(a, b); }, kN);
 }
 
 TEST(Ops, TensorAdd) {
