@@ -124,7 +124,9 @@ class JsonTeeReporter : public benchmark::BenchmarkReporter {
 
 /// Drop-in replacement for benchmark_main: console output plus, given
 /// `--bench-json=<path>`, a JSON file.  Recognizes and strips that flag and
-/// `--git-sha=<sha>`.
+/// `--git-sha=<sha>`.  The display is always console text, so any
+/// `--benchmark_format` other than `console` is refused (exit code 1)
+/// rather than ignored.
 inline int run_benchmarks_with_json(int argc, char** argv) {
   std::string path;
   std::string git_sha = "unknown";
@@ -132,6 +134,15 @@ inline int run_benchmarks_with_json(int argc, char** argv) {
   for (auto it = args.begin(); it != args.end();) {
     constexpr const char* kJsonFlag = "--bench-json=";
     constexpr const char* kShaFlag = "--git-sha=";
+    constexpr const char* kFormatFlag = "--benchmark_format=";
+    if (std::strncmp(*it, kFormatFlag, std::strlen(kFormatFlag)) == 0 &&
+        std::strcmp(*it + std::strlen(kFormatFlag), "console") != 0) {
+      std::cerr << "error: " << *it
+                << " is not supported: the display is always console text.  "
+                   "Write JSON rows with --bench-json=PATH, or the library's own "
+                   "json/csv with --benchmark_out=PATH --benchmark_out_format=json|csv\n";
+      return 1;
+    }
     if (std::strncmp(*it, kJsonFlag, std::strlen(kJsonFlag)) == 0) {
       path = *it + std::strlen(kJsonFlag);
       it = args.erase(it);

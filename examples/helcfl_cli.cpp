@@ -22,6 +22,8 @@
 //              [--checkpoint-every=N] [--checkpoint-path=path]
 //              [--resume-from=path]
 //
+// Each flag may be given once: a repeated one is an error (exit code 1).
+//
 // --threads=0 (the default) uses every hardware thread; --threads=1 forces
 // the sequential reference path.  Results are bitwise identical either way
 // (the parallel engine's determinism guarantee, DESIGN.md §7) — including
@@ -257,20 +259,15 @@ int run_connect(const util::ArgParser& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
-  if (!args.positional().empty()) {
-    const std::string& command = args.positional().front();
-    try {
+  try {
+    const util::ArgParser args(argc, argv);
+    if (!args.positional().empty()) {
+      const std::string& command = args.positional().front();
       if (command == "serve") return run_serve(args);
       if (command == "connect") return run_connect(args);
       std::fprintf(stderr, "error: unknown subcommand '%s'\n", command.c_str());
       return 1;
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "error: %s\n", error.what());
-      return 1;
     }
-  }
-  try {
     sim::ExperimentConfig config = sim::paper_config();
     config.scheme = sim::parse_scheme(args.get_or("scheme", "helcfl"));
     const std::string setting = args.get_or("setting", "noniid");

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace helcfl::data {
@@ -42,13 +43,34 @@ class SmoothField {
   std::array<Component, 3> components_{};
 };
 
-struct ClassPrototype {
-  // One field per channel.
-  std::vector<SmoothField> fields;
-};
+/// Every class prototype rendered on the image grid, [num_classes, channels,
+/// height, width]: entry (k, ch, sy, sx) is class k's channel-ch field
+/// sampled at (sx / width, sy / height).  A shifted sample only re-indexes
+/// it, so each value is computed once instead of once per pixel.  The fields
+/// are drawn class by class, channel by channel, as they always were.
+std::vector<float> render_prototypes(const SyntheticCifarOptions& options,
+                                     util::Rng& rng) {
+  const std::size_t h = options.height;
+  const std::size_t w = options.width;
+  std::vector<float> table(options.num_classes * options.channels * h * w);
+  float* out = table.data();
+  for (std::size_t k = 0; k < options.num_classes; ++k) {
+    for (std::size_t ch = 0; ch < options.channels; ++ch) {
+      const SmoothField field(rng, options.prototype_scale);
+      for (std::size_t sy = 0; sy < h; ++sy) {
+        for (std::size_t sx = 0; sx < w; ++sx) {
+          const double u = static_cast<double>(sx) / static_cast<double>(w);
+          const double v = static_cast<double>(sy) / static_cast<double>(h);
+          *out++ = field.sample(u, v);
+        }
+      }
+    }
+  }
+  return table;
+}
 
 Dataset generate(const SyntheticCifarOptions& options,
-                 const std::vector<ClassPrototype>& prototypes, std::size_t count,
+                 const std::vector<float>& prototypes, std::size_t count,
                  util::Rng& rng) {
   const std::size_t c = options.channels;
   const std::size_t h = options.height;
@@ -56,6 +78,7 @@ Dataset generate(const SyntheticCifarOptions& options,
   Tensor images(Shape{count, c, h, w});
   std::vector<std::int32_t> labels(count, 0);
 
+  float* out = images.data().data();
   for (std::size_t n = 0; n < count; ++n) {
     const auto true_class =
         static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(
@@ -65,17 +88,15 @@ Dataset generate(const SyntheticCifarOptions& options,
     const auto shift_x = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(options.max_shift)));
 
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const SmoothField& field = prototypes[true_class].fields[ch];
+    // Pixel (y, x) is the prototype at the circularly shifted (sy, sx) plus
+    // fresh noise, written in [c, y, x] order so the noise draws keep theirs.
+    const float* plane = prototypes.data() + true_class * c * h * w;
+    for (std::size_t ch = 0; ch < c; ++ch, plane += h * w) {
       for (std::size_t y = 0; y < h; ++y) {
+        const float* row = plane + ((y + shift_y) % h) * w;
         for (std::size_t x = 0; x < w; ++x) {
-          const std::size_t sy = (y + shift_y) % h;
-          const std::size_t sx = (x + shift_x) % w;
-          const double u = static_cast<double>(sx) / static_cast<double>(w);
-          const double v = static_cast<double>(sy) / static_cast<double>(h);
-          const float clean = field.sample(u, v);
-          images.at(n, ch, y, x) =
-              clean + static_cast<float>(rng.normal(0.0, options.noise_stddev));
+          *out++ = row[(x + shift_x) % w] +
+                   static_cast<float>(rng.normal(0.0, options.noise_stddev));
         }
       }
     }
@@ -93,24 +114,32 @@ Dataset generate(const SyntheticCifarOptions& options,
   return Dataset(std::move(images), std::move(labels), options.num_classes);
 }
 
-}  // namespace
-
-TrainTestSplit make_synthetic_cifar(const SyntheticCifarOptions& options,
-                                    util::Rng& rng) {
+void validate(const SyntheticCifarOptions& options) {
+  const auto fail = [](const char* field, float value, const char* rule) {
+    throw std::invalid_argument("make_synthetic_cifar: " + std::string(field) + " = " +
+                                std::to_string(value) + " " + rule);
+  };
   if (options.num_classes == 0 || options.channels == 0 || options.height == 0 ||
       options.width == 0) {
     throw std::invalid_argument("make_synthetic_cifar: zero-sized dimension");
   }
-  std::vector<ClassPrototype> prototypes;
-  prototypes.reserve(options.num_classes);
-  for (std::size_t k = 0; k < options.num_classes; ++k) {
-    ClassPrototype proto;
-    proto.fields.reserve(options.channels);
-    for (std::size_t ch = 0; ch < options.channels; ++ch) {
-      proto.fields.emplace_back(rng, options.prototype_scale);
-    }
-    prototypes.push_back(std::move(proto));
+  if (!(std::isfinite(options.noise_stddev) && options.noise_stddev >= 0.0F)) {
+    fail("noise_stddev", options.noise_stddev, "must be finite and >= 0");
   }
+  if (!(options.label_noise >= 0.0F && options.label_noise <= 1.0F)) {
+    fail("label_noise", options.label_noise, "must be in [0, 1]");
+  }
+  if (!std::isfinite(options.prototype_scale)) {
+    fail("prototype_scale", options.prototype_scale, "must be finite");
+  }
+}
+
+}  // namespace
+
+TrainTestSplit make_synthetic_cifar(const SyntheticCifarOptions& options,
+                                    util::Rng& rng) {
+  validate(options);
+  const std::vector<float> prototypes = render_prototypes(options, rng);
 
   TrainTestSplit split;
   split.train = generate(options, prototypes, options.train_samples, rng);

@@ -40,7 +40,10 @@ struct TrainTestSplit {
   Dataset test;
 };
 
-/// Generates the dataset.  Deterministic given `rng`'s state.
+/// Generates the dataset.  Deterministic given `rng`'s state.  Throws
+/// std::invalid_argument, before drawing anything, on a zero-sized
+/// dimension, a negative or non-finite `noise_stddev`, a `label_noise`
+/// outside [0, 1] (or NaN) and a non-finite `prototype_scale`.
 TrainTestSplit make_synthetic_cifar(const SyntheticCifarOptions& options,
                                     util::Rng& rng);
 

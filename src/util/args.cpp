@@ -14,10 +14,14 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
     }
     const std::string_view body = arg.substr(2);
     const std::size_t eq = body.find('=');
+    const std::string_view name = body.substr(0, eq);
+    if (flags_.contains(name) || values_.contains(name)) {
+      throw std::invalid_argument("--" + std::string(name) + " is given more than once");
+    }
     if (eq == std::string_view::npos) {
-      flags_.emplace(body);
+      flags_.emplace(name);
     } else {
-      values_.emplace(std::string(body.substr(0, eq)), std::string(body.substr(eq + 1)));
+      values_.emplace(std::string(name), std::string(body.substr(eq + 1)));
     }
   }
 }

@@ -18,7 +18,9 @@ namespace helcfl::util {
 
 class ArgParser {
  public:
-  /// Parses argv[1..argc); argv[0] (the program name) is skipped.
+  /// Parses argv[1..argc); argv[0] (the program name) is skipped.  Throws
+  /// std::invalid_argument naming the option when one name is given twice,
+  /// as a bare flag or with a value.
   ArgParser(int argc, const char* const* argv);
 
   /// True if `--name` appeared as a bare flag or with any value.

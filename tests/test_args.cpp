@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace helcfl::util {
 namespace {
 
@@ -82,6 +85,33 @@ TEST(Args, EmptyValue) {
   const ArgParser args = parse({"--csv="});
   EXPECT_TRUE(args.has("csv"));
   EXPECT_EQ(args.get("csv").value(), "");
+}
+
+// A repeated name is an error, whichever forms the two uses take.
+void expect_repeat_rejected(std::initializer_list<const char*> args, const char* flag) {
+  try {
+    (void)parse(args);
+    ADD_FAILURE() << flag << " repeated was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(flag), std::string::npos) << error.what();
+  }
+}
+
+TEST(Args, RepeatedOptionThrows) {
+  expect_repeat_rejected({"--eta=0.9", "--eta=0.5"}, "--eta");
+}
+
+TEST(Args, RepeatedFlagThrows) {
+  expect_repeat_rejected({"--quiet", "--scheme=helcfl", "--quiet"}, "--quiet");
+}
+
+TEST(Args, FlagRepeatedWithValueThrows) {
+  expect_repeat_rejected({"--trace", "--trace=1"}, "--trace");
+}
+
+TEST(Args, RepeatedPositionalIsKept) {
+  const ArgParser args = parse({"a.csv", "a.csv"});
+  EXPECT_EQ(args.positional(), (std::vector<std::string>{"a.csv", "a.csv"}));
 }
 
 TEST(Args, UnusedDetectsTypos) {

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "nn/loss.h"
 #include "nn/models.h"
 #include "nn/optimizer.h"
+#include "oracles/reference_synthetic_cifar.h"
 #include "util/rng.h"
 
 namespace helcfl::data {
@@ -95,6 +101,106 @@ TEST(SyntheticCifar, RejectsZeroDimensions) {
   options.channels = 0;
   util::Rng rng(8);
   EXPECT_THROW(make_synthetic_cifar(options, rng), std::invalid_argument);
+}
+
+// Every image float bit for bit, every label, and the geometry.
+void expect_same_dataset(const Dataset& actual, const Dataset& expected) {
+  ASSERT_EQ(actual.images().shape(), expected.images().shape());
+  std::size_t mismatched = 0;
+  for (std::size_t i = 0; i < expected.images().size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(actual.images()[i]) !=
+        std::bit_cast<std::uint32_t>(expected.images()[i])) {
+      ++mismatched;
+    }
+  }
+  EXPECT_EQ(mismatched, 0u) << "of " << expected.images().size() << " floats";
+  EXPECT_TRUE(std::equal(actual.labels().begin(), actual.labels().end(),
+                         expected.labels().begin(), expected.labels().end()));
+  EXPECT_EQ(actual.num_classes(), expected.num_classes());
+}
+
+TEST(SyntheticCifar, MatchesPerPixelFieldOracleBitwise) {
+  SyntheticCifarOptions defaults;
+  SyntheticCifarOptions non_square;
+  non_square.channels = 2;
+  non_square.height = 5;
+  non_square.width = 7;
+  SyntheticCifarOptions one_channel;
+  one_channel.channels = 1;
+  SyntheticCifarOptions wide_shift;  // shifts wrap more than once
+  wide_shift.max_shift = 11;
+  SyntheticCifarOptions clean_labels;
+  clean_labels.label_noise = 0.0F;
+  const SyntheticCifarOptions cases[] = {defaults, non_square, one_channel, wide_shift,
+                                         clean_labels};
+
+  std::uint64_t seed = 21;
+  for (SyntheticCifarOptions options : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << options.channels << "x" << options.height << "x" << options.width
+                 << " max_shift=" << options.max_shift
+                 << " label_noise=" << options.label_noise);
+    options.train_samples = 300;
+    options.test_samples = 70;
+    util::Rng rng(seed);
+    util::Rng reference_rng(seed++);
+    const TrainTestSplit actual = make_synthetic_cifar(options, rng);
+    const TrainTestSplit expected = reference_synthetic_cifar(options, reference_rng);
+    expect_same_dataset(actual.train, expected.train);
+    expect_same_dataset(actual.test, expected.test);
+    EXPECT_TRUE(rng.state() == reference_rng.state());
+  }
+}
+
+// An invalid option throws naming its field, before any draw.
+void expect_rejected(const SyntheticCifarOptions& options, const char* field) {
+  util::Rng rng(13);
+  const util::Rng::State before = rng.state();
+  try {
+    (void)make_synthetic_cifar(options, rng);
+    ADD_FAILURE() << field << " was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos) << error.what();
+  }
+  EXPECT_TRUE(rng.state() == before);
+}
+
+TEST(SyntheticCifar, RejectsBadNoiseStddev) {
+  for (const float bad : {-0.5F, std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()}) {
+    SyntheticCifarOptions options;
+    options.noise_stddev = bad;
+    expect_rejected(options, "noise_stddev");
+  }
+}
+
+TEST(SyntheticCifar, RejectsLabelNoiseOutsideUnitInterval) {
+  for (const float bad : {-0.01F, 1.01F, std::numeric_limits<float>::quiet_NaN()}) {
+    SyntheticCifarOptions options;
+    options.label_noise = bad;
+    expect_rejected(options, "label_noise");
+  }
+}
+
+TEST(SyntheticCifar, RejectsNonFinitePrototypeScale) {
+  for (const float bad : {std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()}) {
+    SyntheticCifarOptions options;
+    options.prototype_scale = bad;
+    expect_rejected(options, "prototype_scale");
+  }
+}
+
+TEST(SyntheticCifar, AcceptsBoundaryOptions) {
+  SyntheticCifarOptions options;
+  options.train_samples = 20;
+  options.test_samples = 5;
+  options.noise_stddev = 0.0F;
+  options.label_noise = 1.0F;
+  options.prototype_scale = -2.0F;
+  util::Rng rng(14);
+  EXPECT_NO_THROW((void)make_synthetic_cifar(options, rng));
 }
 
 TEST(SyntheticCifar, TaskIsLearnableAboveChance) {
