@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace helcfl;
-  sim::Observability observability = bench::parse_observability(argc, argv);
+  sim::Observability observability = bench::parse_bench_flags(argc, argv).observability;
   const double etas[] = {0.5, 0.7, 0.8, 0.9, 0.95, 0.99};
   constexpr double kTarget = 0.58;
 

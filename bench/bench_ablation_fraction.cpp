@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace helcfl;
-  sim::Observability observability = bench::parse_observability(argc, argv);
+  sim::Observability observability = bench::parse_bench_flags(argc, argv).observability;
   const double fractions[] = {0.05, 0.1, 0.2, 0.3};
   constexpr double kTarget = 0.58;
 

@@ -63,7 +63,7 @@ class RoundRobinSelection : public sched::SelectionStrategy {
 }  // namespace
 
 int main(int argc, char** argv) {
-  sim::Observability observability = bench::parse_observability(argc, argv);
+  sim::Observability observability = bench::parse_bench_flags(argc, argv).observability;
   constexpr double kTarget = 0.58;
   util::CsvWriter csv(bench::csv_path("ablation_utility.csv"),
                       {"rule", "best_accuracy", "time_to_target_min", "total_delay_min",

@@ -2,7 +2,9 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,21 +37,6 @@ inline std::string csv_path(const std::string& name) {
   return "bench_results/" + name;
 }
 
-/// Parses the shared observability flags — --trace-out, --trace-level,
-/// --profile, --chrome-trace (docs/OBSERVABILITY.md) — every bench
-/// accepts.  Attach the sinks to each run with
-/// `config.trainer.obs = observability.instruments()` (or pass them to
-/// run_scheme); when a bench runs several experiments, all of their events
-/// land in one trace, separated by `run_start` events.  Call `finish()` on
-/// the returned object once after the last run; with no flags given
-/// everything is inert.
-inline sim::Observability parse_observability(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
-  return sim::Observability(
-      args.get_or("trace-out", ""), args.get_or("trace-level", "decision"),
-      args.get_bool_or("profile", false), args.get_or("chrome-trace", ""));
-}
-
 /// Shared checkpoint/resume flags (docs/CHECKPOINT.md).  Benches run
 /// several schemes, so the flags carry path *prefixes*: each scheme's
 /// checkpoint lands at `<prefix>_<scheme>.ckpt`, and a scheme resumes only
@@ -62,19 +49,46 @@ struct CheckpointFlags {
   std::string resume_prefix;   ///< --resume-prefix
 };
 
-/// Parses --checkpoint-every, --checkpoint-prefix (default
-/// "bench_results/ckpt" when a cadence is given), and --resume-prefix.
-inline CheckpointFlags parse_checkpoint(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
-  CheckpointFlags flags;
-  flags.every =
-      static_cast<std::size_t>(args.get_int_or("checkpoint-every", 0));
-  flags.path_prefix = args.get_or("checkpoint-prefix", "");
-  if (flags.every > 0 && flags.path_prefix.empty()) {
-    flags.path_prefix = csv_path("ckpt");
+/// The flags every bench accepts.
+struct BenchFlags {
+  /// --trace-out, --trace-level, --profile, --chrome-trace
+  /// (docs/OBSERVABILITY.md).  Attach the sinks to each run with
+  /// `config.trainer.obs = observability.instruments()` (or pass them to
+  /// run_scheme); when a bench runs several experiments, all of their
+  /// events land in one trace, separated by `run_start` events.  Call
+  /// `finish()` once after the last run; with no flags given everything is
+  /// inert.
+  sim::Observability observability;
+  /// --checkpoint-every, --checkpoint-prefix (default "bench_results/ckpt"
+  /// when a cadence is given) and --resume-prefix.
+  CheckpointFlags checkpoint;
+};
+
+/// Parses the shared flags once, then hands the same parser to `own` (when
+/// given) to read the bench's own flags.  A bad or repeated flag, shared or
+/// own, prints `error: ...` and exits 1 before any run starts.
+inline BenchFlags parse_bench_flags(
+    int argc, char** argv,
+    const std::function<void(const util::ArgParser&)>& own = nullptr) {
+  try {
+    const util::ArgParser args(argc, argv);
+    BenchFlags flags{
+        sim::Observability(args.get_or("trace-out", ""),
+                           args.get_or("trace-level", "decision"),
+                           args.get_bool_or("profile", false),
+                           args.get_or("chrome-trace", "")),
+        {.every = args.get_count_or("checkpoint-every", 0),
+         .path_prefix = args.get_or("checkpoint-prefix", ""),
+         .resume_prefix = args.get_or("resume-prefix", "")}};
+    if (flags.checkpoint.every > 0 && flags.checkpoint.path_prefix.empty()) {
+      flags.checkpoint.path_prefix = csv_path("ckpt");
+    }
+    if (own) own(args);
+    return flags;
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    std::exit(1);
   }
-  flags.resume_prefix = args.get_or("resume-prefix", "");
-  return flags;
 }
 
 /// The checkpoint file `scheme` uses under `prefix` (see CheckpointFlags).

@@ -60,18 +60,27 @@ TimeToTarget time_to_target(const helcfl::fl::TrainingHistory& history,
 
 int main(int argc, char** argv) {
   using namespace helcfl;
-  const util::ArgParser args(argc, argv);
-  sim::Observability observability = bench::parse_observability(argc, argv);
-  const auto rounds = static_cast<std::size_t>(args.get_int_or("rounds", 60));
-  const auto users = static_cast<std::size_t>(args.get_int_or("users", 100));
-  const double straggler_rate = args.get_double_or("straggler-rate", 0.10);
-  // Per-straggler slowdown is drawn U(1, this); 10x is the deep tail of a
-  // backgrounded / thermally-throttled handset, the regime FedBuff targets.
-  const double straggler_slowdown = args.get_double_or("straggler-slowdown", 10.0);
-  const std::string json_path = args.get_or("bench-json", "BENCH_ext_async.json");
-  const std::string git_sha = args.get_or("git-sha", "unknown");
-
   sim::ExperimentConfig base = bench::evaluation_config(/*noniid=*/false);
+  std::size_t rounds = 0, users = 0, cohort = 0, buffer_k = 0;
+  double straggler_rate = 0.0, straggler_slowdown = 0.0;
+  std::string json_path, git_sha;
+  sim::Observability observability =
+      bench::parse_bench_flags(argc, argv, [&](const util::ArgParser& args) {
+        rounds = args.get_count_or("rounds", 60);
+        users = args.get_count_or("users", 100);
+        straggler_rate = args.get_double_or("straggler-rate", 0.10);
+        // Per-straggler slowdown is drawn U(1, this); 10x is the deep tail
+        // of a backgrounded / thermally-throttled handset, the regime
+        // FedBuff targets.
+        straggler_slowdown = args.get_double_or("straggler-slowdown", 10.0);
+        json_path = args.get_or("bench-json", "BENCH_ext_async.json");
+        git_sha = args.get_or("git-sha", "unknown");
+        cohort = sched::selection_count(users, base.fraction);
+        buffer_k = args.get_count_or(
+            "buffer-k",
+            std::max<std::size_t>(base.trainer.min_clients, (3 * cohort) / 4));
+      }).observability;
+
   base.scheme = sim::Scheme::kHelcfl;
   base.n_users = users;
   base.trainer.max_rounds = rounds;
@@ -82,11 +91,6 @@ int main(int argc, char** argv) {
   base.trainer.faults.straggler_slowdown = straggler_slowdown;
   base.trainer.faults.enabled = straggler_rate > 0.0;
   base.trainer.obs = observability.instruments();
-
-  const std::size_t cohort = sched::selection_count(users, base.fraction);
-  const std::size_t buffer_k = static_cast<std::size_t>(args.get_int_or(
-      "buffer-k", static_cast<long long>(std::max<std::size_t>(
-                      base.trainer.min_clients, (3 * cohort) / 4))));
 
   std::printf("=== E8: sync vs async round engine (%zu users, cohort %zu, "
               "%zu rounds, %.0f%% stragglers, slowdown U(1,%.0f)) ===\n\n",

@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace helcfl;
-  sim::Observability observability = bench::parse_observability(argc, argv);
+  sim::Observability observability = bench::parse_bench_flags(argc, argv).observability;
   constexpr double kBudgetJ = 20.0;  // a few dozen participations per device
 
   util::CsvWriter csv(bench::csv_path("ext_battery_lifetime.csv"),

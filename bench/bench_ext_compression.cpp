@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace helcfl;
-  sim::Observability observability = bench::parse_observability(argc, argv);
+  sim::Observability observability = bench::parse_bench_flags(argc, argv).observability;
   constexpr double kTarget = 0.58;
 
   util::CsvWriter csv(bench::csv_path("ext_compression.csv"),

@@ -15,10 +15,11 @@
 
 int main(int argc, char** argv) {
   using namespace helcfl;
-  const util::ArgParser args(argc, argv);
-  sim::Observability observability = bench::parse_observability(argc, argv);
-  const bench::CheckpointFlags checkpoint = bench::parse_checkpoint(argc, argv);
-  const auto rounds = static_cast<std::size_t>(args.get_int_or("rounds", 150));
+  std::size_t rounds = 0;
+  auto [observability, checkpoint] =
+      bench::parse_bench_flags(argc, argv, [&](const util::ArgParser& args) {
+        rounds = args.get_count_or("rounds", 150);
+      });
 
   struct FaultLevel {
     const char* label;

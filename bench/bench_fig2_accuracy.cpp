@@ -8,8 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace helcfl;
-  sim::Observability observability = bench::parse_observability(argc, argv);
-  const bench::CheckpointFlags checkpoint = bench::parse_checkpoint(argc, argv);
+  auto [observability, checkpoint] = bench::parse_bench_flags(argc, argv);
   const sim::Scheme schemes[] = {sim::Scheme::kHelcfl, sim::Scheme::kClassicFl,
                                  sim::Scheme::kFedCs, sim::Scheme::kFedl,
                                  sim::Scheme::kSl};

@@ -11,8 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace helcfl;
-  sim::Observability observability = bench::parse_observability(argc, argv);
-  const bench::CheckpointFlags checkpoint = bench::parse_checkpoint(argc, argv);
+  auto [observability, checkpoint] = bench::parse_bench_flags(argc, argv);
   const double iid_targets[] = {0.55, 0.62, 0.68};
   const double noniid_targets[] = {0.50, 0.58, 0.65};
 

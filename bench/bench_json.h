@@ -50,11 +50,9 @@ class JsonTeeReporter : public benchmark::BenchmarkReporter {
       // Wall-clock seconds the measured iterations actually took — a rate
       // (items_per_second) without its measurement window is unauditable.
       row.duration_s = run.real_accumulated_time;
-      // Per-row kernel context: benchmarks that sweep the kernel thread
-      // count publish a "threads" counter; everything else ran at the
-      // process default.  The ISA is resolved once per process but recorded
-      // per row so scaling-curve diffs are self-describing.
-      row.threads = static_cast<double>(tensor::kernel_threads());
+      // Per-row context: a row defaults to one thread unless its bench
+      // publishes a "threads" counter.  The ISA is resolved once per
+      // process but recorded per row so diffs are self-describing.
       row.isa = tensor::kernel_isa();
       for (const auto& [name, counter] : run.counters) {
         if (name == "items_per_second") {
@@ -109,7 +107,7 @@ class JsonTeeReporter : public benchmark::BenchmarkReporter {
     double items_per_sec = 0.0;
     double duration_s = 0.0;
     double iterations = 0.0;
-    double threads = 1.0;   ///< kernel threads the row ran with
+    double threads = 1.0;   ///< threads the row ran on (the "threads" counter)
     double gflops = 0.0;    ///< from the "flops" rate counter; 0 = not set
     std::string isa;        ///< kernel ISA the row ran with
     /// Every other user counter (e.g. p99 latencies), in counter order.

@@ -16,24 +16,19 @@
 //              [--straggler-cutoff-s=F] [--min-clients=N]
 //              [--mode=sync|async] [--buffer-k=N]
 //              [--staleness-beta=F] [--staleness-bound=N]
-//              [--threads=N] [--kernel-threads=N] [--csv=path] [--quiet]
+//              [--threads=N] [--csv=path] [--quiet]
 //              [--trace-out=path] [--trace-level=round|decision|debug]
 //              [--profile] [--chrome-trace=path]
 //              [--checkpoint-every=N] [--checkpoint-path=path]
 //              [--resume-from=path]
 //
-// Each flag may be given once: a repeated one is an error (exit code 1).
+// Each flag may be given once: a repeated one is an error (exit code 1), as
+// is a negative count (--rounds=-1, --buffer-k=-3, ...).
 //
 // --threads=0 (the default) uses every hardware thread; --threads=1 forces
 // the sequential reference path.  Results are bitwise identical either way
 // (the parallel engine's determinism guarantee, DESIGN.md §7) — including
 // with faults enabled, whose draws are forked per (round, user).
-//
-// --kernel-threads=N shards large GEMMs over N dedicated kernel workers
-// (default 1; 0 = every hardware thread); orthogonal to --threads and
-// likewise bitwise invariant (docs/KERNELS.md).  Prefer --threads on
-// many-client workloads and --kernel-threads when a single large model
-// dominates.
 //
 // Observability (docs/OBSERVABILITY.md): --trace-out writes one JSON event
 // per line (selection decisions, DVFS assignments, TDMA spans, faults,
@@ -81,6 +76,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <optional>
@@ -95,7 +91,6 @@
 #include "svc/listener.h"
 #include "svc/service.h"
 #include "svc/transport.h"
-#include "tensor/ops.h"
 #include "util/args.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -127,27 +122,23 @@ void warn_unused(const util::ArgParser& args) {
 }
 
 int run_serve(const util::ArgParser& args) {
-  const auto users = static_cast<std::size_t>(args.get_int_or("users", 64));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 7));
+  const auto users = args.get_count_or("users", 64);
+  const auto seed = args.get_count_or("seed", 7);
   svc::ServiceOptions options;
   options.fraction = args.get_double_or("fraction", 0.25);
   options.eta = args.get_double_or("eta", 0.9);
   // Ticks are milliseconds of server uptime (ServerOptions default).
-  options.lease_ticks =
-      static_cast<std::uint64_t>(args.get_int_or("lease-ticks", 10'000));
-  options.queue_capacity = static_cast<std::size_t>(
-      args.get_int_or("queue-capacity", static_cast<std::int64_t>(4 * users)));
-  options.snapshot_every =
-      static_cast<std::uint64_t>(args.get_int_or("snapshot-every", 0));
+  options.lease_ticks = args.get_count_or("lease-ticks", 10'000);
+  options.queue_capacity = args.get_count_or("queue-capacity", 4 * users);
+  options.snapshot_every = args.get_count_or("snapshot-every", 0);
   options.snapshot_path = args.get_or("snapshot-path", "");
-  const std::int64_t max_decisions = args.get_int_or("max-decisions", 0);
+  const std::uint64_t max_decisions = args.get_count_or("max-decisions", 0);
   const svc::Endpoint endpoint =
       svc::Endpoint::parse(args.get_or("listen", "tcp:127.0.0.1:7000"));
 
   svc::SchedulerService service(session_fleet(users, seed), options);
   svc::ServerOptions server_options;
-  server_options.ingress_threads =
-      static_cast<std::size_t>(args.get_int_or("ingress-threads", 1));
+  server_options.ingress_threads = args.get_count_or("ingress-threads", 1);
   svc::SocketServer server(service, endpoint, server_options);
   warn_unused(args);
   server.start();
@@ -161,8 +152,7 @@ int run_serve(const util::ArgParser& args) {
   while (!g_interrupted.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     if (max_decisions > 0 &&
-        server.stats().decisions_issued >=
-            static_cast<std::uint64_t>(max_decisions)) {
+        server.stats().decisions_issued >= max_decisions) {
       break;
     }
   }
@@ -179,10 +169,10 @@ int run_serve(const util::ArgParser& args) {
 }
 
 int run_connect(const util::ArgParser& args) {
-  const auto users = static_cast<std::size_t>(args.get_int_or("users", 64));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 7));
+  const auto users = args.get_count_or("users", 64);
+  const auto seed = args.get_count_or("seed", 7);
   const auto rounds =
-      static_cast<std::uint64_t>(args.get_int_or("rounds", 10));
+      args.get_count_or("rounds", 10);
   const svc::Endpoint endpoint =
       svc::Endpoint::parse(args.get_or("connect", "tcp:127.0.0.1:7000"));
   warn_unused(args);
@@ -275,19 +265,18 @@ int main(int argc, char** argv) {
       throw std::invalid_argument("--setting must be iid or noniid");
     }
     config.noniid = setting == "noniid";
-    config.trainer.max_rounds =
-        static_cast<std::size_t>(args.get_int_or("rounds", 300));
-    config.n_users = static_cast<std::size_t>(args.get_int_or("users", 100));
-    config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 7));
+    config.trainer.max_rounds = args.get_count_or("rounds", 300);
+    config.n_users = args.get_count_or("users", 100);
+    config.seed = args.get_count_or("seed", 7);
     config.fraction = args.get_double_or("fraction", config.fraction);
     config.eta = args.get_double_or("eta", config.eta);
     config.model = nn::parse_model_kind(args.get_or("model", "mlp"));
     config.trainer.client.learning_rate = static_cast<float>(
         args.get_double_or("lr", config.trainer.client.learning_rate));
-    config.trainer.client.local_steps = static_cast<std::size_t>(args.get_int_or(
-        "local-steps", static_cast<std::int64_t>(config.trainer.client.local_steps)));
-    config.trainer.client.batch_size = static_cast<std::size_t>(args.get_int_or(
-        "batch-size", static_cast<std::int64_t>(config.trainer.client.batch_size)));
+    config.trainer.client.local_steps = args.get_count_or(
+        "local-steps", config.trainer.client.local_steps);
+    config.trainer.client.batch_size = args.get_count_or(
+        "batch-size", config.trainer.client.batch_size);
     const double deadline_min = args.get_double_or("deadline-min", 0.0);
     if (deadline_min > 0.0) config.trainer.deadline_s = deadline_min * 60.0;
     config.trainer.target_accuracy = args.get_double_or("target-acc", -1.0);
@@ -298,12 +287,13 @@ int main(int argc, char** argv) {
     }
     config.trainer.compression.kind =
         nn::parse_compression_kind(args.get_or("compress", "none"));
-    config.trainer.compression.quantization_bits =
-        static_cast<unsigned>(args.get_int_or("quant-bits", 8));
+    // Saturate rather than wrap, so the compressor's 1..16 check sees an
+    // out-of-range value as out of range.
+    config.trainer.compression.quantization_bits = static_cast<unsigned>(
+        std::min<std::uint64_t>(args.get_count_or("quant-bits", 8), UINT_MAX));
     config.trainer.compression.sparsify_keep_ratio =
         args.get_double_or("keep-ratio", 0.1);
-    config.trainer.eval_every =
-        static_cast<std::size_t>(args.get_int_or("eval-every", 5));
+    config.trainer.eval_every = args.get_count_or("eval-every", 5);
     // Failure-aware execution (DESIGN.md §8).  Any non-zero fault rate
     // switches the injector on; the robustness policies work regardless.
     config.trainer.faults.crash_rate = args.get_double_or("crash-rate", 0.0);
@@ -315,31 +305,19 @@ int main(int argc, char** argv) {
     config.trainer.faults.leave_rate = args.get_double_or("churn-leave", 0.0);
     config.trainer.faults.rejoin_rate = args.get_double_or("churn-rejoin", 0.25);
     config.trainer.faults.enabled = config.trainer.faults.any_fault_possible();
-    config.trainer.max_upload_retries =
-        static_cast<std::size_t>(args.get_int_or("max-retries", 0));
+    config.trainer.max_upload_retries = args.get_count_or("max-retries", 0);
     config.trainer.retry_backoff_s = args.get_double_or("retry-backoff-s", 0.0);
     const double cutoff_s = args.get_double_or("straggler-cutoff-s", 0.0);
     if (cutoff_s > 0.0) config.trainer.straggler_cutoff_s = cutoff_s;
-    config.trainer.min_clients =
-        static_cast<std::size_t>(args.get_int_or("min-clients", 1));
+    config.trainer.min_clients = args.get_count_or("min-clients", 1);
     // Round engine (docs/ASYNC.md): --mode=async drops the round barrier
     // for FedBuff-style buffered aggregation.
     config.async.mode = fl::parse_async_mode(args.get_or("mode", "sync"));
-    config.async.buffer_k =
-        static_cast<std::size_t>(args.get_int_or("buffer-k", 0));
+    config.async.buffer_k = args.get_count_or("buffer-k", 0);
     config.async.staleness_beta = args.get_double_or("staleness-beta", 0.5);
-    config.async.staleness_bound =
-        static_cast<std::size_t>(args.get_int_or("staleness-bound", 0));
-    const std::int64_t threads = args.get_int_or("threads", 0);
-    if (threads < 0) throw std::invalid_argument("--threads must be >= 0");
-    config.trainer.num_threads = static_cast<std::size_t>(threads);
-    const std::int64_t kernel_threads = args.get_int_or("kernel-threads", 1);
-    if (kernel_threads < 0) {
-      throw std::invalid_argument("--kernel-threads must be >= 0");
-    }
-    tensor::set_kernel_threads(static_cast<std::size_t>(kernel_threads));
-    config.trainer.checkpoint_every =
-        static_cast<std::size_t>(args.get_int_or("checkpoint-every", 0));
+    config.async.staleness_bound = args.get_count_or("staleness-bound", 0);
+    config.trainer.num_threads = args.get_count_or("threads", 0);
+    config.trainer.checkpoint_every = args.get_count_or("checkpoint-every", 0);
     config.trainer.checkpoint_path = args.get_or("checkpoint-path", "");
     if (config.trainer.checkpoint_every > 0 && config.trainer.checkpoint_path.empty()) {
       config.trainer.checkpoint_path = "helcfl.ckpt";

@@ -7,16 +7,11 @@
 // AVX2+FMA and AVX-512 TUs built with per-file -m flags — and the fastest
 // kernel the running CPU supports is resolved exactly once per process, so
 // every call in a run (and every worker thread) executes the same
-// instruction sequence.  run_gemm() partitions C's **rows** across a
-// dedicated kernel thread pool (set_kernel_threads /
-// HELCFL_KERNEL_THREADS); every output element still accumulates its full k
-// extent in the documented ascending-k order on exactly one thread, so the
-// bits are identical for any thread count — including 1 — on a given
-// kernel.
+// instruction sequence.  run_gemm() runs the whole product on the calling
+// thread; parallelism lives one level up, in the trainer's client pool.
 //
 // docs/KERNELS.md documents the tiling scheme, the accumulation policy,
-// the threading partition, the B-panel layout, and the determinism
-// contract.
+// the B-panel layout, and the determinism contract.
 #pragma once
 
 #include <atomic>
@@ -54,10 +49,6 @@ struct GemmArgs {
   bool trans_a = false;
   bool trans_b = false;
   bool accumulate = false;  ///< C += product instead of C = product
-  /// Row range [row_begin, row_end) of C to compute; row_end == 0 means m.
-  /// Used by run_gemm() to shard rows across threads.
-  std::size_t row_begin = 0;
-  std::size_t row_end = 0;
   /// When set, B is this view's panel (op(B) its transpose when trans_b)
   /// and `b` is ignored: packing reads through the im2col index map.
   const Im2colView* b_view = nullptr;
@@ -73,8 +64,8 @@ using GemmFn = void (*)(const GemmArgs&);
 using PackFn = void (*)(const GemmArgs&, float*);
 
 /// Everything the engine knows about one compiled kernel.  `mr/nr` are the
-/// micro-tile dimensions (nr fixes the B-panel layout), `mc/kc` the
-/// cache-block sizes (mc is the row-partition granularity for threading).
+/// micro-tile dimensions (nr fixes the B-panel layout), `kc` the k-block
+/// length.
 /// The driver packs B panels itself; `pack_b` runs the same per-block pack
 /// (pack_b_block) over the full matrix, the one entry through which
 /// test_pack_b's bitwise oracle and BM_PackB reach that layout.
@@ -83,7 +74,6 @@ struct KernelVTable {
   PackFn pack_b = nullptr;
   std::size_t mr = 0;
   std::size_t nr = 0;
-  std::size_t mc = 0;
   std::size_t kc = 0;
   std::string_view isa;
 };
@@ -128,25 +118,8 @@ const std::vector<const KernelVTable*>& supported_kernel_vtables();
 /// bit-reproducibility.
 const KernelVTable& active_kernel_vtable();
 
-/// Runs one GEMM through the resolved kernel, sharding C's rows across the
-/// kernel thread pool when (a) more than one kernel thread is configured,
-/// (b) the problem is large enough to amortize the fork/join, and (c) the
-/// calling thread is not itself a util::ThreadPool worker (nested
-/// parallelism would deadlock a pool waiting on itself and oversubscribe
-/// the machine; trainer workers each run whole GEMMs instead).  Bitwise
-/// deterministic for any thread count: row sharding never changes any
-/// element's ascending-k accumulation order.
+/// Runs one GEMM through the resolved kernel on the calling thread.
 void run_gemm(const GemmArgs& args);
-
-/// Sets the kernel-pool width: 1 (default) disables threading, 0 resolves
-/// to hardware_concurrency, n >= 2 spawns a dedicated n-thread pool.  Not
-/// thread-safe against in-flight GEMMs — configure from the main thread
-/// between computations.  First use reads HELCFL_KERNEL_THREADS from the
-/// environment when the knob was never set programmatically.
-void set_kernel_threads(std::size_t n);
-
-/// Currently configured kernel-pool width (>= 1).
-std::size_t kernel_threads();
 
 /// Name of the resolved kernel: "avx512", "avx2_fma" or "generic".
 std::string_view kernel_isa();

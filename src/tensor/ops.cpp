@@ -69,9 +69,8 @@ double dot(std::span<const float> a, std::span<const float> b) {
 double squared_norm(std::span<const float> a) { return dot(a, a); }
 
 // Every GEMM variant below fills one detail::GemmArgs descriptor and hands
-// it to detail::run_gemm, which shards output rows across the kernel pool
-// when profitable and jumps through the kernel resolved at startup
-// (generic, AVX2+FMA, or AVX-512); a transposed A is a stride of the
+// it to detail::run_gemm, which jumps through the kernel resolved at
+// startup (generic, AVX2+FMA, or AVX-512); a transposed A is a stride of the
 // micro-kernel's read and a transposed B a gather order of the B pack, so
 // all variants share one micro-kernel and one accumulation order (see
 // ops.h header comment).
@@ -148,9 +147,13 @@ void gemm_a_bt_bias_cols(std::size_t m, std::size_t k, std::size_t n,
   detail::run_gemm(args);
 }
 
-void set_kernel_threads(std::size_t n) { detail::set_kernel_threads(n); }
-
-std::size_t kernel_threads() { return detail::kernel_threads(); }
+void set_kernel_threads(std::size_t n) {
+  if (n != 1) {
+    throw std::invalid_argument("tensor::set_kernel_threads: products run on the "
+                                "calling thread; only 1 is accepted, got " +
+                                std::to_string(n));
+  }
+}
 
 std::string_view kernel_isa() { return detail::kernel_isa(); }
 

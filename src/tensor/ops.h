@@ -86,17 +86,11 @@ void gemm_a_bt_bias_cols(std::size_t m, std::size_t k, std::size_t n,
                          std::span<const float> a, std::span<const float> b,
                          std::span<const float> bias, std::span<float> c);
 
-/// Sets the GEMM worker count: 1 (default) keeps every product on the
-/// calling thread, 0 resolves to hardware_concurrency, n >= 2 shards large
-/// products' output rows across a dedicated n-thread kernel pool.  Bitwise
-/// deterministic for any value — sharding never changes an element's
-/// ascending-k accumulation order.  First use reads HELCFL_KERNEL_THREADS
-/// when never set programmatically.  Not thread-safe against in-flight
-/// GEMMs; configure between computations.
+/// Every product runs on its calling thread (docs/KERNELS.md), so the only
+/// kernel thread count is 1: accepts n == 1 and throws
+/// std::invalid_argument for any other value.  Kept only because the
+/// frozen perfbench driver calls it; slated for deletion.
 void set_kernel_threads(std::size_t n);
-
-/// Currently configured GEMM worker count (>= 1).
-std::size_t kernel_threads();
 
 /// Name of the GEMM kernel this process resolved to ("avx512", "avx2_fma"
 /// or "generic").  Set HELCFL_KERNEL_ISA=generic to pin the portable kernel

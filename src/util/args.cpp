@@ -69,6 +69,17 @@ std::int64_t ArgParser::get_int_or(std::string_view name, std::int64_t fallback)
   return value;
 }
 
+std::uint64_t ArgParser::get_count_or(std::string_view name,
+                                      std::uint64_t fallback) const {
+  if (!get(name)) return fallback;
+  const std::int64_t value = get_int_or(name, 0);
+  if (value < 0) {
+    throw std::invalid_argument("--" + std::string(name) + "=" +
+                                std::to_string(value) + " must be >= 0");
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
 bool ArgParser::get_bool_or(std::string_view name, bool fallback) const {
   queried_.emplace(name);
   if (flags_.contains(name)) return true;  // bare --flag means true

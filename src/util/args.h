@@ -34,6 +34,10 @@ class ArgParser {
   std::string get_or(std::string_view name, std::string fallback) const;
   double get_double_or(std::string_view name, double fallback) const;
   std::int64_t get_int_or(std::string_view name, std::int64_t fallback) const;
+  /// get_int_or for counts (rounds, users, threads, seeds, cadences): also
+  /// throws std::invalid_argument naming the option on a negative value,
+  /// which a cast to an unsigned count would wrap to a huge one.
+  std::uint64_t get_count_or(std::string_view name, std::uint64_t fallback) const;
   bool get_bool_or(std::string_view name, bool fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

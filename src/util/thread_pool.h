@@ -53,38 +53,11 @@ class ThreadPool {
   /// 0 = auto (hardware_concurrency, at least 1), anything else verbatim.
   static std::size_t resolve_thread_count(std::size_t requested);
 
-  /// One contiguous [begin, end) slice of a partitioned range.
-  struct Chunk {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-
-  /// Splits [0, total) into at most `parts` contiguous chunks whose interior
-  /// boundaries fall on multiples of `granularity` (0 is treated as 1).  The
-  /// split is a pure function of its arguments — larger chunks first, sizes
-  /// differing by at most one granularity unit — so a parallel caller that
-  /// processes chunk i on worker i gets the same work assignment every run.
-  /// Fewer than `parts` chunks come back when `total` is too small to give
-  /// every part a whole granularity unit; `total == 0` yields no chunks.
-  static std::vector<Chunk> partition_chunks(std::size_t total,
-                                             std::size_t parts,
-                                             std::size_t granularity);
-
   /// Schedules `fn` and returns a future for its result.  In inline mode
   /// the task runs immediately on the calling thread; either way a throwing
   /// task surfaces its exception from future.get(), never std::terminate.
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    return submit_to(npos, std::forward<F>(fn));
-  }
-
-  /// submit() pinned to worker `worker` (< worker_count()); `npos` lets any
-  /// worker run it.  Lets a caller that hands chunk i of partition_chunks()
-  /// to worker i place its work deterministically.  A worker runs its own
-  /// pinned tasks before shared ones.
-  template <typename F>
-  auto submit_to(std::size_t worker, F&& fn)
-      -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using Result = std::invoke_result_t<std::decay_t<F>>;
     auto task = std::make_shared<std::packaged_task<Result()>>(std::forward<F>(fn));
     std::future<Result> future = task->get_future();
@@ -94,14 +67,9 @@ class ThreadPool {
     }
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      (worker == npos ? queue_ : pinned_.at(worker)).emplace_back([task] { (*task)(); });
+      queue_.emplace_back([task] { (*task)(); });
     }
-    // A pinned task must wake its own worker, not just any one.
-    if (worker == npos) {
-      cv_.notify_one();
-    } else {
-      cv_.notify_all();
-    }
+    cv_.notify_one();
     return future;
   }
 
@@ -110,7 +78,6 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
-  std::vector<std::deque<std::function<void()>>> pinned_;  // one per worker
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;

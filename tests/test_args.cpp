@@ -65,6 +65,25 @@ TEST(Args, IntParsing) {
   EXPECT_THROW(args.get_int_or("bad", 0), std::invalid_argument);
 }
 
+TEST(Args, CountParsing) {
+  const ArgParser args = parse({"--rounds=300", "--zero=0", "--bad=x"});
+  EXPECT_EQ(args.get_count_or("rounds", 0), 300u);
+  EXPECT_EQ(args.get_count_or("zero", 7), 0u);
+  EXPECT_EQ(args.get_count_or("missing", 42), 42u);
+  EXPECT_THROW(args.get_count_or("bad", 0), std::invalid_argument);
+}
+
+TEST(Args, NegativeCountThrows) {
+  const ArgParser args = parse({"--rounds=-1"});
+  try {
+    (void)args.get_count_or("rounds", 300);
+    FAIL() << "a negative count must not wrap to a huge one";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("--rounds"), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(Args, BoolParsing) {
   const ArgParser args =
       parse({"--a=true", "--b=false", "--c=1", "--d=no", "--e=maybe"});

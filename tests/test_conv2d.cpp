@@ -306,14 +306,7 @@ TEST(Conv2D, ChunkedBatchMatchesOneSampleBatchesBitwise) {
 // ---------------------------------------------------------------------------
 // Implicit GEMM against the explicit-panel oracle (tests/oracles/
 // explicit_conv): forward output, grad_W, grad_b and grad_input must match
-// bit for bit, for backward() and for the parameter-only accumulate_grads(),
-// with 1 and 4 kernel threads.
-
-/// Restores the kernel thread count a test changes.
-struct KernelKnobs {
-  const std::size_t threads = tensor::kernel_threads();
-  ~KernelKnobs() { tensor::set_kernel_threads(threads); }
-};
+// bit for bit, for backward() and for the parameter-only accumulate_grads().
 
 TEST(Conv2D, ImplicitGemmMatchesExplicitPanelOracleBitwise) {
   std::vector<ConvConfig> configs;
@@ -326,10 +319,8 @@ TEST(Conv2D, ImplicitGemmMatchesExplicitPanelOracleBitwise) {
   configs.push_back({2, 3, 5, 1, 2, 7, 10, 9});   // 5x5, padding 2, non-square
   configs.push_back({4, 8, 1, 1, 0, 4, 4, 21});   // 1x1 (Fire squeeze/expand)
   configs.push_back({3, 4, 3, 1, 1, 32, 32, 3});  // hw = 1024: four k-blocks a sample
-  // 192 output channels: the GEMMs are large enough to shard their rows
-  // across the kernel pool.
+  // 192 output channels: the forward GEMM spans two 96-row m-blocks.
   configs.push_back({16, 192, 3, 1, 1, 16, 16, 2});
-  const KernelKnobs restore;
   std::uint64_t seed = 300;
   for (const ConvConfig& cfg : configs) {
     SCOPED_TRACE("in_ch=" + std::to_string(cfg.in_ch) + " out_ch=" +
@@ -350,25 +341,21 @@ TEST(Conv2D, ImplicitGemmMatchesExplicitPanelOracleBitwise) {
         {cfg.in_ch, cfg.out_ch, cfg.k, cfg.stride, cfg.pad},
         std::span<const float>(params.data(), wsize),
         std::span<const float>(params.data() + wsize, cfg.out_ch), x, dy);
-    for (const std::size_t threads : {1, 4}) {
-      SCOPED_TRACE("kernel_threads=" + std::to_string(threads));
-      tensor::set_kernel_threads(threads);
-      for (const bool params_only : {false, true}) {
-        conv.zero_grad();
-        const Tensor y = conv.forward(x, true);
-        EXPECT_EQ(bits(y.data()), bits(want.output.data())) << "forward output";
-        if (params_only) {
-          conv.accumulate_grads(dy);
-        } else {
-          const Tensor dx = conv.backward(dy);
-          EXPECT_EQ(bits(dx.data()), bits(want.grad_input.data())) << "grad_input";
-        }
-        const std::vector<ParamRef> got = conv.params();
-        EXPECT_EQ(bits(got[0].grad), bits(want.grad_weight))
-            << "grad_weight, params_only=" << params_only;
-        EXPECT_EQ(bits(got[1].grad), bits(want.grad_bias))
-            << "grad_bias, params_only=" << params_only;
+    for (const bool params_only : {false, true}) {
+      conv.zero_grad();
+      const Tensor y = conv.forward(x, true);
+      EXPECT_EQ(bits(y.data()), bits(want.output.data())) << "forward output";
+      if (params_only) {
+        conv.accumulate_grads(dy);
+      } else {
+        const Tensor dx = conv.backward(dy);
+        EXPECT_EQ(bits(dx.data()), bits(want.grad_input.data())) << "grad_input";
       }
+      const std::vector<ParamRef> got = conv.params();
+      EXPECT_EQ(bits(got[0].grad), bits(want.grad_weight))
+          << "grad_weight, params_only=" << params_only;
+      EXPECT_EQ(bits(got[1].grad), bits(want.grad_bias))
+          << "grad_bias, params_only=" << params_only;
     }
   }
 }

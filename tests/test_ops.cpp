@@ -294,6 +294,14 @@ TEST(OpsKernel, KernelIsaIsReported) {
   EXPECT_TRUE(isa == "generic" || isa == "avx2_fma" || isa == "avx512") << isa;
 }
 
+// Products run on the calling thread: the stub kept for the frozen
+// perfbench driver accepts its one valid count and rejects every other.
+TEST(OpsKernel, SetKernelThreadsAcceptsOnlyOne) {
+  EXPECT_NO_THROW(set_kernel_threads(1));
+  EXPECT_THROW(set_kernel_threads(0), std::invalid_argument);
+  EXPECT_THROW(set_kernel_threads(4), std::invalid_argument);
+}
+
 TEST(OpsKernel, ScratchIsReusedInSteadyState) {
   util::Rng rng(0xFEED);
   const std::size_t m = 48, k = 96, n = 56;
