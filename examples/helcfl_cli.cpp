@@ -171,8 +171,7 @@ int run_serve(const util::ArgParser& args) {
 int run_connect(const util::ArgParser& args) {
   const auto users = args.get_count_or("users", 64);
   const auto seed = args.get_count_or("seed", 7);
-  const auto rounds =
-      args.get_count_or("rounds", 10);
+  const auto rounds = args.get_count_or("rounds", 10);
   const svc::Endpoint endpoint =
       svc::Endpoint::parse(args.get_or("connect", "tcp:127.0.0.1:7000"));
   warn_unused(args);
