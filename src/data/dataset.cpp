@@ -1,7 +1,8 @@
 #include "data/dataset.h"
 
-#include <cassert>
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace helcfl::data {
 
@@ -30,21 +31,28 @@ nn::ImageSpec Dataset::spec() const {
 }
 
 Batch Dataset::gather(std::span<const std::size_t> indices) const {
-  const std::size_t sample_size =
-      images_.shape()[1] * images_.shape()[2] * images_.shape()[3];
   Batch batch;
-  batch.images = Tensor(Shape{indices.size(), images_.shape()[1], images_.shape()[2],
-                              images_.shape()[3]});
-  batch.labels.reserve(indices.size());
-  for (std::size_t out = 0; out < indices.size(); ++out) {
-    const std::size_t i = indices[out];
-    assert(i < size());
-    for (std::size_t j = 0; j < sample_size; ++j) {
-      batch.images[out * sample_size + j] = images_[i * sample_size + j];
-    }
-    batch.labels.push_back(labels_[i]);
-  }
+  gather(indices, batch);
   return batch;
+}
+
+void Dataset::gather(std::span<const std::size_t> indices, Batch& out) const {
+  const Shape& s = images_.shape();
+  const std::size_t sample_size = s[1] * s[2] * s[3];
+  out.images.resize(Shape{indices.size(), s[1], s[2], s[3]});
+  out.labels.resize(indices.size());
+  const float* src = images_.data().data();
+  float* dst = out.images.data().data();
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    const std::size_t i = indices[k];
+    if (i >= size()) {
+      throw std::out_of_range("Dataset::gather: index " + std::to_string(i) +
+                              " past the end of " + std::to_string(size()) +
+                              " samples");
+    }
+    std::copy_n(src + i * sample_size, sample_size, dst + k * sample_size);
+    out.labels[k] = labels_[i];
+  }
 }
 
 Batch Dataset::all() const {

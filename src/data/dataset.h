@@ -38,6 +38,12 @@ class Dataset {
   /// Copies the samples at `indices` into a contiguous batch.
   Batch gather(std::span<const std::size_t> indices) const;
 
+  /// Copies the samples at `indices` into `out`, keeping out's storage when
+  /// it already holds enough, so a batch reused across calls stops
+  /// allocating once it has held the largest one.  Throws std::out_of_range
+  /// on an index past the end.
+  void gather(std::span<const std::size_t> indices, Batch& out) const;
+
   /// The whole dataset as one batch (copy).
   Batch all() const;
 

@@ -1,6 +1,8 @@
 #include "fl/client.h"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "nn/loss.h"
 #include "nn/optimizer.h"
@@ -8,10 +10,24 @@
 
 namespace helcfl::fl {
 
+void ClientOptions::validate() const {
+  if (!std::isfinite(learning_rate) || learning_rate < 0.0F) {
+    throw std::invalid_argument("ClientOptions: learning_rate = " +
+                                std::to_string(learning_rate) +
+                                " must be finite and >= 0");
+  }
+  if (!(momentum >= 0.0F && momentum < 1.0F)) {
+    throw std::invalid_argument("ClientOptions: momentum = " + std::to_string(momentum) +
+                                " must lie in [0, 1)");
+  }
+}
+
 ClientUpdate local_update(nn::Sequential& model, std::span<const float> global_weights,
-                          const data::Batch& local_data, const ClientOptions& options,
-                          util::Rng& rng) {
-  if (local_data.size() == 0) {
+                          const data::Dataset& dataset,
+                          std::span<const std::size_t> indices,
+                          const ClientOptions& options, util::Rng& rng,
+                          data::Batch& scratch) {
+  if (indices.empty()) {
     throw std::invalid_argument("local_update: empty local dataset");
   }
   if (options.local_steps == 0) {
@@ -23,35 +39,25 @@ ClientUpdate local_update(nn::Sequential& model, std::span<const float> global_w
       {.learning_rate = options.learning_rate, .momentum = options.momentum});
 
   ClientUpdate update;
-  update.num_samples = local_data.size();
+  update.num_samples = indices.size();
 
-  const std::size_t n = local_data.size();
+  const std::size_t n = indices.size();
   const bool full_batch = options.batch_size == 0 || options.batch_size >= n;
+  if (full_batch) dataset.gather(indices, scratch);
 
   for (std::size_t step = 0; step < options.local_steps; ++step) {
-    const data::Batch* batch = &local_data;
-    data::Batch minibatch;
     if (!full_batch) {
-      // Sample a mini-batch without replacement from the local data.
-      const auto picks = rng.sample_without_replacement(n, options.batch_size);
-      const std::size_t sample_size = local_data.images.size() / n;
-      minibatch.images = tensor::Tensor(tensor::Shape{
-          picks.size(), local_data.images.shape()[1], local_data.images.shape()[2],
-          local_data.images.shape()[3]});
-      minibatch.labels.reserve(picks.size());
-      for (std::size_t out = 0; out < picks.size(); ++out) {
-        for (std::size_t j = 0; j < sample_size; ++j) {
-          minibatch.images[out * sample_size + j] =
-              local_data.images[picks[out] * sample_size + j];
-        }
-        minibatch.labels.push_back(local_data.labels[picks[out]]);
-      }
-      batch = &minibatch;
+      // Sample a mini-batch without replacement from the local data: the
+      // picks index the user's list, which maps them into the dataset.
+      std::vector<std::size_t> picks =
+          rng.sample_without_replacement(n, options.batch_size);
+      for (std::size_t& pick : picks) pick = indices[pick];
+      dataset.gather(picks, scratch);
     }
 
     model.zero_grad();
-    const tensor::Tensor logits = model.forward(batch->images, /*training=*/true);
-    const nn::LossResult loss = nn::softmax_cross_entropy(logits, batch->labels);
+    const tensor::Tensor logits = model.forward(scratch.images, /*training=*/true);
+    const nn::LossResult loss = nn::softmax_cross_entropy(logits, scratch.labels);
     if (step == 0) update.train_loss = loss.loss;
     model.accumulate_grads(loss.grad_logits);
     optimizer.step(model.params());

@@ -18,6 +18,10 @@ struct ClientOptions {
   std::size_t local_steps = 1;
   std::size_t batch_size = 0;  ///< 0 = full batch
   float momentum = 0.0F;       ///< local SGD momentum (amplifies client drift)
+
+  /// Throws std::invalid_argument unless learning_rate is finite and >= 0
+  /// (0 freezes the model) and momentum lies in [0, 1).
+  void validate() const;
 };
 
 /// Outcome of one client's round.
@@ -28,10 +32,15 @@ struct ClientUpdate {
 };
 
 /// Runs the local update: loads `global_weights` into `model`, performs the
-/// configured GD steps on `local_data`, and returns the updated weights.
-/// `rng` drives mini-batch sampling when batch_size > 0.
+/// configured GD steps on the user's samples `indices` of `dataset` (its
+/// D_q), and returns the updated weights.  `rng` drives mini-batch sampling
+/// when batch_size > 0.  Each step's batch is copied into `scratch`, once
+/// per call for full-batch steps; a scratch reused across calls keeps its
+/// storage.
 ClientUpdate local_update(nn::Sequential& model, std::span<const float> global_weights,
-                          const data::Batch& local_data, const ClientOptions& options,
-                          util::Rng& rng);
+                          const data::Dataset& dataset,
+                          std::span<const std::size_t> indices,
+                          const ClientOptions& options, util::Rng& rng,
+                          data::Batch& scratch);
 
 }  // namespace helcfl::fl

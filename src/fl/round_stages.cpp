@@ -71,6 +71,7 @@ void TrainerOptions::validate(std::size_t n_users) const {
         "' but checkpoint_every is 0, so no checkpoint would ever be written; "
         "set checkpoint_every >= 1 (or clear checkpoint_path)");
   }
+  client.validate();
   faults.validate();
 }
 
@@ -82,11 +83,13 @@ World::World(const char* engine, nn::Sequential& model, const data::Dataset& tra
              sched::SelectionStrategy& strategy, TrainerOptions options)
     : engine(engine),
       model(model),
+      train(train),
       test(test),
       devices(devices),
       channel(channel),
       strategy(strategy),
-      options(std::move(options)) {
+      options(std::move(options)),
+      partition(partition) {
   this->options.validate(devices.size());
   if (devices.size() != partition.size()) {
     throw std::invalid_argument(std::string(engine) +
@@ -104,12 +107,6 @@ World::World(const char* engine, nn::Sequential& model, const data::Dataset& tra
   // Initialization phase (Algorithm 1 lines 1-2): the FLCC learns every
   // device's resource information and derives the delays.
   users = sched::build_user_info(devices, this->channel, this->options.model_size_bits);
-
-  // Gather each user's local data once; rounds reuse the cached batches.
-  user_data.reserve(partition.size());
-  for (const auto& indices : partition) {
-    user_data.push_back(train.gather(indices));
-  }
 
   if (this->options.battery_capacity_j > 0.0) {
     batteries = mec::BatteryFleet(devices.size(), this->options.battery_capacity_j);
@@ -136,11 +133,6 @@ RunContext::RunContext(World& world)
       pool(util::ThreadPool::resolve_thread_count(world.options.num_threads)),
       has_state(nn::state_count(world.model) > 0),
       global_weights(nn::extract_parameters(world.model)),
-      // Batched evaluation (docs/KERNELS.md): the test set is gathered into
-      // batch tensors once and reused every eval round — together with the
-      // persistent eval models, steady-state evaluation re-derives no batch
-      // data and repacks no weight panels beyond the per-eval weight load.
-      eval_plan(make_eval_plan(world.test, world.options.eval_batch)),
       // Kernel scratch growths are exported as a per-round delta of the
       // process-global counter: after warm-up rounds the delta must sit at
       // zero — the steady-state no-alloc audit, visible in the metrics.
@@ -154,6 +146,7 @@ RunContext::RunContext(World& world)
     eval_models.push_back(replicas.back().get());
   }
   if (eval_models.empty()) eval_models.push_back(&world.model);
+  scratch.resize(eval_models.size());
 }
 
 Checkpoint read_resume_checkpoint(const World& world, const RunContext& ctx,
@@ -362,15 +355,18 @@ ClientOutcome train_client(World& world, RunContext& ctx, std::size_t round,
     return outcome;
   }
 
+  // run_cohort trains inline only when the pool has no workers, and then
+  // eval model 0 is the borrowed model.
   const std::size_t worker = util::ThreadPool::worker_index();
-  nn::Sequential& model =
-      worker == util::ThreadPool::npos ? world.model : *ctx.replicas[worker];
+  const std::size_t slot = worker == util::ThreadPool::npos ? 0 : worker;
+  nn::Sequential& model = *ctx.eval_models[slot];
   if (ctx.has_state) nn::load_state(model, start_state);
 
   util::Rng client_rng = draw.rng;
   outcome.trained = true;
-  outcome.update = local_update(model, ctx.global_weights, world.user_data[user],
-                                world.options.client, client_rng);
+  outcome.update = local_update(model, ctx.global_weights, world.train,
+                                world.partition[user], world.options.client, client_rng,
+                                ctx.scratch[slot].samples);
 
   // Upload compression decides what the server integrates and scales the
   // simulated payload: C_model is a config knob decoupled from the trained
@@ -473,8 +469,9 @@ bool close_round(World& world, RunContext& ctx, RoundRecord record,
       const std::vector<float> eval_state = nn::extract_state(world.model);
       for (const auto& replica : ctx.replicas) nn::load_state(*replica, eval_state);
     }
-    const Evaluation eval = evaluate_parallel(ctx.eval_models, ctx.global_weights,
-                                              ctx.eval_plan, ctx.pool);
+    const Evaluation eval =
+        evaluate_parallel(ctx.eval_models, ctx.scratch, ctx.global_weights, world.test,
+                          options.eval_batch, ctx.pool);
     record.evaluated = true;
     record.test_loss = eval.loss;
     record.test_accuracy = eval.accuracy;

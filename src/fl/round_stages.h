@@ -41,7 +41,9 @@ class Registry;
 namespace helcfl::fl::stages {
 
 /// Construction-time world of a round engine.  The model, datasets, devices,
-/// channel and strategy are borrowed and must outlive the engine.
+/// channel and strategy are borrowed and must outlive the engine.  Clients
+/// train on the borrowed `train` set in place, through the world's own copy
+/// of the partition's index lists, so no sample is copied per user.
 struct World {
   /// Validates `options` and the device/partition agreement, then runs the
   /// initialization phase (Algorithm 1 lines 1-2).  `engine` prefixes every
@@ -57,14 +59,15 @@ struct World {
 
   const char* engine;
   nn::Sequential& model;
+  const data::Dataset& train;
   const data::Dataset& test;
   std::span<const mec::Device> devices;
   mec::Channel channel;
   sched::SelectionStrategy& strategy;
   TrainerOptions options;
   std::vector<sched::UserInfo> users;
-  std::vector<data::Batch> user_data;  ///< gathered once at construction
-  mec::BatteryFleet batteries;         ///< empty when batteries disabled
+  data::Partition partition;    ///< user q's sample indices into `train` (D_q)
+  mec::BatteryFleet batteries;  ///< empty when batteries disabled
 };
 
 /// Everything one run() rebuilds: stream cursors, the worker pool and its
@@ -97,6 +100,11 @@ struct RunContext {
   std::vector<std::unique_ptr<nn::Sequential>> replicas;
   /// The replicas, or the borrowed model alone when the pool is inline.
   std::vector<nn::Sequential*> eval_models;
+  /// One per eval model, in the same order: a client gathers its batches
+  /// into its worker's `samples`, and evaluation streams the test set
+  /// through them.  Kept across rounds, so steady state gathers into
+  /// storage it already holds.
+  std::vector<EvalScratch> scratch;
   /// Persistent non-trainable buffers (BatchNorm running statistics): each
   /// client starts from a round-start snapshot regardless of the worker it
   /// lands on, and the server adopts the last aggregated client's buffers,
@@ -104,7 +112,6 @@ struct RunContext {
   bool has_state;
 
   std::vector<float> global_weights;
-  EvalPlan eval_plan;
   TrainingHistory history;
   double cum_delay = 0.0;
   double cum_energy = 0.0;

@@ -18,6 +18,7 @@ TrainingHistory train_separated(nn::Sequential& model, const data::Dataset& trai
   if (devices.size() != partition.size()) {
     throw std::invalid_argument("train_separated: device/partition size mismatch");
   }
+  options.client.validate();
   const std::size_t q = devices.size();
   util::Rng rng(options.seed);
 
@@ -25,10 +26,6 @@ TrainingHistory train_separated(nn::Sequential& model, const data::Dataset& trai
   // loaded in `model`), then diverges.
   const std::vector<float> init = nn::extract_parameters(model);
   std::vector<std::vector<float>> user_weights(q, init);
-
-  std::vector<data::Batch> user_data;
-  user_data.reserve(q);
-  for (const auto& indices : partition) user_data.push_back(train.gather(indices));
 
   // Users whose models are averaged into the reported accuracy.
   std::vector<std::size_t> eval_users;
@@ -46,19 +43,19 @@ TrainingHistory train_separated(nn::Sequential& model, const data::Dataset& trai
   std::vector<std::size_t> everyone(q);
   for (std::size_t i = 0; i < q; ++i) everyone[i] = i;
 
-  // Every sampled user's model is evaluated on the same test set each eval
-  // round; gather its batches once and reuse them across users and rounds.
-  const EvalPlan eval_plan = make_eval_plan(test, options.eval_batch);
+  // One model trains and evaluates every user in turn, through one scratch.
+  EvalScratch scratch;
 
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
     double round_delay = 0.0;
     double round_energy = 0.0;
     double train_loss_sum = 0.0;
     for (std::size_t user = 0; user < q; ++user) {
-      if (user_data[user].size() == 0) continue;
+      if (partition[user].empty()) continue;
       util::Rng client_rng = rng.fork(round * q + user);
-      ClientUpdate update = local_update(model, user_weights[user], user_data[user],
-                                         options.client, client_rng);
+      ClientUpdate update = local_update(model, user_weights[user], train,
+                                         partition[user], options.client, client_rng,
+                                         scratch.samples);
       user_weights[user] = std::move(update.weights);
       train_loss_sum += update.train_loss;
 
@@ -84,10 +81,10 @@ TrainingHistory train_separated(nn::Sequential& model, const data::Dataset& trai
       double loss_weighted = 0.0;
       double total_weight = 0.0;
       for (const std::size_t user : eval_users) {
-        const auto weight = static_cast<double>(user_data[user].size());
+        const auto weight = static_cast<double>(partition[user].size());
         if (weight == 0.0) continue;
         const Evaluation eval =
-            evaluate(model, user_weights[user], eval_plan);
+            evaluate(model, user_weights[user], test, options.eval_batch, scratch);
         acc_weighted += weight * eval.accuracy;
         loss_weighted += weight * eval.loss;
         total_weight += weight;

@@ -1,7 +1,10 @@
 #include "fl/server.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <future>
+#include <numeric>
 #include <stdexcept>
 
 #include "nn/loss.h"
@@ -44,73 +47,106 @@ std::vector<float> fedavg(std::span<const WeightedModel> uploads) {
   return result;
 }
 
-EvalPlan make_eval_plan(const data::Dataset& dataset, std::size_t batch_size) {
-  if (dataset.size() == 0) {
-    throw std::invalid_argument("make_eval_plan: empty dataset");
-  }
-  if (batch_size == 0) batch_size = dataset.size();
-  EvalPlan plan;
-  plan.total = dataset.size();
-  plan.batches.reserve((dataset.size() + batch_size - 1) / batch_size);
-  std::vector<std::size_t> indices;
-  for (std::size_t begin = 0; begin < dataset.size(); begin += batch_size) {
-    const std::size_t end = std::min(begin + batch_size, dataset.size());
-    indices.resize(end - begin);
-    for (std::size_t i = begin; i < end; ++i) indices[i - begin] = i;
-    plan.batches.push_back(dataset.gather(indices));
-  }
-  return plan;
+namespace {
+
+/// One eval batch's share of the loss sum (mean loss times its size) and its
+/// correct count.
+struct BatchScore {
+  double loss = 0.0;
+  std::size_t correct = 0;
+};
+
+/// The eval batches of `dataset`: `count` batches of `size` samples, the
+/// last one possibly short.  eval_batch 0 means one batch of everything.
+struct Batching {
+  std::size_t size = 0;
+  std::size_t count = 0;
+};
+
+Batching batching(const data::Dataset& dataset, std::size_t eval_batch) {
+  if (dataset.size() == 0) throw std::invalid_argument("evaluate: empty dataset");
+  const std::size_t size = eval_batch == 0 ? dataset.size() : eval_batch;
+  return {size, (dataset.size() - 1) / size + 1};
 }
 
-Evaluation evaluate(nn::Sequential& model, std::span<const float> weights,
-                    const EvalPlan& plan) {
-  if (plan.total == 0) throw std::invalid_argument("evaluate: empty plan");
-  nn::load_parameters(model, weights);
+/// Scores eval batch `b`: forwards it kEvalChunk samples at a time into
+/// scratch.logits, then takes the loss over all of the batch's logits.
+BatchScore score_batch(nn::Sequential& model, const data::Dataset& dataset,
+                       const Batching& batches, std::size_t b, EvalScratch& scratch) {
+  const std::size_t begin = b * batches.size;
+  const std::size_t size = std::min(batches.size, dataset.size() - begin);
+  std::array<std::size_t, kEvalChunk> rows{};
+  for (std::size_t done = 0; done < size; done += kEvalChunk) {
+    const std::size_t count = std::min(kEvalChunk, size - done);
+    std::iota(rows.begin(), rows.begin() + count, begin + done);
+    dataset.gather(std::span<const std::size_t>(rows.data(), count), scratch.samples);
+    const tensor::Tensor logits =
+        model.forward(scratch.samples.images, /*training=*/false);
+    const std::size_t classes = logits.shape()[1];
+    if (done == 0) scratch.logits.resize(tensor::Shape{size, classes});
+    std::copy_n(logits.data().data(), logits.size(),
+                scratch.logits.data().data() + done * classes);
+  }
+  const nn::LossResult loss =
+      nn::softmax_cross_entropy(scratch.logits, dataset.labels().subspan(begin, size));
+  return {loss.loss * static_cast<double>(size), loss.correct};
+}
 
+/// Reduces the batch scores in batch order, the same summation order for
+/// every worker count.
+Evaluation reduce(std::span<const BatchScore> scores, std::size_t total) {
   double total_loss = 0.0;
   std::size_t total_correct = 0;
-  for (const data::Batch& batch : plan.batches) {
-    const tensor::Tensor logits = model.forward(batch.images, /*training=*/false);
-    const nn::LossResult loss = nn::softmax_cross_entropy(logits, batch.labels);
-    total_loss += loss.loss * static_cast<double>(batch.size());
-    total_correct += loss.correct;
+  for (const BatchScore& score : scores) {
+    total_loss += score.loss;
+    total_correct += score.correct;
   }
-
   Evaluation eval;
-  eval.loss = total_loss / static_cast<double>(plan.total);
-  eval.accuracy =
-      static_cast<double>(total_correct) / static_cast<double>(plan.total);
+  eval.loss = total_loss / static_cast<double>(total);
+  eval.accuracy = static_cast<double>(total_correct) / static_cast<double>(total);
   return eval;
 }
 
-Evaluation evaluate_parallel(std::span<nn::Sequential* const> replicas,
-                             std::span<const float> weights,
-                             const EvalPlan& plan, util::ThreadPool& pool) {
-  if (plan.total == 0) throw std::invalid_argument("evaluate: empty plan");
-  if (pool.worker_count() == 0) {
-    if (replicas.size() != 1) {
-      throw std::invalid_argument("evaluate_parallel: inline pool needs 1 replica");
-    }
-    return evaluate(*replicas.front(), weights, plan);
+}  // namespace
+
+Evaluation evaluate(nn::Sequential& model, std::span<const float> weights,
+                    const data::Dataset& dataset, std::size_t eval_batch,
+                    EvalScratch& scratch) {
+  const Batching batches = batching(dataset, eval_batch);
+  nn::load_parameters(model, weights);
+  std::vector<BatchScore> scores(batches.count);
+  for (std::size_t b = 0; b < batches.count; ++b) {
+    scores[b] = score_batch(model, dataset, batches, b, scratch);
   }
-  if (replicas.size() != pool.worker_count()) {
-    throw std::invalid_argument("evaluate_parallel: need one replica per worker");
+  return reduce(scores, dataset.size());
+}
+
+Evaluation evaluate_parallel(std::span<nn::Sequential* const> replicas,
+                             std::span<EvalScratch> scratch,
+                             std::span<const float> weights,
+                             const data::Dataset& dataset, std::size_t eval_batch,
+                             util::ThreadPool& pool) {
+  const Batching batches = batching(dataset, eval_batch);
+  if (pool.worker_count() == 0) {
+    if (replicas.size() != 1 || scratch.size() != 1) {
+      throw std::invalid_argument(
+          "evaluate_parallel: inline pool needs 1 replica and 1 scratch");
+    }
+    return evaluate(*replicas.front(), weights, dataset, eval_batch, scratch.front());
+  }
+  if (replicas.size() != pool.worker_count() || scratch.size() != pool.worker_count()) {
+    throw std::invalid_argument(
+        "evaluate_parallel: need one replica and one scratch per worker");
   }
   for (nn::Sequential* replica : replicas) nn::load_parameters(*replica, weights);
 
-  const std::size_t n_batches = plan.batches.size();
-  std::vector<double> batch_loss(n_batches, 0.0);
-  std::vector<std::size_t> batch_correct(n_batches, 0);
+  std::vector<BatchScore> scores(batches.count);
   std::vector<std::future<void>> futures;
-  futures.reserve(n_batches);
-  for (std::size_t b = 0; b < n_batches; ++b) {
+  futures.reserve(batches.count);
+  for (std::size_t b = 0; b < batches.count; ++b) {
     futures.push_back(pool.submit([&, b] {
-      const data::Batch& batch = plan.batches[b];
-      nn::Sequential& model = *replicas[util::ThreadPool::worker_index()];
-      const tensor::Tensor logits = model.forward(batch.images, /*training=*/false);
-      const nn::LossResult loss = nn::softmax_cross_entropy(logits, batch.labels);
-      batch_loss[b] = loss.loss * static_cast<double>(batch.size());
-      batch_correct[b] = loss.correct;
+      const std::size_t worker = util::ThreadPool::worker_index();
+      scores[b] = score_batch(*replicas[worker], dataset, batches, b, scratch[worker]);
     }));
   }
   std::exception_ptr first_error;
@@ -122,19 +158,7 @@ Evaluation evaluate_parallel(std::span<nn::Sequential* const> replicas,
     }
   }
   if (first_error) std::rethrow_exception(first_error);
-
-  // Reduce in batch order: the same summation order as the sequential path.
-  double total_loss = 0.0;
-  std::size_t total_correct = 0;
-  for (std::size_t b = 0; b < n_batches; ++b) {
-    total_loss += batch_loss[b];
-    total_correct += batch_correct[b];
-  }
-  Evaluation eval;
-  eval.loss = total_loss / static_cast<double>(plan.total);
-  eval.accuracy =
-      static_cast<double>(total_correct) / static_cast<double>(plan.total);
-  return eval;
+  return reduce(scores, dataset.size());
 }
 
 }  // namespace helcfl::fl

@@ -34,37 +34,46 @@ struct Evaluation {
   double accuracy = 0.0;  ///< fraction correct in [0, 1]
 };
 
-/// The evaluation batches of one dataset, gathered once and reused.  The
-/// trainer evaluates the same test set every eval round (and the separated
-/// baseline evaluates every user's model on it), so re-gathering the batch
-/// tensors per evaluation is pure waste — a plan materializes them once.
-/// Batches cover [0, total) in order.
-struct EvalPlan {
-  std::vector<data::Batch> batches;
-  std::size_t total = 0;  ///< dataset size = sum of batch sizes
+/// Samples per forward when evaluating.  An eval forward works sample by
+/// sample (BatchNorm reads its running statistics, Dropout is the identity,
+/// and no kernel's per-element order depends on the batch; docs/KERNELS.md),
+/// so the chunk size bounds the activations held at once without moving a
+/// logit bit.
+inline constexpr std::size_t kEvalChunk = 64;
+
+/// The storage one model's evaluation reuses across calls: the chunk of
+/// samples copied out of the dataset, and one eval batch's logits.  Both
+/// keep their storage, so steady-state evaluation allocates only the
+/// model's activations.  The round engines' clients gather their training
+/// batches into `samples` too (fl/round_stages.h).
+struct EvalScratch {
+  data::Batch samples;
+  tensor::Tensor logits;
 };
 
-/// Gathers `dataset` into evaluation batches of `batch_size` (0 = one
-/// batch of everything).  Throws on an empty dataset.
-EvalPlan make_eval_plan(const data::Dataset& dataset, std::size_t batch_size);
-
-/// Evaluates `model` (with `weights` loaded) over a pre-gathered plan.
-/// Leaves `weights` loaded in the model.  Repeated calls against the same
-/// model reuse its layer scratch (conv chunk panels, packed weight panels),
-/// so steady-state evaluation allocates only activations.
+/// Evaluates `model` (with `weights` loaded) on `dataset`, read in place.
+/// The loss is reduced per eval batch of `eval_batch` samples (0 = one
+/// batch of everything), in dataset order: the mean cross-entropy over the
+/// batch's logits, times its size, summed over batches.  Each batch is
+/// forwarded in chunks of kEvalChunk samples.  Leaves `weights` loaded in
+/// the model.  Throws on an empty dataset.
 Evaluation evaluate(nn::Sequential& model, std::span<const float> weights,
-                    const EvalPlan& plan);
+                    const data::Dataset& dataset, std::size_t eval_batch,
+                    EvalScratch& scratch);
 
-/// Multi-threaded evaluate: distributes the evaluation batches over `pool`,
-/// where worker i forwards through `replicas[i]` (one model per worker, so
-/// layer caches never race).  `weights` is loaded into every replica first
-/// and per-batch losses are reduced in batch order, making the result
-/// bitwise identical to the sequential evaluate above for any worker count.
-/// Requires replicas.size() == pool.worker_count(); with an inline pool
-/// (worker_count() == 0) it requires exactly one replica and degrades to
-/// the sequential path.
+/// Multi-threaded evaluate: distributes the eval batches over `pool`, where
+/// worker i forwards through `replicas[i]` with `scratch[i]` (one model and
+/// one scratch per worker, so layer caches never race).  `weights` is loaded
+/// into every replica first and per-batch losses are reduced in batch
+/// order, making the result bitwise identical to the sequential evaluate
+/// above for any worker count.  Requires replicas.size() ==
+/// pool.worker_count() == scratch.size(); with an inline pool
+/// (worker_count() == 0) it requires exactly one replica and one scratch
+/// and degrades to the sequential path.
 Evaluation evaluate_parallel(std::span<nn::Sequential* const> replicas,
+                             std::span<EvalScratch> scratch,
                              std::span<const float> weights,
-                             const EvalPlan& plan, util::ThreadPool& pool);
+                             const data::Dataset& dataset, std::size_t eval_batch,
+                             util::ThreadPool& pool);
 
 }  // namespace helcfl::fl

@@ -32,23 +32,24 @@ std::string scheme_name(Scheme scheme) {
 }
 
 void ExperimentConfig::validate() const {
+  // Every range check is written as !(in range), so a NaN fails it too.
   if (n_users == 0) throw std::invalid_argument("config: n_users == 0");
-  if (fraction <= 0.0 || fraction > 1.0) {
+  if (!(fraction > 0.0 && fraction <= 1.0)) {
     throw std::invalid_argument("config: fraction must be in (0, 1]");
   }
-  if (eta <= 0.0 || eta >= 1.0) {
+  if (!(eta > 0.0 && eta < 1.0)) {
     throw std::invalid_argument("config: eta must be in (0, 1)");
   }
-  if (f_min_hz <= 0.0 || f_max_low_hz < f_min_hz || f_max_high_hz < f_max_low_hz) {
+  if (!(f_min_hz > 0.0 && f_max_low_hz >= f_min_hz && f_max_high_hz >= f_max_low_hz)) {
     throw std::invalid_argument("config: bad frequency range");
   }
-  if (switched_capacitance <= 0.0 || cycles_per_sample <= 0.0 || compute_scale <= 0.0) {
+  if (!(switched_capacitance > 0.0 && cycles_per_sample > 0.0 && compute_scale > 0.0)) {
     throw std::invalid_argument("config: bad compute constants");
   }
-  if (tx_power_w <= 0.0 || bandwidth_hz <= 0.0 || noise_w <= 0.0) {
+  if (!(tx_power_w > 0.0 && bandwidth_hz > 0.0 && noise_w > 0.0)) {
     throw std::invalid_argument("config: bad radio constants");
   }
-  if (gain_sq_low <= 0.0 || gain_sq_high < gain_sq_low) {
+  if (!(gain_sq_low > 0.0 && gain_sq_high >= gain_sq_low)) {
     throw std::invalid_argument("config: bad channel gain range");
   }
   if (noniid && shards_per_user == 0) {
@@ -58,7 +59,7 @@ void ExperimentConfig::validate() const {
     throw std::invalid_argument("config: fewer training samples than users");
   }
   if (trainer.max_rounds == 0) throw std::invalid_argument("config: max_rounds == 0");
-  if (fedl_kappa <= 0.0) throw std::invalid_argument("config: fedl_kappa <= 0");
+  if (!(fedl_kappa > 0.0)) throw std::invalid_argument("config: fedl_kappa must be > 0");
   trainer.validate(n_users);
   // A quorum larger than the per-round cohort ⌈Q·C⌉ could never be met even
   // when every selected client survives.

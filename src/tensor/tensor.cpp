@@ -95,6 +95,11 @@ Tensor Tensor::reshaped(Shape new_shape) const {
   return Tensor(std::move(new_shape), data_);
 }
 
+void Tensor::resize(Shape new_shape) {
+  data_.resize(new_shape.num_elements());
+  shape_ = std::move(new_shape);
+}
+
 void Tensor::fill(float value) {
   for (auto& v : data_) v = value;
 }

@@ -82,6 +82,11 @@ class Tensor {
   /// new shape.  Requires identical element count.
   Tensor reshaped(Shape new_shape) const;
 
+  /// Gives the tensor `new_shape`, keeping its storage when that already
+  /// holds enough elements.  The elements are unspecified afterwards: this is
+  /// for reusable buffers whose caller overwrites every one.
+  void resize(Shape new_shape);
+
   /// Sets every element to `value`.
   void fill(float value);
 

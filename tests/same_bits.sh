@@ -14,6 +14,9 @@
 #     host supports;
 #   * the async-mlp CSV at --threads=1 and 4;
 #   * 30 rounds of mini_squeezenet;
+#   * 30 rounds of the logistic model;
+#   * 10 rounds of the separated-learning baseline (--scheme=sl), which
+#     trains and evaluates every user's own model;
 #   * 5 rounds of small_cnn with --trace-out and --checkpoint-every=5.
 #
 # A change that means to alter an output declares it: SAME_BITS_DECLARED
@@ -65,6 +68,8 @@ run_list() {
     done
     "$cli" --model=mini_squeezenet --rounds=30 --threads=2 --quiet \
       --csv=mini_squeezenet.csv > /dev/null
+    "$cli" --model=logistic --rounds=30 --quiet --csv=logistic.csv > /dev/null
+    "$cli" --scheme=sl --rounds=10 --threads=2 --quiet --csv=sl.csv > /dev/null
     "$cli" --model=small_cnn --rounds=5 --quiet --csv=traced.csv \
       --trace-out=trace.jsonl --checkpoint-every=5 --checkpoint-path=ck_r{round}.bin \
       > /dev/null

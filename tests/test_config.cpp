@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace helcfl::sim {
 namespace {
 
@@ -94,6 +96,19 @@ TEST(Config, ValidateRejectsNonIidWithoutShards) {
   ExperimentConfig c = paper_config();
   c.noniid = true;
   c.shards_per_user = 0;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+}
+
+TEST(Config, ValidateRejectsNan) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  ExperimentConfig c = paper_config();
+  c.fraction = kNan;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  c = paper_config();
+  c.eta = kNan;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  c = paper_config();
+  c.bandwidth_hz = kNan;
   EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 

@@ -56,6 +56,28 @@ TEST(Dataset, GatherDuplicatesAllowed) {
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(batch.labels[i], 2);
 }
 
+TEST(Dataset, GatherIntoReusesTheBatchStorage) {
+  const Dataset ds = make_tiny();
+  Batch batch;
+  ds.gather(std::vector<std::size_t>{0, 1, 2}, batch);
+  const float* storage = batch.images.data().data();
+  ds.gather(std::vector<std::size_t>{3}, batch);
+  EXPECT_EQ(batch.images.shape(), Shape({1, 1, 2, 2}));
+  EXPECT_EQ(batch.images[0], 3.0F);
+  EXPECT_EQ(batch.labels, (std::vector<std::int32_t>{1}));
+  ds.gather(std::vector<std::size_t>{2, 0}, batch);
+  EXPECT_EQ(batch.images.data().data(), storage);
+  EXPECT_EQ(batch.images.shape(), Shape({2, 1, 2, 2}));
+  EXPECT_EQ(batch.images[0], 2.0F);
+  EXPECT_EQ(batch.images[4], 0.0F);
+  EXPECT_EQ(batch.labels, (std::vector<std::int32_t>{2, 0}));
+}
+
+TEST(Dataset, GatherRejectsAnIndexPastTheEnd) {
+  const Dataset ds = make_tiny();
+  EXPECT_THROW(ds.gather(std::vector<std::size_t>{1, 4}), std::out_of_range);
+}
+
 TEST(Dataset, AllReturnsEverything) {
   const Dataset ds = make_tiny();
   const Batch batch = ds.all();

@@ -218,8 +218,8 @@ TEST_F(ParallelTrainerTest, ModelCloneIsDeepAndExact) {
 TEST_F(ParallelTrainerTest, ParallelEvaluateMatchesSequential) {
   const auto model = fresh_model();
   const std::vector<float> weights = nn::extract_parameters(*model);
-  const EvalPlan plan = make_eval_plan(split_.test, 32);
-  const Evaluation sequential = evaluate(*model, weights, plan);
+  EvalScratch scratch;
+  const Evaluation sequential = evaluate(*model, weights, split_.test, 32, scratch);
 
   util::ThreadPool pool(3);
   std::vector<std::unique_ptr<nn::Sequential>> replicas;
@@ -228,8 +228,9 @@ TEST_F(ParallelTrainerTest, ParallelEvaluateMatchesSequential) {
     replicas.push_back(std::make_unique<nn::Sequential>(*model));
     views.push_back(replicas.back().get());
   }
+  std::vector<EvalScratch> scratches(pool.worker_count());
   const Evaluation parallel =
-      evaluate_parallel(views, weights, plan, pool);
+      evaluate_parallel(views, scratches, weights, split_.test, 32, pool);
   EXPECT_EQ(sequential.loss, parallel.loss);
   EXPECT_EQ(sequential.accuracy, parallel.accuracy);
 }

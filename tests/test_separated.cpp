@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "fl_fixtures.h"
 #include "nn/models.h"
 #include "nn/serialize.h"
@@ -115,6 +117,14 @@ TEST_F(SeparatedTest, RejectsSizeMismatch) {
   devices_.pop_back();
   EXPECT_THROW(train_separated(*model_, split_.train, split_.test, partition_,
                                devices_, quick_options()),
+               std::invalid_argument);
+}
+
+TEST_F(SeparatedTest, RejectsNanLearningRate) {
+  SeparatedOptions options = quick_options();
+  options.client.learning_rate = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW(train_separated(*model_, split_.train, split_.test, partition_, devices_,
+                               options),
                std::invalid_argument);
 }
 

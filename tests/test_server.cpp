@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <numeric>
+
 #include "fl/client.h"
 #include "fl_fixtures.h"
 #include "nn/loss.h"
 #include "nn/models.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
+#include "oracles/reference_eval.h"
 
 namespace helcfl::fl {
 namespace {
@@ -79,10 +85,11 @@ TEST(FedAvg, Eq19EquivalenceToCentralizedGd) {
 
   std::vector<ClientUpdate> updates;
   std::vector<std::size_t> all_indices;
+  data::Batch scratch;
   for (const auto& slice : slices) {
     util::Rng rng(3);
-    updates.push_back(local_update(*model, global, split.train.gather(slice),
-                                   {.learning_rate = lr, .local_steps = 1}, rng));
+    updates.push_back(local_update(*model, global, split.train, slice,
+                                   {.learning_rate = lr, .local_steps = 1}, rng, scratch));
     all_indices.insert(all_indices.end(), slice.begin(), slice.end());
   }
   std::vector<WeightedModel> uploads;
@@ -92,8 +99,8 @@ TEST(FedAvg, Eq19EquivalenceToCentralizedGd) {
   // Centralized GD step on the union.
   util::Rng rng(4);
   const ClientUpdate central =
-      local_update(*model, global, split.train.gather(all_indices),
-                   {.learning_rate = lr, .local_steps = 1}, rng);
+      local_update(*model, global, split.train, all_indices,
+                   {.learning_rate = lr, .local_steps = 1}, rng, scratch);
 
   for (std::size_t i = 0; i < aggregated.size(); ++i) {
     EXPECT_NEAR(aggregated[i], central.weights[i], 2e-4F) << "weight " << i;
@@ -115,8 +122,9 @@ TEST(Evaluate, PerfectModelScoresOne) {
     model->backward(loss.grad_logits);
     sgd.step(model->params());
   }
-  const Evaluation eval = evaluate(*model, nn::extract_parameters(*model),
-                                   make_eval_plan(split.test, 256));
+  EvalScratch scratch;
+  const Evaluation eval =
+      evaluate(*model, nn::extract_parameters(*model), split.test, 256, scratch);
   EXPECT_GT(eval.accuracy, 0.9);
   EXPECT_LT(eval.loss, 1.0);
 }
@@ -126,8 +134,9 @@ TEST(Evaluate, BatchSizeDoesNotChangeResult) {
   util::Rng model_rng(6);
   auto model = nn::make_mlp(split.train.spec(), 8, 10, model_rng);
   const auto weights = nn::extract_parameters(*model);
-  const Evaluation small = evaluate(*model, weights, make_eval_plan(split.test, 7));
-  const Evaluation large = evaluate(*model, weights, make_eval_plan(split.test, 1000));
+  EvalScratch scratch;
+  const Evaluation small = evaluate(*model, weights, split.test, 7, scratch);
+  const Evaluation large = evaluate(*model, weights, split.test, 1000, scratch);
   EXPECT_NEAR(small.accuracy, large.accuracy, 1e-12);
   EXPECT_NEAR(small.loss, large.loss, 1e-9);
 }
@@ -137,9 +146,84 @@ TEST(Evaluate, RejectsEmptyDataset) {
   const nn::ImageSpec spec{1, 2, 2};
   auto model = nn::make_logistic(spec, 3, model_rng);
   data::Dataset empty;
-  EXPECT_THROW(evaluate(*model, nn::extract_parameters(*model),
-                        make_eval_plan(empty, 256)),
+  EvalScratch scratch;
+  EXPECT_THROW(evaluate(*model, nn::extract_parameters(*model), empty, 256, scratch),
                std::invalid_argument);
+}
+
+constexpr nn::ModelKind kEveryModel[] = {nn::ModelKind::kLogistic, nn::ModelKind::kMlp,
+                                         nn::ModelKind::kSmallCnn,
+                                         nn::ModelKind::kMiniSqueezeNet};
+
+TEST(Evaluate, ChunkedForwardGivesTheWholeBatchLogitsBitForBit) {
+  // Evaluation forwards each eval batch kEvalChunk samples at a time; that
+  // is exact only because every model's eval forward works per sample.
+  const auto split = testing::tiny_split(20, 130, 500);
+  const data::Batch all = split.test.all();
+  for (const nn::ModelKind kind : kEveryModel) {
+    SCOPED_TRACE(nn::model_kind_name(kind));
+    util::Rng model_rng(8);
+    auto model = nn::make_model(kind, split.test.spec(), 10, model_rng);
+    const tensor::Tensor whole = model->forward(all.images, /*training=*/false);
+    const std::size_t classes = whole.shape()[1];
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, kEvalChunk}) {
+      SCOPED_TRACE("chunk " + std::to_string(chunk));
+      std::size_t mismatches = 0;
+      for (std::size_t first = 0; first < split.test.size(); first += chunk) {
+        const std::size_t count = std::min(chunk, split.test.size() - first);
+        std::vector<std::size_t> rows(count);
+        std::iota(rows.begin(), rows.end(), first);
+        const data::Batch part = split.test.gather(rows);
+        const tensor::Tensor logits = model->forward(part.images, /*training=*/false);
+        ASSERT_EQ(logits.size(), count * classes);
+        for (std::size_t i = 0; i < logits.size(); ++i) {
+          if (std::bit_cast<std::uint32_t>(logits[i]) !=
+              std::bit_cast<std::uint32_t>(whole[first * classes + i])) {
+            ++mismatches;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u);
+    }
+  }
+}
+
+TEST(Evaluate, StreamedEvaluationMatchesTheCopiedBatchesBitForBit) {
+  // 300 samples: eval batches of 7, 64, 100 and 256 leave a short last
+  // batch, 64 is one chunk, and 1000 is one batch of five chunks.
+  const auto split = testing::tiny_split(20, 300, 600);
+  for (const nn::ModelKind kind : kEveryModel) {
+    SCOPED_TRACE(nn::model_kind_name(kind));
+    util::Rng model_rng(9);
+    auto model = nn::make_model(kind, split.test.spec(), 10, model_rng);
+    const std::vector<float> weights = nn::extract_parameters(*model);
+    for (const std::size_t eval_batch : {7, 64, 100, 256, 1000}) {
+      SCOPED_TRACE("eval_batch " + std::to_string(eval_batch));
+      const Evaluation expected = reference_evaluate(
+          *model, weights, make_reference_eval_plan(split.test, eval_batch));
+      const auto expect_same_bits = [&](const Evaluation& got) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.loss),
+                  std::bit_cast<std::uint64_t>(expected.loss));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.accuracy),
+                  std::bit_cast<std::uint64_t>(expected.accuracy));
+      };
+      EvalScratch scratch;
+      expect_same_bits(evaluate(*model, weights, split.test, eval_batch, scratch));
+      for (const std::size_t threads : {1, 2}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        util::ThreadPool pool(threads);
+        std::vector<std::unique_ptr<nn::Sequential>> replicas;
+        std::vector<nn::Sequential*> views;
+        for (std::size_t i = 0; i < std::max<std::size_t>(pool.worker_count(), 1); ++i) {
+          replicas.push_back(std::make_unique<nn::Sequential>(*model));
+          views.push_back(replicas.back().get());
+        }
+        std::vector<EvalScratch> scratches(views.size());
+        expect_same_bits(evaluate_parallel(views, scratches, weights, split.test,
+                                           eval_batch, pool));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/helcfl_scheduler.h"
+#include "fl/async_trainer.h"
 #include "fl_fixtures.h"
 #include "nn/models.h"
 #include "nn/serialize.h"
 #include "sched/random_selection.h"
+#include "sim/config.h"
+#include "sim/fleet.h"
 
 namespace helcfl::fl {
 namespace {
@@ -211,6 +218,37 @@ TEST_F(TrainerTest, HelcflStrategyKeepsDelayEqualToNoDvfs) {
               without_dvfs.rounds()[i].round_energy_j + 1e-12);
   }
   EXPECT_LT(with_dvfs.total_energy_j(), without_dvfs.total_energy_j());
+}
+
+TEST(Trainer, ConstructionDoesNotCopyTheTrainingSet) {
+#if defined(__GLIBC__)
+  // The paper config's workload: both engines must train from the borrowed
+  // training set, holding no copy of its images.
+  const sim::ExperimentConfig config = sim::paper_config();
+  util::Rng rng(70);
+  const data::TrainTestSplit split = data::make_synthetic_cifar(config.dataset, rng);
+  const data::Partition partition = data::shard_noniid_partition(
+      split.train.labels(), config.n_users, config.shards_per_user, rng);
+  std::vector<std::size_t> samples;
+  for (const auto& slice : partition) samples.push_back(slice.size());
+  const std::vector<mec::Device> devices = sim::make_fleet(config, samples, rng);
+  const mec::Channel channel = sim::make_channel(config);
+  auto model = nn::make_model(config.model, split.train.spec(), 10, rng);
+  sched::RandomSelection strategy(config.fraction, rng);
+  const std::size_t image_bytes = split.train.images().size() * sizeof(float);
+
+  const std::size_t before = mallinfo2().uordblks;
+  const FederatedTrainer sync(*model, split.train, split.test, partition, devices,
+                              channel, strategy, config.trainer);
+  const AsyncTrainer async(*model, split.train, split.test, partition, devices, channel,
+                           strategy, config.trainer, AsyncOptions{});
+  const std::size_t after = mallinfo2().uordblks;
+  EXPECT_LT(after - before, image_bytes / 8)
+      << "constructing both engines took " << after - before << " bytes against "
+      << image_bytes << " bytes of training images";
+#else
+  GTEST_SKIP() << "needs glibc's mallinfo2";
+#endif
 }
 
 }  // namespace
