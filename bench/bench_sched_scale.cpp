@@ -19,6 +19,7 @@
 #include "sim/config.h"
 #include "sim/fleet.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace {
 
@@ -71,11 +72,8 @@ void run_rounds(benchmark::State& state, Selector& selector,
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(picked));
-  std::sort(select_us.begin(), select_us.end());
   if (!select_us.empty()) {
-    const std::size_t p99 = (select_us.size() * 99) / 100;
-    state.counters["p99_select_us"] =
-        select_us[std::min(p99, select_us.size() - 1)];
+    state.counters["p99_select_us"] = util::percentile(select_us, 99.0);
   }
 }
 

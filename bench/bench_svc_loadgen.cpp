@@ -1,22 +1,17 @@
 // Scheduler-service load generator (ISSUE 7 + 8): decisions/sec and p99
 // decision latency of the full framed protocol — reports in, acks out,
 // decision request/response — at wire fault rates 0, 1%, and 10%, and over
-// real loopback TCP at 1/2/4 ingress threads.  Faults exercise the
-// rejection, retry, and dedup paths, so the delta between the arms is the
-// price of robustness, not of scheduling; the TCP arms price the socket
-// transport (syscalls, stream reassembly, thread handoff) against the
-// in-process wire.
+// real loopback TCP.  Faults exercise the rejection, retry, and dedup
+// paths, so the delta between the arms is the price of robustness, not of
+// scheduling; the TCP arm prices the socket transport (syscalls, stream
+// reassembly) against the in-process wire.
 //
-//   --transport=tcp     run only the loopback-TCP arms
-//   --transport=inproc  run only the in-process arms
+//   --benchmark_filter=Tcp   run only the loopback-TCP arm
+//   --benchmark_filter=-Tcp  run only the in-process arms
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "bench_json.h"
@@ -30,6 +25,7 @@
 #include "svc/transport.h"
 #include "svc/wire_faults.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace {
 
@@ -136,11 +132,8 @@ void BM_SvcDecisions(benchmark::State& state) {
         std::chrono::duration<double, std::micro>(end - start).count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  std::sort(round_us.begin(), round_us.end());
   if (!round_us.empty()) {
-    const std::size_t p99 = (round_us.size() * 99) / 100;
-    state.counters["p99_decision_us"] =
-        round_us[std::min(p99, round_us.size() - 1)];
+    state.counters["p99_decision_us"] = util::percentile(round_us, 99.0);
   }
   state.counters["frames_rejected"] =
       static_cast<double>(harness.service.stats().frames_rejected);
@@ -183,9 +176,9 @@ BENCHMARK(BM_SvcIngest);
 
 // The same barrier protocol as BM_SvcDecisions, but over a real loopback
 // TCP connection into a SocketServer — syscalls, per-connection stream
-// reassembly, the bounded ingress queue, and the reader→service thread
-// handoff are all on the measured path.  Clean wire: the TCP arms price
-// the transport, the fault arms above price robustness.
+// reassembly and the server's event loop are all on the measured path.
+// Clean wire: the TCP arm prices the transport, the fault arms above price
+// robustness.
 struct TcpHarness {
   svc::SchedulerService service;
   svc::SocketServer server;
@@ -194,7 +187,7 @@ struct TcpHarness {
   std::uint64_t tick = 0;
   std::uint64_t round = 0;
 
-  explicit TcpHarness(std::size_t ingress_threads)
+  TcpHarness()
       : service(cached_users(),
                 [] {
                   svc::ServiceOptions options;
@@ -204,11 +197,7 @@ struct TcpHarness {
                   return options;
                 }()),
         server(service, svc::Endpoint::parse("tcp:127.0.0.1:0"),
-               [ingress_threads] {
-                 svc::ServerOptions options;
-                 options.ingress_threads = ingress_threads;
-                 return options;
-               }()),
+               svc::ServerOptions{}),
         client(
             [] {
               // Ticks advance per pump (microseconds), not per wire
@@ -252,7 +241,7 @@ struct TcpHarness {
 };
 
 void BM_SvcTcpDecisions(benchmark::State& state) {
-  TcpHarness harness(static_cast<std::size_t>(state.range(0)));
+  TcpHarness harness;
   std::vector<double> round_us;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
@@ -262,46 +251,16 @@ void BM_SvcTcpDecisions(benchmark::State& state) {
         std::chrono::duration<double, std::micro>(end - start).count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  std::sort(round_us.begin(), round_us.end());
   if (!round_us.empty()) {
-    const std::size_t p99 = (round_us.size() * 99) / 100;
-    state.counters["p99_decision_us"] =
-        round_us[std::min(p99, round_us.size() - 1)];
+    state.counters["p99_decision_us"] = util::percentile(round_us, 99.0);
   }
   state.counters["ingress_frames"] =
       static_cast<double>(harness.server.stats().ingress_frames);
   state.counters["client_retries"] =
       static_cast<double>(harness.client.retries());
 }
-BENCHMARK(BM_SvcTcpDecisions)->Arg(1)->Arg(2)->Arg(4)->ArgName("ingress_threads")
-    ->Unit(benchmark::kMicrosecond)->MinTime(0.2);
+BENCHMARK(BM_SvcTcpDecisions)->Unit(benchmark::kMicrosecond)->MinTime(0.2);
 
 }  // namespace
 
-// Custom main: --transport=tcp|inproc selects the benchmark family by
-// rewriting itself into a --benchmark_filter before the stock JSON main.
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  std::string filter;
-  for (auto it = args.begin(); it != args.end();) {
-    constexpr const char* kFlag = "--transport=";
-    if (std::strncmp(*it, kFlag, std::strlen(kFlag)) == 0) {
-      const std::string value = *it + std::strlen(kFlag);
-      if (value == "tcp") {
-        filter = "--benchmark_filter=Tcp";
-      } else if (value == "inproc") {
-        filter = "--benchmark_filter=-Tcp";
-      } else {
-        std::cerr << "unknown --transport value: " << value
-                  << " (expected tcp|inproc)\n";
-        return 1;
-      }
-      it = args.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (!filter.empty()) args.insert(args.begin() + 1, filter.data());
-  return helcfl::bench::run_benchmarks_with_json(static_cast<int>(args.size()),
-                                                 args.data());
-}
+HELCFL_BENCH_JSON_MAIN()

@@ -56,9 +56,8 @@
 //
 //   helcfl_cli serve   [--listen=tcp:127.0.0.1:7000 | --listen=unix:/path]
 //                      [--users=N] [--seed=N] [--fraction=C] [--eta=E]
-//                      [--ingress-threads=N] [--lease-ticks=N]
-//                      [--max-decisions=N] [--snapshot-every=N]
-//                      [--snapshot-path=path]
+//                      [--lease-ticks=N] [--max-decisions=N]
+//                      [--snapshot-every=N] [--snapshot-path=path]
 //   helcfl_cli connect [--connect=tcp:127.0.0.1:7000 | --connect=unix:/path]
 //                      [--users=N] [--seed=N] [--rounds=N]
 //
@@ -137,16 +136,12 @@ int run_serve(const util::ArgParser& args) {
       svc::Endpoint::parse(args.get_or("listen", "tcp:127.0.0.1:7000"));
 
   svc::SchedulerService service(session_fleet(users, seed), options);
-  svc::ServerOptions server_options;
-  server_options.ingress_threads = args.get_count_or("ingress-threads", 1);
-  svc::SocketServer server(service, endpoint, server_options);
+  svc::SocketServer server(service, endpoint, svc::ServerOptions{});
   warn_unused(args);
   server.start();
-  std::printf("helcfl_cli serve: %zu devices on %s (C=%.2f, lease %llu ms, "
-              "%zu ingress threads)\n",
+  std::printf("helcfl_cli serve: %zu devices on %s (C=%.2f, lease %llu ms)\n",
               users, server.endpoint().to_string().c_str(), options.fraction,
-              static_cast<unsigned long long>(options.lease_ticks),
-              server_options.ingress_threads);
+              static_cast<unsigned long long>(options.lease_ticks));
   std::signal(SIGINT, handle_sigint);
 
   while (!g_interrupted.load()) {
@@ -159,11 +154,12 @@ int run_serve(const util::ArgParser& args) {
   server.stop();
   const svc::ServerStats stats = server.stats();
   std::printf("helcfl_cli serve: done — %llu decisions, %llu conns accepted, "
-              "%llu ingress frames, %llu shed, %llu stalled\n",
+              "%llu ingress frames, %llu shed, %llu rejected, %llu stalled\n",
               static_cast<unsigned long long>(stats.decisions_issued),
               static_cast<unsigned long long>(stats.conns_accepted),
               static_cast<unsigned long long>(stats.ingress_frames),
-              static_cast<unsigned long long>(stats.ingress_shed),
+              static_cast<unsigned long long>(service.stats().reports_shed),
+              static_cast<unsigned long long>(stats.frames_rejected),
               static_cast<unsigned long long>(stats.conns_stalled));
   return 0;
 }

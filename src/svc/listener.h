@@ -1,24 +1,20 @@
-// Multi-threaded socket front end for SchedulerService (docs/SERVICE.md §7).
+// Socket front end for SchedulerService (docs/SERVICE.md §8).
 //
 // SocketServer turns the single-threaded, logical-tick service core into a
-// network server without touching its decision semantics:
+// network server without touching its decision semantics.  It runs ONE
+// loop thread — the only caller of SchedulerService — and each lap:
 //
-//   acceptor thread ──► reader threads (N) ──► bounded ingress queue ──►
-//                                             service thread (the ONLY
-//                                             caller of SchedulerService)
+//   ppoll(wake fd, listen socket, every connection)
+//     → accept new connections
+//     → read each ready connection's frames (per-connection streaming
+//       decoder, svc/transport.h) straight into SchedulerService::ingest
+//     → service.poll(tick) once, on a logical tick derived from wall time
+//       (or an injected tick_source)
+//     → route the whole outbox, then flush each connection once
 //
-//   * the acceptor accepts connections and assigns them round-robin to
-//     the N reader threads;
-//   * each reader poll()s its connections, reassembles frames with the
-//     per-connection streaming decoder (svc/transport.h), and pushes
-//     validated frames into the ingress queue — the queue is bounded and
-//     sheds the *oldest queued device report* on overflow, the same
-//     newest-data-wins policy the service applies to its own queue;
-//   * the service thread is the sole consumer: it feeds frames to
-//     SchedulerService, drives poll() on a logical tick derived from
-//     wall time (or an injected tick_source), and routes the outbox back
-//     to connections — so `controller_seq` exactly-once processing and
-//     snapshot byte-identity are exactly what they were in-process.
+// So `controller_seq` exactly-once processing and snapshot byte-identity
+// are exactly what they were in-process, and the service's own bounded
+// report queue is the only place a report is ever shed.
 //
 // Response routing: a ReportAck goes to the connection that most recently
 // sent a report for that device; a DecisionResponse goes to the connection
@@ -27,23 +23,21 @@
 // it, exactly like a lost datagram.
 //
 // Slow peers: each connection's output buffer is bounded
-// (max_conn_output_bytes); a peer that stops reading long enough to fill
-// it is disconnected (`svc.conn_stalled`) rather than buffered without
+// (max_conn_output_bytes, one lap's replies included); a peer that stops
+// reading long enough to fill it is disconnected (`svc.conn_stalled`) rather than buffered without
 // bound.  Disconnection is never fatal to the protocol: the lease model
 // parks silent devices, retries re-deliver lost messages.
 //
-// stop() drains gracefully: no new connections, remaining queued frames
-// are processed, pending output is flushed (bounded by drain_timeout_ms),
-// then sockets close.
+// stop() drains gracefully: no new connections, bytes already on the
+// sockets are processed, pending output is flushed (bounded by
+// drain_timeout_ms), then sockets close.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
+#include <map>
 #include <mutex>
 #include <span>
 #include <string_view>
@@ -66,30 +60,29 @@ struct ServerStats {
   std::uint64_t conns_closed = 0;    ///< every close, any reason
   std::uint64_t conns_stalled = 0;   ///< closed for output-backlog overflow
   std::uint64_t conn_read_errors = 0;
-  std::uint64_t ingress_frames = 0;  ///< validated frames queued
-  std::uint64_t ingress_shed = 0;    ///< oldest-report sheds by the queue
+  std::uint64_t frames_rejected = 0;  ///< stream decoder rejections, all conns
+  std::uint64_t ingress_frames = 0;  ///< validated frames fed to the service
+  /// Always 0: the server keeps no queue of its own, so every shed is the
+  /// service's (`ServiceStats::reports_shed`).  Kept for existing callers.
+  std::uint64_t ingress_shed = 0;
   std::uint64_t egress_frames = 0;   ///< outbox frames routed to a peer
   std::uint64_t egress_unroutable = 0;  ///< no live connection for a frame
   std::uint64_t chaos_dropped = 0;      ///< egress chaos faults (tests)
   std::uint64_t chaos_corrupted = 0;
   std::uint64_t chaos_duplicated = 0;
-  /// Mirror of the service's decision counter, published by the service
+  /// Mirror of the service's decision counter, published by the loop
   /// thread — the race-free way to watch progress while the server runs.
   std::uint64_t decisions_issued = 0;
 };
 
 struct ServerOptions {
-  /// Reader threads decoding ingress in parallel (the acceptor and the
-  /// service loop are one thread each on top).
+  /// Must be 1: the loop thread does all ingress.  Kept so existing
+  /// callers that set it to 1 still compile; validate() rejects others.
   std::size_t ingress_threads = 1;
 
-  /// Bounded frame handoff between readers and the service thread; on
-  /// overflow the oldest queued *device report* is shed (its sender's
-  /// retry recovers it).  Decision requests are never shed here.
-  std::size_t ingress_queue_capacity = 4096;
-
-  /// Per-connection output backlog bound; exceeding it closes the
-  /// connection (slow-client backpressure).
+  /// Per-connection output backlog bound: unsent bytes plus the replies
+  /// a lap queues before its flush.  Exceeding it closes the connection
+  /// (slow-client backpressure).
   std::size_t max_conn_output_bytes = std::size_t{8} << 20;
 
   int listen_backlog = 64;
@@ -98,8 +91,8 @@ struct ServerOptions {
   /// short writes); 0 keeps the OS default.
   int conn_send_buffer_bytes = 0;
 
-  /// Service-loop cadence when no traffic arrives — leases still expire
-  /// on time because every loop iteration calls poll(tick).
+  /// Loop cadence when no traffic arrives — leases still expire on time
+  /// because every lap calls poll(tick).
   std::uint64_t idle_poll_interval_us = 500;
 
   /// How long stop() keeps flushing pending output before closing.
@@ -122,7 +115,7 @@ struct ServerOptions {
 
 /// See the header comment.  The service is borrowed: the caller constructs
 /// (and may snapshot/restore) it, but must not touch it between start()
-/// and stop() — the service thread is the only permitted caller.
+/// and stop() — the loop thread is the only permitted caller.
 class SocketServer {
  public:
   SocketServer(SchedulerService& service, const Endpoint& endpoint,
@@ -131,8 +124,8 @@ class SocketServer {
   SocketServer(const SocketServer&) = delete;
   SocketServer& operator=(const SocketServer&) = delete;
 
-  /// Binds, listens, and spawns the acceptor, reader, and service
-  /// threads.  Throws TransportError/ServiceError on setup failure.
+  /// Binds, listens, and spawns the loop thread.  Throws
+  /// TransportError/ServiceError on setup failure.
   void start();
 
   /// Graceful drain; idempotent.  Safe to call from any thread except the
@@ -145,49 +138,35 @@ class SocketServer {
   /// valid after start().
   const Endpoint& endpoint() const { return bound_endpoint_; }
 
+  /// Safe to call while the server runs.
   ServerStats stats() const;
   std::size_t open_connections() const;
 
  private:
   struct Conn {
     std::uint64_t id = 0;
-    std::size_t owner = 0;  ///< reader thread index
-    FramedConn framed;      ///< guarded by `mutex`
-    std::mutex mutex;
-    std::atomic<bool> closed{false};
-  };
-  using ConnPtr = std::shared_ptr<Conn>;
-
-  struct IngressItem {
-    enum class Kind { kFrame, kConnClosed };
-    Kind kind = Kind::kFrame;
-    std::uint64_t conn_id = 0;
-    Frame frame;
+    FramedConn framed;
+    std::uint64_t rejected_counted = 0;  ///< decoder rejections in stats_
+    bool closed = false;
   };
 
-  /// One reader thread's self-wakeable poll loop state.
-  struct Reader {
-    std::thread thread;
-    std::mutex mutex;                ///< guards `conns`
-    std::vector<ConnPtr> conns;
-    int wake_read_fd = -1;
-    int wake_write_fd = -1;
-  };
-
-  void acceptor_loop();
-  void reader_loop(std::size_t index);
-  void service_loop();
-
-  void wake_reader(Reader& reader);
-  void enqueue_ingress(IngressItem item);
-  /// Routes one encoded outbox frame to its connection (nullptr = drop).
-  ConnPtr route_of(std::span<const std::uint8_t> frame_bytes);
-  void deliver_to_conn(const ConnPtr& conn,
-                       std::span<const std::uint8_t> frame_bytes);
-  std::uint64_t current_tick() const;
-  void count(std::string_view name, std::uint64_t delta = 1);
-  void trace_conn(std::uint64_t conn_id, std::string_view kind);
+  void loop();
+  void accept_pending();
+  /// Reads one connection and feeds its frames to the service.
+  void read_conn(Conn& conn, std::uint64_t tick, std::vector<Frame>& frames);
+  void route_outbox();
+  /// The live connection an encoded outbox frame goes to (nullptr: none).
+  Conn* route_of(std::span<const std::uint8_t> frame_bytes);
+  /// Queues one encoded frame on `conn`; stalls the connection when its
+  /// backlog bound is hit.
+  void deliver(Conn* conn, std::span<const std::uint8_t> frame_bytes);
+  void close_conn(Conn& conn);
   void drain_output();
+  std::uint64_t current_tick() const;
+  /// Adds to one ServerStats field and, when `name` is set, the registry.
+  void count(std::uint64_t ServerStats::*field, std::string_view name,
+             std::uint64_t delta = 1);
+  void trace_conn(std::uint64_t conn_id, std::string_view kind);
 
   SchedulerService& service_;
   Endpoint requested_endpoint_;
@@ -196,49 +175,27 @@ class SocketServer {
   obs::Instruments instruments_;
 
   Socket listen_socket_;
-  std::thread acceptor_thread_;
-  std::vector<std::unique_ptr<Reader>> readers_;
-  std::thread service_thread_;
+  Socket wake_fd_;  ///< eventfd: stop() interrupts the loop's ppoll
 
-  // Ingress queue: readers produce, the service thread consumes.
-  std::mutex ingress_mutex_;
-  std::condition_variable ingress_cv_;
-  std::deque<IngressItem> ingress_queue_;
-
-  // Connection registry (service thread routes by id; stop() drains).
-  mutable std::mutex conns_mutex_;
-  std::unordered_map<std::uint64_t, ConnPtr> conns_;
-  std::atomic<std::uint64_t> next_conn_id_{1};
-
-  // Routing state — service thread only.
+  // Loop-thread state.
+  std::map<std::uint64_t, Conn> conns_;  ///< by id, in accept order
+  std::uint64_t next_conn_id_ = 1;
+  /// Replies chase the latest connection a sender used, so reconnects
+  /// are transparent; an id whose connection closed routes nowhere.
   std::unordered_map<std::uint64_t, std::uint64_t> device_route_;
   std::uint64_t controller_conn_ = 0;
-
   WireFaultInjector egress_chaos_;
   bool chaos_enabled_ = false;
 
   std::chrono::steady_clock::time_point start_time_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};      ///< acceptor + readers exit
-  std::atomic<bool> service_stop_{false};  ///< service loop final-drains
+  std::atomic<bool> stopping_{false};
   bool started_ = false;
 
-  // Stats (atomics: touched from acceptor/reader/service threads).
-  struct AtomicStats {
-    std::atomic<std::uint64_t> conns_accepted{0};
-    std::atomic<std::uint64_t> conns_closed{0};
-    std::atomic<std::uint64_t> conns_stalled{0};
-    std::atomic<std::uint64_t> conn_read_errors{0};
-    std::atomic<std::uint64_t> ingress_frames{0};
-    std::atomic<std::uint64_t> ingress_shed{0};
-    std::atomic<std::uint64_t> egress_frames{0};
-    std::atomic<std::uint64_t> egress_unroutable{0};
-    std::atomic<std::uint64_t> chaos_dropped{0};
-    std::atomic<std::uint64_t> chaos_corrupted{0};
-    std::atomic<std::uint64_t> chaos_duplicated{0};
-    std::atomic<std::uint64_t> decisions_issued{0};
-  };
-  AtomicStats stats_;
+  mutable std::mutex stats_mutex_;
+  ServerStats stats_;  ///< written by the loop thread under stats_mutex_
+
+  std::thread thread_;  ///< last: it runs loop() over every member above
 };
 
 }  // namespace helcfl::svc

@@ -242,14 +242,14 @@ FramedConn::IoStatus FramedConn::read_frames(std::vector<Frame>& out) {
     }
   };
 
-  std::vector<std::uint8_t> chunk(options_.read_chunk_bytes);
+  read_buf_.resize(kReadChunkBytes);
   for (;;) {
-    const ssize_t n = ::recv(socket_.fd(), chunk.data(), chunk.size(), 0);
+    const ssize_t n = ::recv(socket_.fd(), read_buf_.data(), read_buf_.size(), 0);
     if (n > 0) {
       bytes_read_ += static_cast<std::uint64_t>(n);
-      decoder_.feed(
-          std::span<const std::uint8_t>(chunk.data(), static_cast<std::size_t>(n)));
-      if (static_cast<std::size_t>(n) < chunk.size()) {
+      decoder_.feed(std::span<const std::uint8_t>(read_buf_.data(),
+                                                  static_cast<std::size_t>(n)));
+      if (static_cast<std::size_t>(n) < read_buf_.size()) {
         drain_decoder();
         return IoStatus::kOk;
       }
@@ -310,11 +310,7 @@ FramedConn::IoStatus FramedConn::flush() {
 }
 
 ClientChannel::ClientChannel(const Endpoint& endpoint)
-    : ClientChannel(endpoint, FramedConn::Options()) {}
-
-ClientChannel::ClientChannel(const Endpoint& endpoint,
-                             FramedConn::Options options)
-    : conn_(FramedConn(Socket::connect_to(endpoint), options)) {}
+    : conn_(FramedConn(Socket::connect_to(endpoint))) {}
 
 void ClientChannel::close() { conn_.reset(); }
 

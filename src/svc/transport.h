@@ -126,9 +126,10 @@ class FramedConn {
     /// queue_frame() fails once the unsent backlog would exceed this —
     /// the slow-peer backpressure bound.
     std::size_t max_output_bytes = std::size_t{8} << 20;
-    /// Bytes per read() attempt.
-    std::size_t read_chunk_bytes = std::size_t{64} << 10;
   };
+
+  /// Bytes per recv() attempt; the buffer is kept across reads.
+  static constexpr std::size_t kReadChunkBytes = std::size_t{64} << 10;
 
   enum class IoStatus {
     kOk,      ///< progress made (possibly zero bytes; EAGAIN is kOk)
@@ -170,6 +171,7 @@ class FramedConn {
   Socket socket_;
   Options options_;
   FrameDecoder decoder_;
+  std::vector<std::uint8_t> read_buf_;  ///< sized on the first read
   std::vector<std::uint8_t> outbuf_;
   std::size_t out_head_ = 0;  ///< sent prefix, compacted when it dominates
   std::uint64_t bytes_read_ = 0;
@@ -188,7 +190,6 @@ class ClientChannel {
   /// Connects immediately; throws TransportError when the endpoint is
   /// unreachable.
   explicit ClientChannel(const Endpoint& endpoint);
-  ClientChannel(const Endpoint& endpoint, FramedConn::Options options);
 
   bool connected() const { return conn_.has_value(); }
   void close();

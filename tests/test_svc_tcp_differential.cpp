@@ -170,12 +170,10 @@ struct TcpRun {
   std::uint64_t client_retries = 0;
 };
 
-TcpRun run_tcp_workload(double fault_rate, std::uint64_t rounds,
-                        std::size_t ingress_threads) {
+TcpRun run_tcp_workload(double fault_rate, std::uint64_t rounds) {
   const auto users = make_users();
   svc::SchedulerService service(users, service_options());
   svc::ServerOptions server_options;
-  server_options.ingress_threads = ingress_threads;
   if (fault_rate > 0.0) {
     // Server-side egress chaos: responses are dropped/corrupted/duplicated
     // before they reach the wire (delay is meaningless on a stream).
@@ -214,7 +212,7 @@ TEST(SvcTcpDifferential, FaultyTcpYieldsIdenticalDecisions) {
   // Reference: the clean in-process datagram path from PR 7.
   const std::vector<Pick> reference = run_workload(0.0, kRounds);
 
-  const TcpRun tcp = run_tcp_workload(0.10, kRounds, /*ingress_threads=*/2);
+  const TcpRun tcp = run_tcp_workload(0.10, kRounds);
   ASSERT_EQ(tcp.picks.size(), reference.size());
   for (std::size_t r = 0; r < reference.size(); ++r) {
     EXPECT_EQ(tcp.picks[r].round, reference[r].round);
@@ -240,7 +238,7 @@ TEST(SvcTcpDifferential, CleanTcpMatchesCleanDatagrams) {
   // The transport alone (no faults, single reader) must also be invisible.
   constexpr std::uint64_t kRounds = 4;
   const std::vector<Pick> reference = run_workload(0.0, kRounds);
-  const TcpRun tcp = run_tcp_workload(0.0, kRounds, /*ingress_threads=*/1);
+  const TcpRun tcp = run_tcp_workload(0.0, kRounds);
   ASSERT_EQ(tcp.picks.size(), reference.size());
   for (std::size_t r = 0; r < reference.size(); ++r) {
     EXPECT_EQ(tcp.picks[r].selected, reference[r].selected);

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/registry.h"
 #include "svc/frame.h"
 #include "svc/listener.h"
 #include "svc/service.h"
@@ -209,9 +210,7 @@ TEST(FramedConn, BackpressureBoundsOutputBuffer) {
   auto [a, b] = svc::Socket::stream_pair();
   a.set_send_buffer(1);
   svc::FramedConn writer(std::move(a),
-                         svc::FramedConn::Options{
-                             .max_output_bytes = 256,
-                             .read_chunk_bytes = std::size_t{64} << 10});
+                         svc::FramedConn::Options{.max_output_bytes = 256});
   // `b` never reads: the kernel buffer fills, then the bounded output
   // buffer, and queue_frame refuses rather than buffering without bound.
   const auto frame = report_frame(0, 1);
@@ -246,7 +245,6 @@ TEST(SocketServer, RoundTripOverUnixSocket) {
   const auto users = svc_test::make_users();
   svc::SchedulerService service(users, tiny_fleet_options());
   svc::ServerOptions server_options;
-  server_options.ingress_threads = 2;
   const std::string path = ::testing::TempDir() + "helcfl_svc_rt.sock";
   svc::SocketServer server(service, svc::Endpoint::parse("unix:" + path),
                            server_options);
@@ -286,6 +284,41 @@ TEST(SocketServer, RoundTripOverUnixSocket) {
   EXPECT_EQ(stats.conns_accepted, 1u);
   EXPECT_GE(stats.ingress_frames, users.size() + 1);
   EXPECT_GE(stats.egress_frames, users.size() + 1);
+}
+
+TEST(SocketServer, CountsStreamRejectionsAndStillAcksTheReport) {
+  const auto users = svc_test::make_users();
+  svc::SchedulerService service(users, tiny_fleet_options());
+  obs::Registry registry;
+  obs::Instruments instruments;
+  instruments.registry = &registry;
+  svc::SocketServer server(service, svc::Endpoint::parse("tcp:127.0.0.1:0"),
+                           svc::ServerOptions{}, instruments);
+  server.start();
+
+  // Raw socket: garbage the decoder must resync past, then one valid report.
+  svc::Socket raw = svc::Socket::connect_to(server.endpoint());
+  const std::vector<std::uint8_t> garbage = {0xde, 0xad, 0xbe, 0xef, 0x00,
+                                             0x11, 0x22, 0x33};
+  const auto report = report_frame(3, 1);
+  write_all(raw.fd(), garbage, garbage.size());
+  write_all(raw.fd(), report, report.size());
+
+  svc::FramedConn reader(std::move(raw));
+  std::vector<svc::Frame> inbox;
+  ASSERT_TRUE(eventually([&] {
+    reader.read_frames(inbox);
+    return !inbox.empty();
+  }));
+  ASSERT_EQ(inbox.front().type, svc::MsgType::kReportAck);
+  const svc::ReportAck ack = svc::decode_report_ack(inbox.front().payload);
+  EXPECT_EQ(ack.device_id, 3u);
+  EXPECT_EQ(ack.report_seq, 1u);
+
+  server.stop();
+  EXPECT_GE(server.stats().frames_rejected, 1u);
+  EXPECT_EQ(registry.counter("svc.conn_frames_rejected"),
+            server.stats().frames_rejected);
 }
 
 TEST(SocketServer, DisconnectExpiresLeaseAndReconnectRevives) {
